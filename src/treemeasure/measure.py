@@ -7,6 +7,16 @@ plus a one-step transition kernel).  Over the denumerable spin set the chain
 and product forms carry closed-form tail descriptors, so cylinder values,
 marginals and masses stay exact.
 
+A rectangle's value never visits the whole ball.  The product form multiplies
+over the constrained sites and the overrides, and raises the default row sum
+to the number of remaining sites.  The chain forms make one bottom-up
+sum-product pass over the rectangle's skeleton: its constrained sites and
+their ancestors.  Every free child subtree is a memoized factor of its
+height.  For c constrained sites at depth at most d, that is O(c * d)
+skeleton nodes, each costing O(s^2) Fraction operations over s finite spins
+(over the naturals, in the kernel's explicit rows and the values the
+constraints name), plus O(log d) index arithmetic per node.
+
 Values are Fraction, the float infinity for a diverging mass, or
 Inconclusive when a computation stopped at a work budget with only a
 certified lower bound.
@@ -56,20 +66,28 @@ def is_finite_value(v) -> bool:
     return isinstance(v, Fraction)
 
 
+# The value algebra tests for infinity by type: INFINITE is the only float a
+# value can be, and `Fraction == float` is a slow comparison on a hot path.
+
+
 def value_add(a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return a + b
     if isinstance(a, Inconclusive) or isinstance(b, Inconclusive):
         raise TypeError("cannot add inconclusive values")
-    if a == INFINITE or b == INFINITE:
+    if type(a) is float or type(b) is float:
         return INFINITE
     return a + b
 
 
 def value_mul(a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return a * b
     if isinstance(a, Inconclusive) or isinstance(b, Inconclusive):
         raise TypeError("cannot multiply inconclusive values")
     if a == 0 or b == 0:
         return Fraction(0)
-    if a == INFINITE or b == INFINITE:
+    if type(a) is float or type(b) is float:
         return INFINITE
     return a * b
 
@@ -77,16 +95,16 @@ def value_mul(a, b):
 def value_pow(v, e: int):
     if e == 0:
         return Fraction(1)
-    if v == INFINITE:
+    if type(v) is float:
         return INFINITE
     return v**e
 
 
 def value_sub(a, b):
     """a - b for a >= b >= 0; infinity minus a finite amount stays infinite."""
-    if b == INFINITE:
+    if type(b) is float:
         raise ValueError("cannot subtract an infinite value")
-    if a == INFINITE:
+    if type(a) is float:
         return INFINITE
     return a - b
 
@@ -350,7 +368,14 @@ class _EvFn:
         return self.const
 
 
+def _evfn_pow(f: _EvFn, e: int) -> _EvFn:
+    return _EvFn(tuple(value_pow(x, e) for x in f.prefix), value_pow(f.const, e))
+
+
 def _evfn_product(fns: list[_EvFn]) -> _EvFn:
+    fns = [f for f in fns if f.prefix or f.const != 1]
+    if len(fns) == 1:
+        return fns[0]
     width = max((len(f.prefix) for f in fns), default=0)
     prefix = []
     for q in range(width):
@@ -451,102 +476,100 @@ class VolumeMeasure:
         return weight_sum_not_in(w, constraint.values)
 
     def _rect_value_product(self, rect: Rectangle):
+        """Product over the constrained sites and the overrides in the ball;
+        the remaining free sites all carry the default row sum."""
         form = self.form
+        ball = self._ball()
+        constraints = rect.as_dict()
+        special = set(constraints)
+        special.update(v for v in form.overrides if v < ball)
         acc = Fraction(1)
-        for v in range(self._ball()):
-            acc = value_mul(acc, self._site_weight_sum(form.weight_at(v), rect.constraint_at(v)))
+        for v in special:
+            acc = value_mul(acc, self._site_weight_sum(form.weight_at(v), constraints.get(v)))
             if acc == 0:
                 return Fraction(0)
-        return acc
+        free = value_pow(weight_sum_all(form.default), ball - len(special))
+        return value_mul(acc, free)
 
-    # chain evaluation, finite spins: bottom-up sums over the constrained
-    # skeleton, with fully free subtrees collapsed to memoized factors
+    # chain evaluation: one bottom-up sum-product pass over the skeleton of
+    # the rectangle, with every fully free child subtree collapsed to a
+    # memoized factor of its height.  Breadth-first indexing puts children
+    # after parents, so the skeleton in descending index order is a valid
+    # bottom-up schedule; each node folds its factor into its parent's list.
+
+    def _skeleton(self, rect: Rectangle) -> list[tuple[int, int]]:
+        """(vertex, level) for the constrained sites and all their ancestors,
+        root included, in descending index order."""
+        tree = self.ctx.tree
+        levels = {0: 0}
+        for site in rect.sites():
+            lvl = tree.level(site)
+            anc = site
+            while anc not in levels:
+                levels[anc] = lvl
+                lvl -= 1
+                anc = tree.ancestor_at_level(site, lvl)
+        return sorted(levels.items(), reverse=True)
+
+    def _free_children(self, v: int, lvl: int, skeleton_children: int) -> int:
+        if lvl == self.depth:
+            return 0
+        k = self.ctx.tree.order
+        return (k + 1 if v == 0 else k) - skeleton_children
+
+    def _free_factor(self, height: int, unit, step):
+        """Memoized weight of one free child subtree with `height` levels below
+        the parent, as a function of the parent spin.  `step` adds one level;
+        missing heights are built upwards from the tallest one cached."""
+        cache = self._free_cache
+        if height not in cache:
+            if height == 0 or self.form.kernel.is_stochastic():
+                cache[height] = unit
+            else:
+                h = max((x for x in cache if x < height), default=0)
+                below = cache.get(h, unit)
+                for h in range(h + 1, height + 1):
+                    below = cache[h] = step(below)
+        return cache[height]
 
     def _free_factor_finite(self, height: int):
-        """Tuple over parent spins: total kernel weight of one free child
-        subtree with `height` levels below the parent."""
-        kernel = self.form.kernel
+        mat = self.form.kernel.matrix
         s = self.ctx.spins.size
-        if height == 0:
-            return (Fraction(1),) * s
-        if height in self._free_cache:
-            return self._free_cache[height]
-        if kernel.is_stochastic():
-            out = (Fraction(1),) * s
-        else:
-            below = self._free_factor_finite(height - 1)
-            k = self.ctx.tree.order
-            out = tuple(
-                sum(
-                    (kernel.matrix[q][r] * below[r] ** k for r in range(s)),
-                    Fraction(0),
-                )
-                for q in range(s)
-            )
-        self._free_cache[height] = out
-        return out
+        k = self.ctx.tree.order
+        return self._free_factor(height, (Fraction(1),) * s, lambda below: tuple(
+            sum((mat[q][r] * below[r] ** k for r in range(s)), Fraction(0)) for q in range(s)
+        ))
 
     def _rect_value_chain_finite(self, rect: Rectangle):
         form = self.form
         tree = self.ctx.tree
         spins = self.ctx.spins
         s = spins.size
-        n = self.depth
         mat = form.kernel.matrix
-        anc = {
-            site: {lvl: tree.ancestor_at_level(site, lvl) for lvl in range(tree.level(site) + 1)}
-            for site in rect.sites()
-        }
+        constraints = rect.as_dict()
+        pending: dict[int, list] = {}
+        for v, lvl in self._skeleton(rect):
+            allowed = list(c_allowed_values(constraints.get(v), spins))
+            kids = pending.pop(v, [])
+            nfree = self._free_children(v, lvl, len(kids))
+            free = self._free_factor_finite(self.depth - lvl)
+            # below[r]: weight of everything under v given spin r at v
+            below = {}
+            for r in allowed:
+                w = free[r] ** nfree
+                for f in kids:
+                    w *= f[r]
+                below[r] = w
+            if v == 0:
+                return sum((weight_value(form.lam, q) * below[q] for q in allowed), Fraction(0))
+            factor = tuple(
+                sum((mat[q][r] * below[r] for r in allowed), Fraction(0)) for q in range(s)
+            )
+            pending.setdefault(tree.parent(v), []).append(factor)
 
-        def child_factor(c, lvl, sites_here):
-            if not sites_here and rect.constraint_at(c) is None:
-                return self._free_factor_finite(n - lvl + 1)
-            return sub(c, lvl, sites_here)
-
-        def sub(v, lvl, sites_here):
-            allowed = list(c_allowed_values(rect.constraint_at(v), spins))
-            kids = tree.children(v) if lvl < n else ()
-            fns = [
-                child_factor(
-                    c,
-                    lvl + 1,
-                    [t for t in sites_here if t != v and anc[t].get(lvl + 1) == c],
-                )
-                for c in kids
-            ]
-            out = []
-            for q in range(s):
-                row = mat[q]
-                tot = Fraction(0)
-                for r in allowed:
-                    w = row[r]
-                    if w == 0:
-                        continue
-                    for f in fns:
-                        w *= f[r]
-                    tot += w
-                out.append(tot)
-            return tuple(out)
-
-        sites = [t for t in rect.sites() if t != 0]
-        kids = tree.children(0) if n > 0 else ()
-        fns = [
-            child_factor(c, 1, [t for t in sites if anc[t].get(1) == c]) for c in kids
-        ]
-        allowed0 = list(c_allowed_values(rect.constraint_at(0), spins))
-        total = Fraction(0)
-        for q in allowed0:
-            w = weight_value(form.lam, q)
-            if w == 0:
-                continue
-            for f in fns:
-                w *= f[q]
-            total += w
-        return total
-
-    # chain evaluation over the denumerable spin set: the same bottom-up
-    # sums, with functions of the parent spin kept in eventually-constant
-    # form so that cofinite site constraints reduce to closed-form tails
+    # over the denumerable spin set, functions of the parent spin are kept in
+    # eventually-constant form so that cofinite site constraints reduce to
+    # closed-form tails
 
     def _row_weighted_sum(self, row: NatSeq, constraint: SiteConstraint | None, g: _EvFn):
         if constraint is not None and constraint.mode == "in":
@@ -562,83 +585,38 @@ class VolumeMeasure:
                 head = value_add(head, value_mul(row.value_at(r), g.at(r)))
         return value_add(head, value_mul(g.const, row.sum_from(start)))
 
-    def _free_factor_nat(self, height: int) -> _EvFn:
+    def _kernel_factor_nat(self, constraint: SiteConstraint | None, g: _EvFn) -> _EvFn:
+        """As a function of the parent spin: kernel weight of the allowed child
+        spins, each weighted by g."""
         kernel = self.form.kernel
-        if height == 0:
-            return _EvFn((), Fraction(1))
-        if height in self._free_cache:
-            return self._free_cache[height]
-        if kernel.is_stochastic():
-            out = _EvFn((), Fraction(1))
-        else:
-            below = self._free_factor_nat(height - 1)
-            k = self.ctx.tree.order
-            powered = _EvFn(
-                tuple(value_pow(x, k) for x in below.prefix), value_pow(below.const, k)
-            )
-            width = kernel.uniform_from
-            prefix = tuple(
-                self._row_weighted_sum(kernel.row_seq(q), None, powered) for q in range(width)
-            )
-            const = self._row_weighted_sum(kernel.row_seq(width), None, powered)
-            out = _EvFn(prefix, const)
-        self._free_cache[height] = out
-        return out
+        width = kernel.uniform_from
+        prefix = tuple(
+            self._row_weighted_sum(kernel.row_seq(q), constraint, g) for q in range(width)
+        )
+        return _EvFn(prefix, self._row_weighted_sum(kernel.row_seq(width), constraint, g))
+
+    def _free_factor_nat(self, height: int) -> _EvFn:
+        k = self.ctx.tree.order
+        return self._free_factor(
+            height, _EvFn((), Fraction(1)),
+            lambda below: self._kernel_factor_nat(None, _evfn_pow(below, k)),
+        )
 
     def _rect_value_chain_nat(self, rect: Rectangle):
-        form = self.form
         tree = self.ctx.tree
-        kernel = form.kernel
-        n = self.depth
-        anc = {
-            site: {lvl: tree.ancestor_at_level(site, lvl) for lvl in range(tree.level(site) + 1)}
-            for site in rect.sites()
-        }
-
-        def child_factor(c, lvl, sites_here) -> _EvFn:
-            if not sites_here and rect.constraint_at(c) is None:
-                return self._free_factor_nat(n - lvl + 1)
-            return sub(c, lvl, sites_here)
-
-        def sub(v, lvl, sites_here) -> _EvFn:
-            constraint = rect.constraint_at(v)
-            kids = tree.children(v) if lvl < n else ()
-            fns = [
-                child_factor(
-                    c,
-                    lvl + 1,
-                    [t for t in sites_here if t != v and anc[t].get(lvl + 1) == c],
-                )
-                for c in kids
-            ]
+        constraints = rect.as_dict()
+        pending: dict[int, list] = {}
+        for v, lvl in self._skeleton(rect):
+            fns = pending.pop(v, [])
+            nfree = self._free_children(v, lvl, len(fns))
+            if nfree:
+                fns.append(_evfn_pow(self._free_factor_nat(self.depth - lvl), nfree))
             g = _evfn_product(fns)
-            width = kernel.uniform_from
-            prefix = tuple(
-                self._row_weighted_sum(kernel.row_seq(q), constraint, g) for q in range(width)
+            if v == 0:
+                return self._row_weighted_sum(self.form.lam, constraints.get(0), g)
+            pending.setdefault(tree.parent(v), []).append(
+                self._kernel_factor_nat(constraints.get(v), g)
             )
-            const = self._row_weighted_sum(kernel.row_seq(width), constraint, g)
-            return _EvFn(prefix, const)
-
-        sites = [t for t in rect.sites() if t != 0]
-        kids = tree.children(0) if n > 0 else ()
-        fns = [
-            child_factor(c, 1, [t for t in sites if anc[t].get(1) == c]) for c in kids
-        ]
-        g = _evfn_product(fns)
-        lam: NatSeq = form.lam
-        constraint = rect.constraint_at(0)
-        if constraint is not None and constraint.mode == "in":
-            return sum(
-                (value_mul(lam.value_at(q), g.at(q)) for q in sorted(constraint.values)),
-                Fraction(0),
-            )
-        excluded = frozenset() if constraint is None else constraint.values
-        start = max(len(g.prefix), max(excluded) + 1 if excluded else 0)
-        head = Fraction(0)
-        for q in range(start):
-            if q not in excluded:
-                head = value_add(head, value_mul(lam.value_at(q), g.at(q)))
-        return value_add(head, value_mul(g.const, lam.sum_from(start)))
 
     # -- whole-table operations -------------------------------------------------
 

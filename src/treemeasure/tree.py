@@ -10,6 +10,7 @@ i + 1 on the same level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DepthLimitError
@@ -27,6 +28,25 @@ class TreeGeometry:
             raise ValueError(f"tree order must be >= 1, got {self.order}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        # _bounds[n] is ball_size(n), so sphere n holds the indices from
+        # _bounds[n-1] up to _bounds[n] - 1.  Filled only as deep as the
+        # vertices asked about, since max_depth itself may be very large.
+        object.__setattr__(self, "_bounds", [1])
+
+    def _boundary(self, n: int) -> int:
+        """ball_size(n) without the depth guard, cached."""
+        if self.order == 1:
+            return 2 * n + 1
+        bounds = self._bounds
+        if n >= len(bounds):
+            k = self.order
+            bounds = list(bounds)
+            sphere = k + 1 if len(bounds) == 1 else (bounds[-1] - bounds[-2]) * k
+            while n >= len(bounds):
+                bounds.append(bounds[-1] + sphere)
+                sphere *= k
+            object.__setattr__(self, "_bounds", bounds)
+        return bounds[n]
 
     # -- sphere and ball combinatorics ------------------------------------
 
@@ -40,10 +60,7 @@ class TreeGeometry:
     def ball_size(self, n: int) -> int:
         """Number of vertices at distance at most n from the root."""
         self.check_depth(n)
-        k = self.order
-        if k == 1:
-            return 2 * n + 1
-        return 1 + (k + 1) * (k**n - 1) // (k - 1)
+        return self._boundary(n)
 
     def ball_vertices(self, n: int) -> range:
         return range(self.ball_size(n))
@@ -57,25 +74,26 @@ class TreeGeometry:
     # -- vertex arithmetic -------------------------------------------------
 
     def level(self, v: int) -> int:
-        """Distance from the root, derived from the index alone."""
+        """Distance from the root, derived from the index alone.
+
+        O(1) on a path (order 1), else a binary search over the cached sphere
+        boundaries: O(log level(v)).
+        """
         self.check_vertex(v)
-        n = 0
-        while v >= self.ball_size(n):
-            n += 1
-        return n
+        if self.order == 1:
+            return (v + 1) // 2
+        return bisect_right(self._bounds, v)
 
     def level_and_position(self, v: int) -> tuple[int, int]:
         """(level, position within that level), the inverse of index_of."""
         n = self.level(v)
-        base = 0 if n == 0 else self.ball_size(n - 1)
-        return n, v - base
+        return n, v - (0 if n == 0 else self._boundary(n - 1))
 
     def index_of(self, level: int, position: int) -> int:
         self.check_depth(level)
         if not 0 <= position < self.sphere_size(level):
             raise ValueError(f"position {position} out of range at level {level}")
-        base = 0 if level == 0 else self.ball_size(level - 1)
-        return base + position
+        return (0 if level == 0 else self._boundary(level - 1)) + position
 
     def parent(self, v: int) -> int | None:
         lvl, pos = self.level_and_position(v)
@@ -83,7 +101,7 @@ class TreeGeometry:
             return None
         if lvl == 1:
             return 0
-        return self.ball_size(lvl - 2) + pos // self.order
+        return self._boundary(lvl - 2) + pos // self.order
 
     def children(self, v: int) -> range:
         lvl = self.level(v)
@@ -93,8 +111,8 @@ class TreeGeometry:
             )
         if v == 0:
             return range(1, self.order + 2)
-        pos = v - self.ball_size(lvl - 1)
-        first = self.ball_size(lvl) + pos * self.order
+        pos = v - self._boundary(lvl - 1)
+        first = self._boundary(lvl) + pos * self.order
         return range(first, first + self.order)
 
     def path_to_root(self, v: int) -> list[int]:
@@ -105,14 +123,16 @@ class TreeGeometry:
         return path
 
     def ancestor_at_level(self, v: int, lvl: int) -> int:
-        cur = v
-        cur_lvl = self.level(v)
-        if lvl > cur_lvl:
-            raise ValueError(f"vertex {v} sits at level {cur_lvl} < {lvl}")
-        while cur_lvl > lvl:
-            cur = self.parent(cur)
-            cur_lvl -= 1
-        return cur
+        """The vertex on the path from v to the root at distance lvl from the
+        root, in closed form: each level up divides the position by order."""
+        cur_lvl, pos = self.level_and_position(v)
+        if not 0 <= lvl <= cur_lvl:
+            raise ValueError(f"vertex {v} sits at level {cur_lvl}, no ancestor at level {lvl}")
+        if lvl == cur_lvl:
+            return v
+        if lvl == 0:
+            return 0
+        return self._boundary(lvl - 1) + pos // self.order ** (cur_lvl - lvl)
 
     def distance(self, u: int, v: int) -> int:
         """Graph distance, via the lowest common ancestor."""
@@ -159,7 +179,14 @@ class TreeGeometry:
     def check_vertex(self, v: int) -> None:
         if v < 0:
             raise ValueError(f"vertex index must be non-negative, got {v}")
-        if v >= self.ball_size(self.max_depth):
+        if self.order == 1:
+            beyond = v > 2 * self.max_depth
+        else:
+            # grow the cache, doubling its depth, until it covers v or max_depth
+            while self._bounds[-1] <= v and len(self._bounds) <= self.max_depth:
+                self._boundary(min(self.max_depth, 2 * len(self._bounds)))
+            beyond = self._bounds[-1] <= v
+        if beyond:
             raise DepthLimitError(
                 f"vertex {v} lies beyond depth max_depth {self.max_depth}"
             )

@@ -2,10 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 from treemeasure.cli import main
+
+F = Fraction
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CHAIN = os.path.join(DATA, "chain_k2_prob.spec")
@@ -262,3 +266,69 @@ def test_module_entrypoint_subprocess():
     payload = json.loads(proc.stdout)
     assert payload["command"] == "validate"
     assert proc.stderr == ""
+
+
+# Deep sites on a k=1 path: evaluation walks the constrained path once, with
+# constant-time index arithmetic and no recursion, so a site thousands of
+# levels out is valued exactly in well under a second.  (Per-site ancestor
+# tables and recursive evaluators once made x999 raise RecursionError and
+# x4999 run for minutes.)
+
+PATH_HEADER = "[tree]\nk = 1\nmax_depth = 5000\n\n"
+DEEP_SPECS = {
+    "finite_stochastic": (
+        "[spins]\nkind = finite\nsize = 2\n\n[family]\nkind = markov-prob\n"
+        "lambda = 1/3 2/3\nP = 3/4 1/4 ; 1/4 3/4\n",
+        ([F(1, 3), F(2, 3)], [[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]),
+    ),
+    "finite_substochastic": (
+        "[spins]\nkind = finite\nsize = 2\n\n[family]\nkind = markov\n"
+        "lambda = 1/2 1/2\nP = 1/3 1/6 ; 1/4 1/4\n",
+        ([F(1, 2), F(1, 2)], [[F(1, 3), F(1, 6)], [F(1, 4), F(1, 4)]]),
+    ),
+    "naturals": (
+        "[spins]\nkind = nat\n\n[family]\nkind = markov\n"
+        "lambda = geometric 1/2 1/2\nP = geometric 1/2 1/2\nP@0 = geometric 2/3 1/3\n",
+        None,
+    ),
+}
+
+
+def path_value_finite(lam, P, level):
+    """x = 0 at a vertex `level` steps out on one side of the root; the other
+    side is a free branch of the same length."""
+    s = len(lam)
+    pinned = [F(int(r == 0)) for r in range(s)]
+    free = [F(1)] * s
+    for _ in range(level):
+        pinned = [sum(P[q][r] * pinned[r] for r in range(s)) for q in range(s)]
+        free = [sum(P[q][r] * free[r] for r in range(s)) for q in range(s)]
+    return sum(lam[q] * pinned[q] * free[q] for q in range(s))
+
+
+def path_value_naturals(level):
+    """The spec's stochastic kernel sends spin 0 to 0 with weight 2/3 and
+    every other spin to 0 with weight 1/2: P(x = 0) obeys a scalar recursion."""
+    p = F(1, 2)
+    for _ in range(level):
+        p = p * F(2, 3) + (1 - p) * F(1, 2)
+    return p
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SPECS))
+@pytest.mark.parametrize("site", [999, 4999])
+def test_eval_deep_path_site(capsys, tmp_path, name, site):
+    body, chain = DEEP_SPECS[name]
+    spec = tmp_path / f"{name}.spec"
+    spec.write_text(PATH_HEADER + body)
+    level = (site + 1) // 2
+    start = time.perf_counter()
+    code, payload, _ = run_cli(capsys, "eval", "--spec", str(spec),
+                               "--event", f"x{site}=0", "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert payload["depth"] == level
+    expected = path_value_naturals(level) if chain is None else path_value_finite(*chain, level)
+    assert Fraction(payload["value"]) == expected
+    # generous: the evaluation itself takes well under a second
+    assert elapsed < 30

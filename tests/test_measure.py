@@ -117,21 +117,77 @@ def test_chain_atom_agrees_with_deeper_sum(chain_fam):
     assert total == mu1.atom_weight(target) == F(4, 27)
 
 
+def assert_matches_atom_sums(mu, seed, count=30):
+    """measure_of against the sum of the atoms each random cylinder holds."""
+    from treemeasure import random_cylinder
+
+    table = mu.dense_table()
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = random_cylinder(mu.ctx, rng, max_depth=mu.depth)
+        brute = sum((w for k, w in table.items() if e.contains(k)), F(0))
+        assert mu.measure_of(e) == brute, e.render()
+
+
 def test_measure_of_matches_atom_sums(chain_fam, ctx_k2s2):
     ctx = ctx_k2s2
     mu2 = chain_fam.measure(2)
-    table = mu2.dense_table()
-    rng = random.Random(314)
-    from treemeasure import random_cylinder
-
-    for _ in range(30):
-        e = random_cylinder(ctx, rng, max_depth=2)
-        direct = mu2.measure_of(e)
-        brute = sum((w for k, w in table.items() if e.contains(k)), F(0))
-        assert direct == brute
+    assert_matches_atom_sums(mu2, 314)
     assert mu2.measure_of(single_site(ctx, 0, 0)) == F(1, 2)
     assert mu2.measure_of(from_constraints(ctx, {0: constraint_not_in([0])})) == F(1, 2)
     assert mu2.measure_of(omega(ctx)) == 1
+
+
+ATOM_SUM_FAMILIES = {
+    # row sums 1/2 and 3/4: free subtrees contribute depth-dependent factors
+    "substochastic_s2_k2_depth2": lambda: markov_family(
+        Context(TreeGeometry(2), SpinSet.finite(2)),
+        [F(1, 2), F(1, 3)], [[F(1, 3), F(1, 6)], [F(1, 4), F(1, 2)]],
+    ).measure(2),
+    "substochastic_s2_k1_depth3": lambda: markov_family(
+        Context(TreeGeometry(1), SpinSet.finite(2)),
+        [F(1, 2), F(1, 3)], [[F(1, 3), F(1, 6)], [F(1, 4), F(1, 2)]],
+    ).measure(3),
+    "chain_s3_k1_depth3": lambda: markov_family(
+        Context(TreeGeometry(1), SpinSet.finite(3)),
+        [F(1, 2), F(1, 4), F(1, 4)],
+        [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 6), F(2, 3), F(1, 6)], [F(1, 4), F(1, 4), F(1, 2)]],
+    ).measure(3),
+    # default row sum 5/6; vertex 5 has mass 2, vertex 11 lies beyond the ball
+    "product_overrides_k2_depth2": lambda: product_family(
+        Context(TreeGeometry(2), SpinSet.finite(2)),
+        [F(1, 3), F(1, 2)],
+        {0: [F(1, 4), F(3, 4)], 5: [F(0), F(2)], 11: [F(1), F(1)]},
+    ).measure(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATOM_SUM_FAMILIES))
+def test_measure_of_matches_atom_sums_other_families(name):
+    assert_matches_atom_sums(ATOM_SUM_FAMILIES[name](), 2718)
+
+
+def test_product_over_naturals_zero_and_infinite_factors(nat_ctx):
+    ctx = nat_ctx
+    counting = NatSeq.constant(1)
+    geo = NatSeq.geometric(F(1, 2), F(1, 2))
+    # one zero-mass site absorbs the infinite mass of all the others
+    absorbed = product_family(ctx, counting, {5: NatSeq.finite([0])}).measure(2)
+    assert absorbed.mass() == 0
+    assert absorbed.measure_of(single_site(ctx, 0, 3)) == 0
+    # no zero factor: the free sites' infinite mass makes the value infinite
+    diverging = product_family(ctx, counting, {2: geo}).measure(1)
+    assert diverging.measure_of(single_site(ctx, 2, 0)) == INFINITE
+    # every site pinned: finite, the geometric site contributes 1/2
+    pinned = from_constraints(ctx, {v: constraint_in([0]) for v in range(4)})
+    assert diverging.measure_of(pinned) == F(1, 2)
+    # vertices 20 and 21 lie at level 3: ignored at depth 2, in the ball at depth 3
+    fam = product_family(ctx, geo, {20: counting, 21: NatSeq.finite([0])})
+    mu2 = fam.measure(2)
+    assert mu2.mass() == 1
+    assert mu2.measure_of(single_site(ctx, 4, 0)) == F(1, 2)
+    assert fam.measure(3).mass() == 0
+    assert product_family(ctx, geo, {20: counting}).measure(3).mass() == INFINITE
 
 
 def test_product_equals_uniform_chain(ctx_k2s2, uniform_fam):

@@ -43,7 +43,44 @@ def test_indexing_matches_bfs_oracle():
             assert tree.parent(v) == parents[v]
             if levels[v] < 5:
                 assert list(tree.children(v)) == children[v]
+            # chain[d] is the ancestor d steps up, read off the oracle's parents
+            chain = [v]
+            while parents[chain[-1]] is not None:
+                chain.append(parents[chain[-1]])
+            for lvl in range(levels[v] + 1):
+                assert tree.ancestor_at_level(v, lvl) == chain[levels[v] - lvl]
+            with pytest.raises(ValueError):
+                tree.ancestor_at_level(v, levels[v] + 1)
         assert tree.parents_list(5) == parents
+
+        # the last vertex of the max_depth ball is accepted, the next is not;
+        # a fresh geometry checks the guard before any other lookup
+        fresh = TreeGeometry(k, max_depth=6)
+        last = tree.ball_size(6) - 1
+        with pytest.raises(DepthLimitError):
+            fresh.check_vertex(last + 1)
+        fresh.check_vertex(last)
+        assert fresh.level(last) == 6
+        with pytest.raises(DepthLimitError):
+            fresh.level(last + 1)
+        with pytest.raises(ValueError):
+            fresh.level(-1)
+        with pytest.raises(ValueError):
+            fresh.ancestor_at_level(-1, 0)
+
+
+def test_large_max_depth_costs_only_what_is_asked():
+    # index arithmetic must not build anything proportional to max_depth
+    path = TreeGeometry(1, max_depth=10**12)
+    v = 2 * 10**11 + 1
+    assert path.level(v) == 10**11 + 1
+    assert path.parent(v) == v - 2
+    assert path.ancestor_at_level(v, 1) == 1
+    assert path.ancestor_at_level(v + 1, 1) == 2
+    deep = TreeGeometry(2, max_depth=10**6)
+    assert deep.level(21) == 3
+    assert deep.ancestor_at_level(21, 1) == 3
+    assert list(deep.children(21)) == [44, 45]
 
 
 def test_sphere_and_ball_closed_forms():
