@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .extension import ExtensionHandle, continuity_probe
-from .measure import INFINITE, check_consistency
+from .measure import check_consistency, render_value
 from .sigma_finite import (
     DEFAULT_DIVERGENCE_BOUND,
     DEFAULT_TERM_BUDGET,
@@ -132,12 +132,7 @@ def _load(args):
 
 
 def _value_json(v):
-    if v is None:
-        return None
-    if v == INFINITE:
-        return "inf"
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return None if v is None else render_value(v)
 
 
 def _sigma_json(sv: SigmaValue) -> dict:

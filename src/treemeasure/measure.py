@@ -17,9 +17,7 @@ skeleton nodes, each costing O(s^2) Fraction operations over s finite spins
 (over the naturals, in the kernel's explicit rows and the values the
 constraints name), plus O(log d) index arithmetic per node.
 
-Values are Fraction, the float infinity for a diverging mass, or
-Inconclusive when a computation stopped at a work budget with only a
-certified lower bound.
+Values are Fraction or the float infinity for a diverging mass.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,19 +52,6 @@ from .errors import (
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class Inconclusive:
-    """A computation cut short: the true value is at least `lower`, and is
-    within `tail` of it when a tail bound could be certified."""
-
-    lower: Fraction
-    tail: Fraction | None = None
-
-
-def is_finite_value(v) -> bool:
-    return isinstance(v, Fraction)
-
-
 # The value algebra tests for infinity by type: INFINITE is the only float a
 # value can be, and `Fraction == float` is a slow comparison on a hot path.
 
@@ -73,8 +59,6 @@ def is_finite_value(v) -> bool:
 def value_add(a, b):
     if type(a) is Fraction and type(b) is Fraction:
         return a + b
-    if isinstance(a, Inconclusive) or isinstance(b, Inconclusive):
-        raise TypeError("cannot add inconclusive values")
     if type(a) is float or type(b) is float:
         return INFINITE
     return a + b
@@ -83,8 +67,6 @@ def value_add(a, b):
 def value_mul(a, b):
     if type(a) is Fraction and type(b) is Fraction:
         return a * b
-    if isinstance(a, Inconclusive) or isinstance(b, Inconclusive):
-        raise TypeError("cannot multiply inconclusive values")
     if a == 0 or b == 0:
         return Fraction(0)
     if type(a) is float or type(b) is float:
@@ -110,13 +92,19 @@ def value_sub(a, b):
 
 
 def render_value(v) -> str:
-    if isinstance(v, Inconclusive):
-        tail = "?" if v.tail is None else render_value(v.tail)
-        return f"Inconclusive(lower={render_value(v.lower)}, tail={tail})"
-    if v == INFINITE:
+    """"inf", an integer, or "p/q", exact at any size."""
+    if type(v) is float:
         return "inf"
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    try:
+        return str(Fraction(v))
+    except ValueError:
+        # past the interpreter's int-to-str digit limit: lift it for this call
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(Fraction(v))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -196,53 +184,16 @@ class NatSeq:
         )
 
 
-# weights are either a tuple of Fractions (finite spins) or a NatSeq
-
-
-def as_weights(spins: SpinSet, values):
-    if isinstance(values, NatSeq):
-        if spins.is_finite:
-            raise SpinRangeError("tail-described weights need the denumerable spin set")
-        return values
-    out = tuple(Fraction(v) for v in values)
-    if spins.is_finite:
-        if len(out) != spins.size:
-            raise ValueError(f"need {spins.size} weights, got {len(out)}")
-    else:
-        return NatSeq.finite(out)
-    for x in out:
-        if x < 0:
-            raise ValueError("weights must be non-negative")
-    return out
-
-
-def weight_value(w, q: int) -> Fraction:
-    if isinstance(w, NatSeq):
-        return w.value_at(q)
-    return w[q]
-
-
-def weight_sum_all(w):
-    if isinstance(w, NatSeq):
-        return w.sum_all()
-    return sum(w, Fraction(0))
-
-
-def weight_sum_in(w, values) -> Fraction:
-    return sum((weight_value(w, q) for q in values), Fraction(0))
-
-
-def weight_sum_not_in(w, values):
-    if isinstance(w, NatSeq):
-        return w.sum_not_in(values)
-    return sum((x for q, x in enumerate(w) if q not in values), Fraction(0))
-
-
-def weight_scaled(w, c):
-    if isinstance(w, NatSeq):
-        return w.scaled(c)
-    c = Fraction(c)
-    return tuple(x * c for x in w)
+def as_weights(spins: SpinSet, values) -> NatSeq:
+    """Site weights as a NatSeq; over finite spins, one weight per spin and
+    no tail."""
+    if not isinstance(values, NatSeq):
+        values = NatSeq.finite(values)
+    elif spins.is_finite and (values.tail_kind != "const" or values.tail_a != 0):
+        raise SpinRangeError("tail-described weights need the denumerable spin set")
+    if spins.is_finite and len(values.prefix) != spins.size:
+        raise ValueError(f"need {spins.size} weights, got {len(values.prefix)}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +378,9 @@ class VolumeMeasure:
         if isinstance(form, ProductForm):
             acc = Fraction(1)
             for v, q in enumerate(values):
-                acc *= weight_value(form.weight_at(v), q)
+                acc *= form.weight_at(v).value_at(q)
             return acc
-        acc = weight_value(form.lam, values[0])
+        acc = form.lam.value_at(values[0])
         parents = self.parents()
         for child in range(1, len(values)):
             acc *= form.kernel.entry(values[parents[child]], values[child])
@@ -470,10 +421,10 @@ class VolumeMeasure:
 
     def _site_weight_sum(self, w, constraint: SiteConstraint | None):
         if constraint is None:
-            return weight_sum_all(w)
+            return w.sum_all()
         if constraint.mode == "in":
-            return weight_sum_in(w, sorted(constraint.values))
-        return weight_sum_not_in(w, constraint.values)
+            return w.sum_in(sorted(constraint.values))
+        return w.sum_not_in(constraint.values)
 
     def _rect_value_product(self, rect: Rectangle):
         """Product over the constrained sites and the overrides in the ball;
@@ -488,7 +439,7 @@ class VolumeMeasure:
             acc = value_mul(acc, self._site_weight_sum(form.weight_at(v), constraints.get(v)))
             if acc == 0:
                 return Fraction(0)
-        free = value_pow(weight_sum_all(form.default), ball - len(special))
+        free = value_pow(form.default.sum_all(), ball - len(special))
         return value_mul(acc, free)
 
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
@@ -561,7 +512,7 @@ class VolumeMeasure:
                     w *= f[r]
                 below[r] = w
             if v == 0:
-                return sum((weight_value(form.lam, q) * below[q] for q in allowed), Fraction(0))
+                return sum((form.lam.value_at(q) * below[q] for q in allowed), Fraction(0))
             factor = tuple(
                 sum((mat[q][r] * below[r] for r in allowed), Fraction(0)) for q in range(s)
             )
@@ -638,13 +589,13 @@ class VolumeMeasure:
             raise ValueError("scale factor must be non-negative")
         form = self.form
         if isinstance(form, DenseTableForm):
-            new = DenseTableForm({k: v * c for k, v in form.table.items()})
+            new = DenseTableForm({k: v * c for k, v in form.table.items() if v and c})
         elif isinstance(form, ProductForm):
             over = dict(form.overrides)
-            over[0] = weight_scaled(form.weight_at(0), c)
+            over[0] = form.weight_at(0).scaled(c)
             new = ProductForm(form.default, over)
         else:
-            new = MarkovForm(weight_scaled(form.lam, c), form.kernel)
+            new = MarkovForm(form.lam.scaled(c), form.kernel)
         return VolumeMeasure(self.ctx, self.depth, new)
 
     def project(self, i: int, method: str = "auto", budget: int = DEFAULT_ATOM_BUDGET) -> "VolumeMeasure":
@@ -663,21 +614,19 @@ class VolumeMeasure:
             return VolumeMeasure(self.ctx, i, DenseTableForm(_enumerate_marginal(self, i, budget)))
         if isinstance(form, DenseTableForm):
             cut = self.ctx.tree.ball_size(i)
-            out: dict = {}
-            for key, w in form.table.items():
-                head = key[:cut]
-                out[head] = out.get(head, Fraction(0)) + w
-            return VolumeMeasure(self.ctx, i, DenseTableForm(out))
+            return VolumeMeasure(
+                self.ctx, i, DenseTableForm(_regroup(form.table, lambda key: key[:cut]))
+            )
         if isinstance(form, ProductForm):
             cut = self.ctx.tree.ball_size(i)
             scalar = Fraction(1)
             for v in range(cut, self._ball()):
-                scalar = value_mul(scalar, weight_sum_all(form.weight_at(v)))
+                scalar = value_mul(scalar, form.weight_at(v).sum_all())
             if scalar == INFINITE:
                 raise MassError("marginal diverges: dropped site weights are not summable")
             over = {v: w for v, w in form.overrides.items() if v < cut}
             if scalar != 1:
-                over[0] = weight_scaled(form.weight_at(0), scalar)
+                over[0] = form.weight_at(0).scaled(scalar)
             return VolumeMeasure(self.ctx, i, ProductForm(form.default, over))
         if form.kernel.is_stochastic():
             return VolumeMeasure(self.ctx, i, MarkovForm(form.lam, form.kernel))
@@ -711,67 +660,22 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int = DEFAULT_ATOM_BU
         raise BudgetError(f"enumeration of {s}**{full} atoms exceeds budget {budget}")
     form = mu.form
     if isinstance(form, DenseTableForm):
-        out: dict = {}
-        for key, w in form.table.items():
-            head = key[:t]
-            out[head] = out.get(head, Fraction(0)) + w
-        return {k: v for k, v in out.items() if v != 0}
-
+        return _regroup(form.table, lambda key: key[:t])
+    # rows[v][p]: the weights of v's spins given its parent's spin p.  A
+    # product form's rows ignore p, and so do the root's, which reads its own
+    # spin slot in place of a parent's.
     if isinstance(form, ProductForm):
-        denoms = set()
-        for v in range(full):
-            w = form.weight_at(v)
-            denoms.update(weight_value(w, q).denominator for q in range(s))
-        scale_d = math.lcm(*denoms)
-        wI = [
-            [int(weight_value(form.weight_at(v), q) * scale_d) for q in range(s)]
-            for v in range(full)
-        ]
-        buckets = [0] * (s**t)
-
-        def rec_prod(v, acc, idx):
-            row = wI[v]
-            if v == full - 1:
-                if v < t:
-                    base = idx * s
-                    for val in range(s):
-                        buckets[base + val] += acc * row[val]
-                else:
-                    for val in range(s):
-                        buckets[idx] += acc * row[val]
-                return
-            if v < t:
-                for val in range(s):
-                    rec_prod(v + 1, acc * row[val], idx * s + val)
-            else:
-                for val in range(s):
-                    rec_prod(v + 1, acc * row[val], idx)
-
-        if full == 1:
-            for val in range(s):
-                buckets[val] += wI[0][val]
-        else:
-            for val in range(s):
-                rec_prod(1, wI[0][val], val)
-        den = scale_d**full
-        return {
-            _decode(idx, s, t): Fraction(b, den) for idx, b in enumerate(buckets) if b
-        }
-
-    kernel = form.kernel
-    denoms = {weight_value(form.lam, q).denominator for q in range(s)}
-    for q in range(s):
-        for r in range(s):
-            denoms.add(kernel.matrix[q][r].denominator)
-    scale_d = math.lcm(*denoms)
-    lamI = [int(weight_value(form.lam, q) * scale_d) for q in range(s)]
-    PI = [[int(kernel.matrix[q][r] * scale_d) for r in range(s)] for q in range(s)]
-    parents = mu.parents()
+        rows = [[form.weight_at(v).prefix] * s for v in range(full)]
+    else:
+        rows = [[form.lam.prefix] * s] + [form.kernel.matrix] * (full - 1)
+    scale_d = math.lcm(*{x.denominator for table in rows for row in table for x in row})
+    rowsI = [[[int(x * scale_d) for x in row] for row in table] for table in rows]
+    parents = [0] + mu.parents()[1:]
     buckets = [0] * (s**t)
     cur = [0] * full
 
     def rec(v, acc, idx):
-        row = PI[cur[parents[v]]]
+        row = rowsI[v][cur[parents[v]]]
         if v == full - 1:
             if v < t:
                 base = idx * s
@@ -781,24 +685,22 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int = DEFAULT_ATOM_BU
                 for val in range(s):
                     buckets[idx] += acc * row[val]
             return
-        if v < t:
-            for val in range(s):
-                cur[v] = val
-                rec(v + 1, acc * row[val], idx * s + val)
-        else:
-            for val in range(s):
-                cur[v] = val
-                rec(v + 1, acc * row[val], idx)
+        for val in range(s):
+            cur[v] = val
+            rec(v + 1, acc * row[val], idx * s + val if v < t else idx)
 
-    if full == 1:
-        for val in range(s):
-            buckets[val] += lamI[val]
-    else:
-        for val in range(s):
-            cur[0] = val
-            rec(1, lamI[val], val)
+    rec(0, 1, 0)
     den = scale_d**full
     return {_decode(idx, s, t): Fraction(b, den) for idx, b in enumerate(buckets) if b}
+
+
+def _regroup(table: dict, key) -> dict:
+    """Sum the atoms of `table` by key(atom); zero sums are dropped."""
+    out: dict = {}
+    for atom, w in table.items():
+        head = key(atom)
+        out[head] = out.get(head, Fraction(0)) + w
+    return {k: v for k, v in out.items() if v}
 
 
 def _decode(idx: int, s: int, t: int) -> tuple[int, ...]:
@@ -886,7 +788,7 @@ def markov_family(ctx: Context, lam, kernel, kind: str | None = None,
     if kernel.spins != ctx.spins:
         raise ContextMismatchError("kernel spin set differs from the context")
     if kind is None:
-        total = weight_sum_all(lam)
+        total = lam.sum_all()
         if total == 1 and kernel.is_stochastic():
             kind = "probability"
         elif total != INFINITE:
@@ -908,8 +810,8 @@ def product_family(ctx: Context, weight, overrides=None, kind: str | None = None
     overrides = {v: as_weights(ctx.spins, w) for v, w in (overrides or {}).items()}
     form_of = lambda n: ProductForm(weight, overrides)  # noqa: E731
     if kind is None:
-        sums = [weight_sum_all(weight)] + [weight_sum_all(w) for w in overrides.values()]
-        root_sum = weight_sum_all(overrides.get(0, weight))
+        sums = [weight.sum_all()] + [w.sum_all() for w in overrides.values()]
+        root_sum = overrides.get(0, weight).sum_all()
         if all(x == 1 for x in sums):
             kind = "probability"
         elif root_sum != INFINITE:
@@ -943,11 +845,7 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
     tables = {depth: clean}
     for i in range(depth - 1, -1, -1):
         cut = ctx.tree.ball_size(i)
-        out: dict = {}
-        for key, w in tables[i + 1].items():
-            head = key[:cut]
-            out[head] = out.get(head, Fraction(0)) + w
-        tables[i] = out
+        tables[i] = _regroup(tables[i + 1], lambda key: key[:cut])
     mass = sum(clean.values(), Fraction(0))
     kind = "probability" if mass == 1 else "finite"
     return MeasureFamily(
@@ -1000,11 +898,7 @@ def marginal_table(fam: MeasureFamily, sites, budget: int = DEFAULT_ATOM_BUDGET)
     tree = fam.ctx.tree
     n = max((tree.level(v) for v in sites), default=0)
     dense = fam.measure(n).dense_table(budget)
-    out: dict = {}
-    for key, w in dense.items():
-        head = tuple(key[v] for v in sites)
-        out[head] = out.get(head, Fraction(0)) + w
-    return {k: v for k, v in out.items() if v != 0}
+    return _regroup(dense, lambda key: tuple(key[v] for v in sites))
 
 
 def check_consistency(fam: MeasureFamily, depth: int,
@@ -1052,11 +946,7 @@ def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyRepor
                     )
             if i > 0:
                 cut = ctx.tree.ball_size(i - 1)
-                regrouped: dict = {}
-                for key, w in projected.items():
-                    head = key[:cut]
-                    regrouped[head] = regrouped.get(head, Fraction(0)) + w
-                projected = {k: v for k, v in regrouped.items() if v != 0}
+                projected = _regroup(projected, lambda key: key[:cut])
         achieved = j
     return ConsistencyReport(requested, achieved, None, "enumeration")
 
@@ -1084,8 +974,8 @@ def _check_consistency_nat(fam, requested, depth) -> ConsistencyReport:
     if isinstance(form, MarkovForm) and form.kernel.is_stochastic():
         return ConsistencyReport(requested, depth, None, "closed-row")
     if isinstance(form, ProductForm):
-        sums_ok = weight_sum_all(form.default) == 1 and all(
-            weight_sum_all(w) == 1 for v, w in form.overrides.items() if v != 0
+        sums_ok = form.default.sum_all() == 1 and all(
+            w.sum_all() == 1 for v, w in form.overrides.items() if v != 0
         )
         if sums_ok:
             return ConsistencyReport(requested, depth, None, "closed-row")

@@ -28,8 +28,8 @@ from .measure import (
     TransitionKernel,
     markov_family,
     product_family,
+    render_value,
     table_family,
-    weight_sum_all,
 )
 from .sigma_finite import Cover, finite_cover, slice_cover
 from .tree import DEFAULT_MAX_DEPTH, TreeGeometry
@@ -374,24 +374,19 @@ def _parse_weight_spec(words: list[tuple[str, int]], line: int) -> WeightSpec:
     return WeightSpec(values, None)
 
 
-def _render_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _render_weight_spec(ws: WeightSpec) -> str:
     if ws.tail is None:
-        return " ".join(_render_fraction(v) for v in ws.values)
+        return " ".join(render_value(v) for v in ws.values)
     if ws.tail[0] == "const":
-        tail = f"const {_render_fraction(ws.tail[1])}"
+        tail = f"const {render_value(ws.tail[1])}"
     else:
-        tail = f"geometric {_render_fraction(ws.tail[1])} {_render_fraction(ws.tail[2])}"
+        tail = f"geometric {render_value(ws.tail[1])} {render_value(ws.tail[2])}"
     if not ws.values:
         return tail
-    return "prefix " + " ".join(_render_fraction(v) for v in ws.values) + " then " + tail
+    return "prefix " + " ".join(render_value(v) for v in ws.values) + " then " + tail
 
 
-def _build_weight(ws: WeightSpec, spins: SpinSet, what: str):
+def _build_weight(ws: WeightSpec, spins: SpinSet, what: str) -> NatSeq:
     for v in ws.values:
         if v < 0:
             raise SpecSemanticError(f"{what}: weights must be non-negative")
@@ -404,7 +399,6 @@ def _build_weight(ws: WeightSpec, spins: SpinSet, what: str):
             raise SpecSemanticError(
                 f"{what}: need {spins.size} weights, got {len(ws.values)}"
             )
-        return ws.values
     tail = ws.tail if ws.tail is not None else ("const", Fraction(0))
     try:
         if tail[0] == "const":
@@ -850,7 +844,7 @@ def render_document(doc: SpecDocument) -> str:
         out.append(f"depth = {doc.table_depth}")
         for key, weight in doc.entries:
             values = " ".join(str(v) for v in key)
-            out.append(f"entry = {values} : {_render_fraction(weight)}")
+            out.append(f"entry = {values} : {render_value(weight)}")
     if doc.covers:
         out.append("")
         out.append("[covers]")
@@ -890,7 +884,7 @@ def build_document(doc: SpecDocument) -> BuiltSpec:
                     f"P needs {spins.size} rows, got {len(doc.kernel_rows)}"
                 )
             rows = [
-                _build_weight(row, spins, f"P row {q}")
+                _build_weight(row, spins, f"P row {q}").prefix
                 for q, row in enumerate(doc.kernel_rows)
             ]
             kernel = TransitionKernel.from_matrix(spins, rows)
@@ -903,7 +897,7 @@ def build_document(doc: SpecDocument) -> BuiltSpec:
             kernel = TransitionKernel.for_naturals(default, rows)
         kind = None
         if doc.family_kind == "markov-prob":
-            if not kernel.is_stochastic() or weight_sum_all(lam) != 1:
+            if not kernel.is_stochastic() or lam.sum_all() != 1:
                 raise SpecSemanticError(
                     "markov-prob requires unit row sums and unit total root weight"
                 )

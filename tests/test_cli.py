@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from treemeasure import compile_event, load_spec
 from treemeasure.cli import main
 
 F = Fraction
@@ -332,3 +333,39 @@ def test_eval_deep_path_site(capsys, tmp_path, name, site):
     assert Fraction(payload["value"]) == expected
     # generous: the evaluation itself takes well under a second
     assert elapsed < 30
+
+
+# a non-stochastic chain whose depth-12 values have 31,744-bit denominators
+ESCAPE_K2 = (
+    "[tree]\nk = 2\nmax_depth = 12\n\n[spins]\nkind = finite\nsize = 2\n\n"
+    "[family]\nkind = markov\nlambda = 1 1\nP = 1/2 1/4 ; 1/4 1/2\n"
+)
+
+
+@pytest.mark.parametrize("case", ["nonstochastic_depth12", "geometric_wide_range"])
+def test_eval_renders_past_int_digit_limit(capsys, tmp_path, case):
+    """Exact values with more digits than the interpreter's default
+    int-to-str limit (4,300) print in full, and the limit is restored."""
+    if case == "nonstochastic_depth12":
+        path = tmp_path / "escape_k2.spec"
+        path.write_text(ESCAPE_K2)
+        event, extra = "x0=0", ["--depth", "12"]
+    else:
+        path = os.path.join(DATA, "nat_geometric_mass.spec")
+        event, extra = "x0 in {0..15000}", []
+    limit = sys.get_int_max_str_digits()
+    code, payload, _ = run_cli(capsys, "eval", "--spec", str(path), "--event", event,
+                               *extra, "--json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert max(len(part) for part in payload["value"].split("/")) > 4300
+    with open(path, encoding="utf-8") as fh:
+        built = load_spec(fh.read())
+    expected = built.family.measure(payload["depth"]).measure_of(
+        compile_event(built.ctx, event)
+    )
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(payload["value"]) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)

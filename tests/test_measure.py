@@ -10,7 +10,6 @@ from treemeasure import (
     Context,
     FamilyDepthError,
     INFINITE,
-    Inconclusive,
     MassError,
     NatSeq,
     SpinRangeError,
@@ -167,6 +166,16 @@ def test_measure_of_matches_atom_sums_other_families(name):
     assert_matches_atom_sums(ATOM_SUM_FAMILIES[name](), 2718)
 
 
+@pytest.mark.parametrize("name", sorted(ATOM_SUM_FAMILIES))
+def test_dense_table_matches_atom_weights(name):
+    """Enumeration against atom_weight, a separate per-atom code path."""
+    mu = ATOM_SUM_FAMILIES[name]()
+    size = mu.ctx.tree.ball_size(mu.depth)
+    atoms = itertools.product(range(mu.ctx.spins.size), repeat=size)
+    expected = {a: w for a in atoms if (w := mu.atom_weight(a))}
+    assert mu.dense_table() == expected
+
+
 def test_product_over_naturals_zero_and_infinite_factors(nat_ctx):
     ctx = nat_ctx
     counting = NatSeq.constant(1)
@@ -218,6 +227,20 @@ def test_project_routes_agree(chain_fam):
     assert closed.dense_table() == enum.dense_table()
     auto = mu3.project(0, method="auto")
     assert auto.dense_table() == {(0,): F(1, 2), (1,): F(1, 2)}
+    # the product closed form folds the dropped sites' mass into the root
+    mu2 = ATOM_SUM_FAMILIES["product_overrides_k2_depth2"]()
+    for i in (0, 1):
+        closed = mu2.project(i, method="closed")
+        enum = mu2.project(i, method="enumerate")
+        assert closed.dense_table() == enum.dense_table()
+
+
+def test_zero_scaled_table_omits_zero_atoms(ctx_k2s2):
+    table = {key: F(1, 16) for key in itertools.product(range(2), repeat=4)}
+    mu1 = scale(table_family(ctx_k2s2, 1, table), 0).measure(1)
+    assert mu1.dense_table() == {}
+    assert mu1.project(0).dense_table() == {}
+    assert mu1.project(0, method="enumerate").dense_table() == {}
 
 
 def test_project_nonstochastic_finite_falls_back(ctx_k2s2):
@@ -380,12 +403,23 @@ def test_dense_table_budget(chain_fam, counting_fam):
 def test_inconclusive_value_render():
     from treemeasure import render_value
 
-    v = Inconclusive(F(3, 4), F(1, 1024))
-    assert "3/4" in render_value(v)
     assert render_value(INFINITE) == "inf"
     assert render_value(F(5)) == "5"
     assert render_value(F(2, 7)) == "2/7"
     assert math.isinf(INFINITE)
+
+
+def test_finite_spin_weights(ctx_k2s2):
+    kern = [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+    with pytest.raises(SpinRangeError):
+        product_family(ctx_k2s2, NatSeq.geometric(F(1, 2), F(1, 2)))
+    with pytest.raises(ValueError):
+        markov_family(ctx_k2s2, [F(1)], kern)
+    with pytest.raises(ValueError):
+        markov_family(ctx_k2s2, [F(-1), F(2)], kern)
+    # a tail-free NatSeq is the same weights as the list
+    fam = markov_family(ctx_k2s2, NatSeq.finite([F(1, 2), F(1, 2)]), kern)
+    assert fam.kind == "probability"
 
 
 def test_family_kind_inference(ctx_k2s2, nat_ctx):
