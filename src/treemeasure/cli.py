@@ -50,6 +50,16 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
+def _depth_arg(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"depth must be non-negative, got {depth}")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treemeasure",
@@ -74,11 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("consistency", "check that deeper measures marginalize onto "
                            "shallower ones", cmd_consistency)
-    p.add_argument("--depth", type=int, default=2, help="depth to verify up to")
+    p.add_argument("--depth", type=_depth_arg, default=2, help="depth to verify up to")
 
     p = add("probe-empty", "values along a decreasing chain of events",
             cmd_probe_empty)
-    p.add_argument("--maxdepth", type=int, default=3,
+    p.add_argument("--maxdepth", type=_depth_arg, default=3,
                    help="chain length for the default all-sites chain")
     p.add_argument("--value", type=int, default=0,
                    help="spin pinned by the default chain")
@@ -254,10 +264,16 @@ def cmd_consistency(args) -> int:
             f"consistent to depth {report.verified_depth} ({report.method}"
             + ("" if report.exhaustive else ", probe-based") + ")"
         ]
+        if report.budget_limited:
+            summary.append(
+                f"inconclusive: the atom budget ran out before depth {report.requested_depth}"
+            )
     else:
         summary = [f"violation: {report.violation.render()}"]
     _emit(args, payload, summary)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    if not report.ok:
+        return EXIT_VIOLATION
+    return EXIT_INCONCLUSIVE if report.budget_limited else EXIT_OK
 
 
 def cmd_probe_empty(args) -> int:

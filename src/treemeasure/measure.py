@@ -11,11 +11,16 @@ A rectangle's value never visits the whole ball.  The product form multiplies
 over the constrained sites and the overrides, and raises the default row sum
 to the number of remaining sites.  The chain forms make one bottom-up
 sum-product pass over the rectangle's skeleton: its constrained sites and
-their ancestors.  Every free child subtree is a memoized factor of its
-height.  For c constrained sites at depth at most d, that is O(c * d)
-skeleton nodes, each costing O(s^2) Fraction operations over s finite spins
-(over the naturals, in the kernel's explicit rows and the values the
-constraints name), plus O(log d) index arithmetic per node.
+their ancestors, O(c * d) nodes for c constrained sites at depth at most d,
+each with O(log d) index arithmetic.  Fraction work is done only at the
+kept nodes (the root, the constrained sites and their branch points: at most
+2c), O(s^2) operations each over s finite spins (over the naturals, in the
+kernel's explicit rows and the values the constraints name), and once per
+unconstrained path between two kept nodes.  When k = 1 or the kernel is
+stochastic, a path of L levels is the kernel's L-th power, applied as
+popcount(L) matrix-vector products through binary powers cached on the
+kernel; otherwise it costs one matrix-vector product per level.  Every free
+child subtree is a memoized factor of its height.
 
 Values are Fraction or the float infinity for a diverging mass.
 """
@@ -28,6 +33,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cylinder import (
     DEFAULT_ATOM_BUDGET,
@@ -247,26 +253,62 @@ class TransitionKernel:
             return self.spins.size
         return len(self.nat_rows)
 
+    @cached_property
+    def rows(self) -> tuple[NatSeq, ...]:
+        """One row per distinct parent spin: the s rows over finite spins;
+        over the naturals, the explicit rows and then the default row."""
+        if self.matrix is not None:
+            return tuple(NatSeq.finite(row) for row in self.matrix)
+        return self.nat_rows + (self.nat_default,)
+
     def row_seq(self, q: int) -> NatSeq:
-        if q < len(self.nat_rows):
-            return self.nat_rows[q]
-        return self.nat_default
+        return self.rows[min(q, self.uniform_from)]
 
     def entry(self, q: int, r: int) -> Fraction:
-        if self.matrix is not None:
-            return self.matrix[q][r]
         return self.row_seq(q).value_at(r)
 
     def row_sum(self, q: int):
-        if self.matrix is not None:
-            return sum(self.matrix[q], Fraction(0))
         return self.row_seq(q).sum_all()
 
+    @cached_property
+    def _stochastic(self) -> bool:
+        return all(row.sum_all() == 1 for row in self.rows)
+
     def is_stochastic(self) -> bool:
+        return self._stochastic
+
+    @cached_property
+    def transfer_matrix(self) -> tuple[tuple, ...]:
+        """The kernel as a linear map on functions of the child spin, in the
+        tuple form the chain evaluator uses (see `VolumeMeasure`): over the
+        naturals, entry (q, w) is the weight row q gives to every spin from
+        w = uniform_from on."""
         if self.matrix is not None:
-            return all(sum(row, Fraction(0)) == 1 for row in self.matrix)
-        rows = list(self.nat_rows) + [self.nat_default]
-        return all(r.sum_all() == 1 for r in rows)
+            return self.matrix
+        w = self.uniform_from
+        return tuple(
+            tuple(row.value_at(r) for r in range(w)) + (row.sum_from(w),) for row in self.rows
+        )
+
+    @cached_property
+    def _powers(self) -> list:
+        """transfer_matrix ** (2 ** j) at index j, grown on demand."""
+        return [self.transfer_matrix]
+
+    def apply_power(self, vec: tuple, n: int) -> tuple:
+        """transfer_matrix ** n applied to vec: popcount(n) matrix-vector
+        products over the cached binary powers, of which there are never
+        more than the bit length of the largest n asked for."""
+        powers = self._powers
+        j = 0
+        while n:
+            if j == len(powers):
+                powers.append(_matmul(powers[-1], powers[-1]))
+            if n & 1:
+                vec = _matvec(powers[j], vec)
+            n >>= 1
+            j += 1
+        return vec
 
 
 # ---------------------------------------------------------------------------
@@ -305,39 +347,35 @@ class MarkovForm:
     kind = "chain"
 
 
-@dataclass(frozen=True)
-class _EvFn:
-    """Function of a parent spin that is eventually constant: explicit values
-    below `len(prefix)`, the constant `const` from there on."""
-
-    prefix: tuple
-    const: object
-
-    def at(self, q: int):
-        if q < len(self.prefix):
-            return self.prefix[q]
-        return self.const
+# vectors (functions of one spin, in tuple form) and the matrices acting on
+# them; entries may be INFINITE, so products go through the value algebra
 
 
-def _evfn_pow(f: _EvFn, e: int) -> _EvFn:
-    return _EvFn(tuple(value_pow(x, e) for x in f.prefix), value_pow(f.const, e))
+def _dot(row, vec):
+    acc = Fraction(0)
+    for a, b in zip(row, vec):
+        acc = value_add(acc, value_mul(a, b))
+    return acc
 
 
-def _evfn_product(fns: list[_EvFn]) -> _EvFn:
-    fns = [f for f in fns if f.prefix or f.const != 1]
-    if len(fns) == 1:
-        return fns[0]
-    width = max((len(f.prefix) for f in fns), default=0)
-    prefix = []
-    for q in range(width):
-        acc = Fraction(1)
-        for f in fns:
-            acc = value_mul(acc, f.at(q))
-        prefix.append(acc)
-    const = Fraction(1)
-    for f in fns:
-        const = value_mul(const, f.const)
-    return _EvFn(tuple(prefix), const)
+def _matvec(mat, vec) -> tuple:
+    return tuple(_dot(row, vec) for row in mat)
+
+
+def _matmul(a, b) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
+
+
+def _vec_pow(vec, e: int) -> tuple:
+    return tuple(value_pow(x, e) for x in vec)
+
+
+def _vec_product(vecs: list) -> tuple:
+    out = vecs[0]
+    for vec in vecs[1:]:
+        out = tuple(value_mul(a, b) for a, b in zip(out, vec))
+    return out
 
 
 class VolumeMeasure:
@@ -353,6 +391,7 @@ class VolumeMeasure:
         self.form = form
         self._rect_cache: dict = {}
         self._free_cache: dict = {}
+        self._scale_cache: dict = {}
         self._parents = None
 
     # -- plumbing -----------------------------------------------------------
@@ -415,9 +454,7 @@ class VolumeMeasure:
             )
         if isinstance(form, ProductForm):
             return self._rect_value_product(rect)
-        if self.ctx.spins.is_finite:
-            return self._rect_value_chain_finite(rect)
-        return self._rect_value_chain_nat(rect)
+        return self._rect_value_chain(rect)
 
     def _site_weight_sum(self, w, constraint: SiteConstraint | None):
         if constraint is None:
@@ -443,10 +480,19 @@ class VolumeMeasure:
         return value_mul(acc, free)
 
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
-    # the rectangle, with every fully free child subtree collapsed to a
-    # memoized factor of its height.  Breadth-first indexing puts children
-    # after parents, so the skeleton in descending index order is a valid
-    # bottom-up schedule; each node folds its factor into its parent's list.
+    # the rectangle.  Breadth-first indexing puts children after parents, so
+    # the skeleton in descending index order is a valid bottom-up schedule.
+    # A function of a vertex's spin is a tuple: one entry per spin over
+    # finite spins; over the naturals, the values at the spins 0..w-1 and
+    # then the one value shared by every spin from w = kernel.uniform_from on,
+    # where the kernel's rows stop changing.
+    #
+    # A pass-through node (unconstrained, not the root, one skeleton child)
+    # maps its child's factor through the matrix P * diag(F_h ** (k-1)), F_h
+    # the free factor at its height h.  The walk only counts such nodes, and
+    # the next kept node applies the whole run.  When k == 1 or the kernel is
+    # stochastic, F_h ** (k-1) is 1 at every height, so a run of length L is
+    # P ** L, taken from the kernel's cached binary powers.
 
     def _skeleton(self, rect: Rectangle) -> list[tuple[int, int]]:
         """(vertex, level) for the constrained sites and all their ancestors,
@@ -462,112 +508,90 @@ class VolumeMeasure:
                 anc = tree.ancestor_at_level(site, lvl)
         return sorted(levels.items(), reverse=True)
 
-    def _free_children(self, v: int, lvl: int, skeleton_children: int) -> int:
-        if lvl == self.depth:
-            return 0
-        k = self.ctx.tree.order
-        return (k + 1 if v == 0 else k) - skeleton_children
-
-    def _free_factor(self, height: int, unit, step):
+    def _free_factor(self, height: int) -> tuple:
         """Memoized weight of one free child subtree with `height` levels below
-        the parent, as a function of the parent spin.  `step` adds one level;
-        missing heights are built upwards from the tallest one cached."""
+        the parent, as a function of the parent spin; missing heights are
+        built upwards from the tallest one cached."""
         cache = self._free_cache
         if height not in cache:
-            if height == 0 or self.form.kernel.is_stochastic():
+            kernel = self.form.kernel
+            unit = (Fraction(1),) * len(kernel.rows)
+            if height == 0 or kernel.is_stochastic():
                 cache[height] = unit
             else:
+                k = self.ctx.tree.order
                 h = max((x for x in cache if x < height), default=0)
                 below = cache.get(h, unit)
                 for h in range(h + 1, height + 1):
-                    below = cache[h] = step(below)
+                    below = cache[h] = _matvec(kernel.transfer_matrix, _vec_pow(below, k))
         return cache[height]
 
-    def _free_factor_finite(self, height: int):
-        mat = self.form.kernel.matrix
-        s = self.ctx.spins.size
+    def _apply_run(self, vec: tuple, run: int, height: int) -> tuple:
+        """vec, a function of the spin `run` levels below a kept vertex at
+        `height`, carried up through the pass-through vertices in between
+        (at heights height - run .. height - 1) to a function of its spin."""
+        if run == 0:
+            return vec
+        kernel = self.form.kernel
         k = self.ctx.tree.order
-        return self._free_factor(height, (Fraction(1),) * s, lambda below: tuple(
-            sum((mat[q][r] * below[r] ** k for r in range(s)), Fraction(0)) for q in range(s)
-        ))
+        if k == 1 or kernel.is_stochastic():
+            return kernel.apply_power(vec, run)
+        for h in range(height - run, height):
+            scale = self._scale_cache.get(h)
+            if scale is None:
+                scale = self._scale_cache[h] = _vec_pow(self._free_factor(h), k - 1)
+            vec = _matvec(kernel.transfer_matrix, _vec_product([scale, vec]))
+        return vec
 
-    def _rect_value_chain_finite(self, rect: Rectangle):
-        form = self.form
-        tree = self.ctx.tree
+    def _weighted_sum(self, row: NatSeq, constraint: SiteConstraint | None, g: tuple):
+        """Sum of row(r) * g(r) over the child spins r the constraint allows."""
         spins = self.ctx.spins
-        s = spins.size
-        mat = form.kernel.matrix
-        constraints = rect.as_dict()
-        pending: dict[int, list] = {}
-        for v, lvl in self._skeleton(rect):
-            allowed = list(c_allowed_values(constraints.get(v), spins))
-            kids = pending.pop(v, [])
-            nfree = self._free_children(v, lvl, len(kids))
-            free = self._free_factor_finite(self.depth - lvl)
-            # below[r]: weight of everything under v given spin r at v
-            below = {}
-            for r in allowed:
-                w = free[r] ** nfree
-                for f in kids:
-                    w *= f[r]
-                below[r] = w
-            if v == 0:
-                return sum((form.lam.value_at(q) * below[q] for q in allowed), Fraction(0))
-            factor = tuple(
-                sum((mat[q][r] * below[r] for r in allowed), Fraction(0)) for q in range(s)
+        if spins.is_finite:
+            return sum(
+                (row.prefix[r] * g[r] for r in c_allowed_values(constraint, spins)), Fraction(0)
             )
-            pending.setdefault(tree.parent(v), []).append(factor)
-
-    # over the denumerable spin set, functions of the parent spin are kept in
-    # eventually-constant form so that cofinite site constraints reduce to
-    # closed-form tails
-
-    def _row_weighted_sum(self, row: NatSeq, constraint: SiteConstraint | None, g: _EvFn):
+        # over the naturals, a cofinite constraint reduces to a closed-form tail
+        w = len(g) - 1
         if constraint is not None and constraint.mode == "in":
             return sum(
-                (value_mul(row.value_at(r), g.at(r)) for r in sorted(constraint.values)),
+                (value_mul(row.value_at(r), g[min(r, w)]) for r in sorted(constraint.values)),
                 Fraction(0),
             )
         excluded = frozenset() if constraint is None else constraint.values
-        start = max(len(g.prefix), max(excluded) + 1 if excluded else 0)
+        start = max(w, max(excluded) + 1 if excluded else 0)
         head = Fraction(0)
         for r in range(start):
             if r not in excluded:
-                head = value_add(head, value_mul(row.value_at(r), g.at(r)))
-        return value_add(head, value_mul(g.const, row.sum_from(start)))
+                head = value_add(head, value_mul(row.value_at(r), g[min(r, w)]))
+        return value_add(head, value_mul(g[w], row.sum_from(start)))
 
-    def _kernel_factor_nat(self, constraint: SiteConstraint | None, g: _EvFn) -> _EvFn:
-        """As a function of the parent spin: kernel weight of the allowed child
-        spins, each weighted by g."""
-        kernel = self.form.kernel
-        width = kernel.uniform_from
-        prefix = tuple(
-            self._row_weighted_sum(kernel.row_seq(q), constraint, g) for q in range(width)
-        )
-        return _EvFn(prefix, self._row_weighted_sum(kernel.row_seq(width), constraint, g))
-
-    def _free_factor_nat(self, height: int) -> _EvFn:
-        k = self.ctx.tree.order
-        return self._free_factor(
-            height, _EvFn((), Fraction(1)),
-            lambda below: self._kernel_factor_nat(None, _evfn_pow(below, k)),
-        )
-
-    def _rect_value_chain_nat(self, rect: Rectangle):
+    def _rect_value_chain(self, rect: Rectangle):
+        form = self.form
         tree = self.ctx.tree
+        k = tree.order
         constraints = rect.as_dict()
+        # pending[v]: (factor, run) per skeleton child of v; the factor is a
+        # function of the spin `run` levels below v, run counting the
+        # pass-through vertices it has not been carried through yet
         pending: dict[int, list] = {}
         for v, lvl in self._skeleton(rect):
-            fns = pending.pop(v, [])
-            nfree = self._free_children(v, lvl, len(fns))
-            if nfree:
-                fns.append(_evfn_pow(self._free_factor_nat(self.depth - lvl), nfree))
-            g = _evfn_product(fns)
+            kids = pending.pop(v, [])
+            c = constraints.get(v)
+            if v and c is None and len(kids) == 1:
+                vec, run = kids[0]
+                pending.setdefault(tree.parent(v), []).append((vec, run + 1))
+                continue
+            height = self.depth - lvl
+            fns = [self._apply_run(vec, run, height) for vec, run in kids]
+            nfree = 0 if height == 0 else (k + 1 if v == 0 else k) - len(kids)
+            # under a stochastic kernel every free subtree weighs 1
+            if not fns or nfree and not form.kernel.is_stochastic():
+                fns.append(_vec_pow(self._free_factor(height), nfree))
+            g = _vec_product(fns)
             if v == 0:
-                return self._row_weighted_sum(self.form.lam, constraints.get(0), g)
-            pending.setdefault(tree.parent(v), []).append(
-                self._kernel_factor_nat(constraints.get(v), g)
-            )
+                return self._weighted_sum(form.lam, c, g)
+            factor = tuple(self._weighted_sum(row, c, g) for row in form.kernel.rows)
+            pending.setdefault(tree.parent(v), []).append((factor, 0))
 
     # -- whole-table operations -------------------------------------------------
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,17 @@ from treemeasure import (
 )
 
 F = Fraction
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """Python subprocesses the tests start import the package from the source
+    tree, as the test process does through pytest's `pythonpath` setting."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,34 @@ def test_consistency_ok_and_violation(capsys):
     assert payload["method"] == "closed-row"
 
 
+@pytest.mark.parametrize("argv", [
+    ("consistency", "--spec", CHAIN, "--depth", "-3"),
+    ("probe-empty", "--spec", CHAIN, "--maxdepth", "-2"),
+], ids=["consistency", "probe-empty"])
+def test_negative_depth_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be non-negative" in captured.err
+
+
+def test_consistency_budget_limited_exits_inconclusive(capsys):
+    # 3**15 atoms at depth 2 fit the default atom budget, 3**31 at depth 3 do not
+    code, payload, err = run_cli(
+        capsys, "consistency", "--spec", os.path.join(DATA, "chain_k2_s3_prob.spec"),
+        "--depth", "3",
+    )
+    assert code == 3
+    assert payload == {
+        "budget_limited": True, "command": "consistency", "exhaustive": True,
+        "method": "enumeration", "ok": True, "requested_depth": 3,
+        "verified_depth": 2, "violation": None,
+    }
+    assert "inconclusive" in err
+
+
 def test_probe_empty_default_chain(capsys):
     code, payload, _ = run_cli(
         capsys, "probe-empty", "--spec", CHAIN, "--maxdepth", "2"
@@ -333,6 +361,22 @@ def test_eval_deep_path_site(capsys, tmp_path, name, site):
     assert Fraction(payload["value"]) == expected
     # generous: the evaluation itself takes well under a second
     assert elapsed < 30
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SPECS))
+def test_deep_path_caches_log_many_kernel_powers(name):
+    """The 2,499 pass-through levels between the root and x4999 are one run,
+    applied through binary powers of the kernel: the kernel keeps only
+    bit_length(2499) = 12 of them, and other depths and shorter runs reuse
+    those."""
+    built = load_spec(PATH_HEADER + DEEP_SPECS[name][0])
+    event = compile_event(built.ctx, "x4999=0")
+    kernel = built.family.measure(2500).form.kernel
+    built.family.measure(2500).measure_of(event)
+    assert len(kernel._powers) == (2499).bit_length() == 12
+    built.family.measure(2503).measure_of(event)
+    built.family.measure(2000).measure_of(compile_event(built.ctx, "x3999=0"))
+    assert len(kernel._powers) == 12
 
 
 # a non-stochastic chain whose depth-12 values have 31,744-bit denominators

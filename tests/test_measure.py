@@ -432,3 +432,148 @@ def test_family_kind_inference(ctx_k2s2, nat_ctx):
         TransitionKernel.for_naturals(NatSeq.geometric(F(1, 2), F(1, 2))),
     )
     assert sig.kind == "sigma-finite"
+
+
+# The chain evaluator carries a factor through every unconstrained skeleton
+# vertex with a single skeleton child as one run of kernel steps (binary
+# powers of the kernel when every level applies the same map).  The oracle
+# below is the plain pass it replaces: every skeleton vertex applies one
+# kernel step, and every free subtree is built one level at a time.
+
+
+def level_by_level_value(ctx, lam, kernel, depth, constraints):
+    """Chain value of one rectangle, {site: SiteConstraint}, at `depth`."""
+    tree = ctx.tree
+    k = tree.order
+    if ctx.spins.is_finite:
+        rows, default = [NatSeq.finite(r) for r in kernel.matrix], NatSeq()
+        width = ctx.spins.size
+    else:
+        rows, default = list(kernel.nat_rows), kernel.nat_default
+        width = max([len(rows)] + [max(c.values) + 1 for c in constraints.values() if c.values])
+    # a function of a spin: its values at 0..width-1, then the value shared
+    # by every spin from `width` on
+    row = lambda q: rows[q] if q < len(rows) else default  # noqa: E731
+
+    def weighted(seq, c, g):
+        total = F(0)
+        for r in range(width):
+            if c is None or (r in c.values) == (c.mode == "in"):
+                total = value_add(total, value_mul(seq.value_at(r), g[r]))
+        if c is None or c.mode != "in":
+            total = value_add(total, value_mul(g[width], seq.sum_from(width)))
+        return total
+
+    def step(c, g):
+        return [weighted(row(q), c, g) for q in range(width + 1)]
+
+    free = [[F(1)] * (width + 1)]
+    while len(free) <= depth:
+        free.append(step(None, [value_pow(x, k) for x in free[-1]]))
+    skeleton = {0}
+    for site in constraints:
+        skeleton.update(tree.path_to_root(site))
+    pending = {}
+    for v in sorted(skeleton, reverse=True):
+        lvl = tree.level(v)
+        kids = pending.pop(v, [])
+        nfree = 0 if lvl == depth else (k + 1 if v == 0 else k) - len(kids)
+        g = [value_pow(x, nfree) for x in free[depth - lvl]]
+        for f in kids:
+            g = [value_mul(a, b) for a, b in zip(g, f)]
+        if v == 0:
+            return weighted(lam, constraints.get(0), g)
+        pending.setdefault(tree.parent(v), []).append(step(constraints.get(v), g))
+
+
+def pass_through_runs(tree, sites):
+    """Lengths of the runs of unconstrained vertices with one skeleton child
+    between two kept skeleton vertices."""
+    children = {}
+    for site in sites:
+        path = tree.path_to_root(site)
+        for child, parent in zip(path, path[1:]):
+            children.setdefault(parent, set()).add(child)
+    runs = []
+    for v in set(children) | set(sites):
+        if v in sites or v == 0 or len(children.get(v, ())) > 1:
+            for child in children.get(v, ()):
+                run = 0
+                while child not in sites and len(children[child]) == 1:
+                    (child,) = children[child]
+                    run += 1
+                runs.append(run)
+    return runs
+
+
+G = NatSeq.geometric
+RUN_LENGTHS = (1, 2, 3, 7, 8, 15, 16)
+# name: (order, spins (None: the naturals), lam, kernel, deepest site level)
+RUN_FAMILIES = {
+    "stochastic_s2_k2": (2, 2, [F(1, 3), F(2, 3)], [[F(3, 4), F(1, 4)], [F(1, 3), F(2, 3)]], 12),
+    "stochastic_s3_k2": (
+        2, 3, [F(1, 2), F(1, 4), F(1, 4)],
+        [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 6), F(2, 3), F(1, 6)], [F(1, 4), F(1, 4), F(1, 2)]],
+        12,
+    ),
+    "stochastic_s2_k1": (1, 2, [F(1, 2), F(1, 2)], [[F(2, 3), F(1, 3)], [F(1, 4), F(3, 4)]], 200),
+    # row sums 1/2 and 1/2: free subtrees differ per height, no run is flat
+    "substochastic_s2_k2": (2, 2, [F(1, 2), F(1, 2)], [[F(1, 3), F(1, 6)], [F(1, 4), F(1, 4)]], 9),
+    "geometric_nat_k2": (
+        2, None, G(F(1, 2), F(1, 2)),
+        TransitionKernel.for_naturals(
+            G(F(1, 3), F(2, 3)),
+            {0: G(F(1, 2), F(1, 2)), 1: NatSeq((F(0), F(1, 2)), "geometric", F(1, 4), F(1, 2))},
+        ),
+        12,
+    ),
+    # rows from spin 2 on have infinite sums: the kernel's powers hold
+    # infinite entries next to zeros, and the root weights keep values finite
+    "infinite_row_nat_k1": (
+        1, None, NatSeq.finite([F(1, 2), F(1, 3)]),
+        TransitionKernel.for_naturals(
+            NatSeq.constant(1), [NatSeq.finite([F(1, 2)]), NatSeq.finite([F(1, 3), F(1, 3)])]
+        ),
+        40,
+    ),
+    "substochastic_nat_k2": (
+        2, None, NatSeq.finite([F(1, 2), F(1, 4)]),
+        TransitionKernel.for_naturals(G(F(1, 2), F(1, 2)), {0: NatSeq.finite([F(1, 2)])}),
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_FAMILIES))
+def test_compressed_chain_walk_matches_level_by_level(name):
+    order, s, lam, kernel, top = RUN_FAMILIES[name]
+    spins = SpinSet.naturals() if s is None else SpinSet.finite(s)
+    ctx = Context(TreeGeometry(order, top + 4), spins)
+    fam = markov_family(ctx, lam, kernel)
+    lam, kernel = fam.measure(0).form.lam, fam.measure(0).form.kernel
+    tree = ctx.tree
+    rng = random.Random(name)
+
+    def constraint():
+        if s is not None:
+            return constraint_in(rng.sample(range(s), rng.randint(1, s - 1)))
+        values = rng.sample(range(4), rng.randint(1, 2))
+        return (constraint_in if rng.random() < 0.6 else constraint_not_in)(values)
+
+    def site_at(lvl):
+        return tree.index_of(lvl, rng.randrange(tree.sphere_size(lvl)))
+
+    # one site at level L + 1 leaves a run of L between it and the root
+    rects = [{site_at(n + 1): constraint()} for n in RUN_LENGTHS if n + 1 <= top]
+    for _ in range(24):
+        lvl = rng.randint(1, top)
+        sites = {site_at(lvl)} | {site_at(rng.randint(0, lvl)) for _ in range(rng.randint(0, 3))}
+        rects.append({v: constraint() for v in sites})
+    runs = set()
+    for rect in rects:
+        runs.update(pass_through_runs(tree, set(rect)))
+        base = max(tree.level(v) for v in rect)
+        depth = min(base + rng.randint(0, 2), tree.max_depth)
+        value = fam.measure(depth).measure_of(from_constraints(ctx, rect))
+        assert value == level_by_level_value(ctx, lam, kernel, depth, rect), (rect, depth)
+    assert {n for n in RUN_LENGTHS if n < top} <= runs
