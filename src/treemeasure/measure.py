@@ -12,15 +12,14 @@ over the constrained sites and the overrides, and raises the default row sum
 to the number of remaining sites.  The chain forms make one bottom-up
 sum-product pass over the rectangle's skeleton: its constrained sites and
 their ancestors, O(c * d) nodes for c constrained sites at depth at most d,
-each with O(log d) index arithmetic.  Fraction work is done only at the
-kept nodes (the root, the constrained sites and their branch points: at most
-2c), O(s^2) operations each over s finite spins (over the naturals, in the
-kernel's explicit rows and the values the constraints name), and once per
-unconstrained path between two kept nodes.  When k = 1 or the kernel is
-stochastic, a path of L levels is the kernel's L-th power, applied as
-popcount(L) matrix-vector products through binary powers cached on the
-kernel; otherwise it costs one matrix-vector product per level.  Every free
-child subtree is a memoized factor of its height.
+each with O(log d) index arithmetic.  Each node costs O(s^2) Fraction
+operations over s finite spins (over the naturals, in the kernel's explicit
+rows and the values the constraints name).  When k = 1 or the kernel is
+stochastic, only the root, the constrained sites and their branch points
+(at most 2c nodes) do that work: an unconstrained path of L levels between
+two of them is the kernel's L-th power, applied as popcount(L)
+matrix-vector products through binary powers cached on the kernel.  Every
+free child subtree is a memoized factor of its height.
 
 Values are Fraction or the float infinity for a diverging mass.
 """
@@ -391,7 +390,6 @@ class VolumeMeasure:
         self.form = form
         self._rect_cache: dict = {}
         self._free_cache: dict = {}
-        self._scale_cache: dict = {}
         self._parents = None
 
     # -- plumbing -----------------------------------------------------------
@@ -487,12 +485,13 @@ class VolumeMeasure:
     # then the one value shared by every spin from w = kernel.uniform_from on,
     # where the kernel's rows stop changing.
     #
-    # A pass-through node (unconstrained, not the root, one skeleton child)
-    # maps its child's factor through the matrix P * diag(F_h ** (k-1)), F_h
-    # the free factor at its height h.  The walk only counts such nodes, and
-    # the next kept node applies the whole run.  When k == 1 or the kernel is
-    # stochastic, F_h ** (k-1) is 1 at every height, so a run of length L is
-    # P ** L, taken from the kernel's cached binary powers.
+    # An unconstrained vertex other than the root with one skeleton child
+    # maps its child's factor through P * diag(F_h ** (k-1)), F_h the free
+    # factor at its height h.  When k == 1 or the kernel is stochastic,
+    # F_h ** (k-1) is 1 at every height, so such a vertex is pass-through:
+    # the walk only counts it, and the next kept vertex applies a run of
+    # length L as P ** L from the kernel's cached binary powers.  Under any
+    # other kernel every skeleton vertex is kept.
 
     def _skeleton(self, rect: Rectangle) -> list[tuple[int, int]]:
         """(vertex, level) for the constrained sites and all their ancestors,
@@ -526,23 +525,6 @@ class VolumeMeasure:
                     below = cache[h] = _matvec(kernel.transfer_matrix, _vec_pow(below, k))
         return cache[height]
 
-    def _apply_run(self, vec: tuple, run: int, height: int) -> tuple:
-        """vec, a function of the spin `run` levels below a kept vertex at
-        `height`, carried up through the pass-through vertices in between
-        (at heights height - run .. height - 1) to a function of its spin."""
-        if run == 0:
-            return vec
-        kernel = self.form.kernel
-        k = self.ctx.tree.order
-        if k == 1 or kernel.is_stochastic():
-            return kernel.apply_power(vec, run)
-        for h in range(height - run, height):
-            scale = self._scale_cache.get(h)
-            if scale is None:
-                scale = self._scale_cache[h] = _vec_pow(self._free_factor(h), k - 1)
-            vec = _matvec(kernel.transfer_matrix, _vec_product([scale, vec]))
-        return vec
-
     def _weighted_sum(self, row: NatSeq, constraint: SiteConstraint | None, g: tuple):
         """Sum of row(r) * g(r) over the child spins r the constraint allows."""
         spins = self.ctx.spins
@@ -570,6 +552,8 @@ class VolumeMeasure:
         tree = self.ctx.tree
         k = tree.order
         constraints = rect.as_dict()
+        kernel = form.kernel
+        flat = k == 1 or kernel.is_stochastic()
         # pending[v]: (factor, run) per skeleton child of v; the factor is a
         # function of the spin `run` levels below v, run counting the
         # pass-through vertices it has not been carried through yet
@@ -577,20 +561,18 @@ class VolumeMeasure:
         for v, lvl in self._skeleton(rect):
             kids = pending.pop(v, [])
             c = constraints.get(v)
-            if v and c is None and len(kids) == 1:
+            if flat and v and c is None and len(kids) == 1:
                 vec, run = kids[0]
                 pending.setdefault(tree.parent(v), []).append((vec, run + 1))
                 continue
             height = self.depth - lvl
-            fns = [self._apply_run(vec, run, height) for vec, run in kids]
+            fns = [kernel.apply_power(vec, run) for vec, run in kids]
             nfree = 0 if height == 0 else (k + 1 if v == 0 else k) - len(kids)
-            # under a stochastic kernel every free subtree weighs 1
-            if not fns or nfree and not form.kernel.is_stochastic():
-                fns.append(_vec_pow(self._free_factor(height), nfree))
+            fns.append(_vec_pow(self._free_factor(height), nfree))
             g = _vec_product(fns)
             if v == 0:
                 return self._weighted_sum(form.lam, c, g)
-            factor = tuple(self._weighted_sum(row, c, g) for row in form.kernel.rows)
+            factor = tuple(self._weighted_sum(row, c, g) for row in kernel.rows)
             pending.setdefault(tree.parent(v), []).append((factor, 0))
 
     # -- whole-table operations -------------------------------------------------

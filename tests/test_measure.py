@@ -434,9 +434,9 @@ def test_family_kind_inference(ctx_k2s2, nat_ctx):
     assert sig.kind == "sigma-finite"
 
 
-# The chain evaluator carries a factor through every unconstrained skeleton
-# vertex with a single skeleton child as one run of kernel steps (binary
-# powers of the kernel when every level applies the same map).  The oracle
+# When every level applies the same map (k = 1 or a stochastic kernel), the
+# chain evaluator carries a factor through each run of unconstrained skeleton
+# vertices with a single skeleton child as one kernel power.  The oracle
 # below is the plain pass it replaces: every skeleton vertex applies one
 # kernel step, and every free subtree is built one level at a time.
 
@@ -517,7 +517,8 @@ RUN_FAMILIES = {
         12,
     ),
     "stochastic_s2_k1": (1, 2, [F(1, 2), F(1, 2)], [[F(2, 3), F(1, 3)], [F(1, 4), F(3, 4)]], 200),
-    # row sums 1/2 and 1/2: free subtrees differ per height, no run is flat
+    # row sums 1/2 and 1/2: free subtrees differ per height, so the evaluator
+    # keeps every skeleton vertex
     "substochastic_s2_k2": (2, 2, [F(1, 2), F(1, 2)], [[F(1, 3), F(1, 6)], [F(1, 4), F(1, 4)]], 9),
     "geometric_nat_k2": (
         2, None, G(F(1, 2), F(1, 2)),
