@@ -26,6 +26,7 @@ Values are Fraction or the float infinity for a diverging mass.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -116,6 +117,36 @@ def render_value(v) -> str:
 # sequences over the naturals with closed-form tails
 
 
+def _runs(values) -> list:
+    """Maximal runs of consecutive spins among sorted distinct `values`, as
+    half-open (lo, hi) pairs."""
+    if not values:
+        return []
+    if values[-1] - values[0] == len(values) - 1:
+        return [(values[0], values[-1] + 1)]
+    runs = []
+    lo = prev = values[0]
+    for q in values[1:]:
+        if q != prev + 1:
+            runs.append((lo, prev + 1))
+            lo = q
+        prev = q
+    runs.append((lo, prev + 1))
+    return runs
+
+
+def _gaps(excluded, start: int) -> list:
+    """The spins from `start` on outside sorted distinct `excluded`, as
+    half-open runs; the last one is (lo, None), open-ended."""
+    gaps = []
+    for lo, hi in _runs([q for q in excluded if q >= start]):
+        if lo > start:
+            gaps.append((start, lo))
+        start = hi
+    gaps.append((start, None))
+    return gaps
+
+
 @dataclass(frozen=True)
 class NatSeq:
     """Non-negative sequence on {0,1,2,...}: explicit prefix, then either a
@@ -174,11 +205,40 @@ class NatSeq:
     def sum_all(self):
         return self.sum_from(0)
 
+    def sum_range(self, lo: int, hi: int) -> Fraction:
+        """Sum over lo <= q < hi: the prefix entries, then c * length on a
+        constant tail or a * (r**d0 - r**d1) / (1 - r) on a geometric one."""
+        n = len(self.prefix)
+        total = sum(self.prefix[lo:hi], Fraction(0)) if lo < n else Fraction(0)
+        d0, d1 = max(lo, n) - n, hi - n
+        if d1 <= d0 or self.tail_a == 0:
+            return total
+        if self.tail_kind == "const":
+            return total + self.tail_a * (d1 - d0)
+        r = self.tail_r
+        return total + self.tail_a * (r**d0 - r**d1) / (1 - r)
+
+    def sum_runs(self, runs):
+        """Sum over half-open runs (lo, hi) of spins, hi None for every spin
+        from lo on; a run of one spin costs one `value_at`."""
+        total = None
+        for lo, hi in runs:
+            if hi is None:
+                part = self.sum_from(lo)
+            elif hi == lo + 1:
+                part = self.value_at(lo)
+            else:
+                part = self.sum_range(lo, hi)
+            total = part if total is None else value_add(total, part)
+        return Fraction(0) if total is None else total
+
     def sum_in(self, values) -> Fraction:
-        return sum((self.value_at(q) for q in values), Fraction(0))
+        """Sum over the distinct spins in `values`, one closed form per run."""
+        return self.sum_runs(_runs(sorted(set(values))))
 
     def sum_not_in(self, values):
-        return value_sub(self.sum_all(), self.sum_in(values))
+        """Sum over every spin outside `values`, one closed form per gap."""
+        return self.sum_runs(_gaps(sorted(set(values)), 0))
 
     def scaled(self, c) -> "NatSeq":
         c = Fraction(c)
@@ -458,7 +518,7 @@ class VolumeMeasure:
         if constraint is None:
             return w.sum_all()
         if constraint.mode == "in":
-            return w.sum_in(sorted(constraint.values))
+            return w.sum_in(constraint.values)
         return w.sum_not_in(constraint.values)
 
     def _rect_value_product(self, rect: Rectangle):
@@ -509,50 +569,64 @@ class VolumeMeasure:
 
     def _free_factor(self, height: int) -> tuple:
         """Memoized weight of one free child subtree with `height` levels below
-        the parent, as a function of the parent spin; missing heights are
-        built upwards from the tallest one cached."""
+        the parent, as a function of the parent spin.  On a path (k = 1) it
+        is P ** height applied to 1; otherwise missing heights are built
+        upwards from the tallest one cached."""
         cache = self._free_cache
         if height not in cache:
             kernel = self.form.kernel
             unit = (Fraction(1),) * len(kernel.rows)
+            k = self.ctx.tree.order
             if height == 0 or kernel.is_stochastic():
                 cache[height] = unit
+            elif k == 1:
+                cache[height] = kernel.apply_power(unit, height)
             else:
-                k = self.ctx.tree.order
                 h = max((x for x in cache if x < height), default=0)
                 below = cache.get(h, unit)
                 for h in range(h + 1, height + 1):
                     below = cache[h] = _matvec(kernel.transfer_matrix, _vec_pow(below, k))
         return cache[height]
 
-    def _weighted_sum(self, row: NatSeq, constraint: SiteConstraint | None, g: tuple):
-        """Sum of row(r) * g(r) over the child spins r the constraint allows."""
+    def _selection(self, constraint: SiteConstraint | None, w: int):
+        """The child spins a constraint allows, split for `_weighted_sum`:
+        the allowed spins below w, one by one, and half-open runs (lo, hi) of
+        allowed spins from w on (hi None: unbounded).  Finite spins have
+        w = s, so the runs are empty."""
         spins = self.ctx.spins
         if spins.is_finite:
-            return sum(
-                (row.prefix[r] * g[r] for r in c_allowed_values(constraint, spins)), Fraction(0)
-            )
-        # over the naturals, a cofinite constraint reduces to a closed-form tail
-        w = len(g) - 1
-        if constraint is not None and constraint.mode == "in":
-            return sum(
-                (value_mul(row.value_at(r), g[min(r, w)]) for r in sorted(constraint.values)),
-                Fraction(0),
-            )
-        excluded = frozenset() if constraint is None else constraint.values
-        start = max(w, max(excluded) + 1 if excluded else 0)
-        head = Fraction(0)
-        for r in range(start):
-            if r not in excluded:
-                head = value_add(head, value_mul(row.value_at(r), g[min(r, w)]))
-        return value_add(head, value_mul(g[w], row.sum_from(start)))
+            return c_allowed_values(constraint, spins), ()
+        if constraint is None:
+            return range(w), ((w, None),)
+        values = sorted(constraint.values)
+        if constraint.mode == "in":
+            cut = bisect.bisect_left(values, w)
+            return values[:cut], _runs(values[cut:])
+        excluded = constraint.values
+        return [r for r in range(w) if r not in excluded], _gaps(values, w)
 
-    def _rect_value_chain(self, rect: Rectangle):
-        form = self.form
+    def _weighted_sum(self, row: NatSeq, sel, g: tuple):
+        """Sum of row(r) * g(r) over the child spins r of the selection.  A
+        function of a spin shares g[w] = g[-1] among the spins from w on, so
+        the runs there cost one closed-form row sum each and one product."""
+        head, runs = sel
+        if self.ctx.spins.is_finite:
+            return sum((row.prefix[r] * g[r] for r in head), Fraction(0))
+        acc = Fraction(0)
+        for r in head:
+            acc = value_add(acc, value_mul(row.value_at(r), g[r]))
+        if runs:
+            acc = value_add(acc, value_mul(g[-1], row.sum_runs(runs)))
+        return acc
+
+    def _root_factor(self, rect: Rectangle) -> tuple:
+        """g with the rectangle's value = the sum of lam(q) * g(q) over the
+        root spins q its root constraint allows: one pass over the skeleton
+        below the root."""
         tree = self.ctx.tree
         k = tree.order
         constraints = rect.as_dict()
-        kernel = form.kernel
+        kernel = self.form.kernel
         flat = k == 1 or kernel.is_stochastic()
         # pending[v]: (factor, run) per skeleton child of v; the factor is a
         # function of the spin `run` levels below v, run counting the
@@ -568,12 +642,46 @@ class VolumeMeasure:
             height = self.depth - lvl
             fns = [kernel.apply_power(vec, run) for vec, run in kids]
             nfree = 0 if height == 0 else (k + 1 if v == 0 else k) - len(kids)
-            fns.append(_vec_pow(self._free_factor(height), nfree))
-            g = _vec_product(fns)
+            if nfree:
+                free = self._free_factor(height)
+                fns.append(free if nfree == 1 else _vec_pow(free, nfree))
+            g = _vec_product(fns) if fns else (Fraction(1),) * len(kernel.rows)
             if v == 0:
-                return self._weighted_sum(form.lam, c, g)
-            factor = tuple(self._weighted_sum(row, c, g) for row in kernel.rows)
+                return g
+            sel = self._selection(c, kernel.uniform_from)
+            factor = tuple(self._weighted_sum(row, sel, g) for row in kernel.rows)
             pending.setdefault(tree.parent(v), []).append((factor, 0))
+
+    def _rect_value_chain(self, rect: Rectangle):
+        sel = self._selection(rect.constraint_at(0), self.form.kernel.uniform_from)
+        return self._weighted_sum(self.form.lam, sel, self._root_factor(rect))
+
+    def root_slice_sums(self, cyl: CylinderSet):
+        """For a chain form, the function n -> value of cyl & {x0 < n}.
+
+        One skeleton pass per disjoint rectangle finds its root factor; each
+        call then costs, per rectangle, the allowed root spins below
+        w = kernel.uniform_from one by one and one closed-form sum of the root
+        weights per run of allowed spins from w on, cut at n.
+        """
+        lam = self.form.lam
+        w = self.form.kernel.uniform_from
+        parts = [
+            (self._selection(rect.constraint_at(0), w), self._root_factor(rect))
+            for rect in cyl.disjoint_rectangles()
+        ]
+
+        def below(n: int):
+            total = Fraction(0)
+            for (head, runs), g in parts:
+                cut = (
+                    [r for r in head if r < n],
+                    [(lo, n if hi is None else min(hi, n)) for lo, hi in runs if lo < n],
+                )
+                total = value_add(total, self._weighted_sum(lam, cut, g))
+            return total
+
+        return below
 
     # -- whole-table operations -------------------------------------------------
 

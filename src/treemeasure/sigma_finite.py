@@ -10,7 +10,7 @@ with its verdict vocabulary, and the checks that make a cover trustworthy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cylinder import (
@@ -359,10 +359,87 @@ class SigmaFiniteExtension:
             return Fraction(0)
         return self.handle.mu(piece)
 
+    def _root_slice_sums(self, event: CylinderSet):
+        """n -> mu(event & {x0 < n}) when the cover slices the root of a chain
+        family with a stochastic kernel, else None.  Such a family's values
+        do not depend on the evaluation depth, and every term is finite:
+        root weights times a probability."""
+        if self.cover.kind != "slice" or self.cover.site != 0:
+            return None
+        fam = self.handle.family
+        mu = fam.measure(event.base_depth)
+        for form in (fam.measure(0).form, mu.form):
+            if not isinstance(form, MarkovForm) or not form.kernel.is_stochastic():
+                return None
+        return mu.root_slice_sums(event)
+
+    def _closed_form_value(self, below, top: int | None) -> SigmaValue:
+        """The term loop's SigmaValue, read off the partial sums: the total
+        after term i is below((i + 1) * block).  Every stop rule, once met,
+        holds at every later term (totals never fall, the uncovered mass
+        never rises), so the first term meeting one is found by a galloping
+        search and then a binary search."""
+        block = self.cover.block
+
+        def total_after(i: int):
+            return below((i + 1) * block)
+
+        def partials(terms: int) -> tuple:
+            return tuple(total_after(i) for i in range(min(terms, PARTIAL_TRACE_LIMIT)))
+
+        if top is not None:
+            terms = top + 1
+            return SigmaValue(
+                "exact", total_after(top), terms_used=terms, partials=partials(terms)
+            )
+        lam0 = self.handle.family.measure(0).form.lam
+        finite_mass = self.handle.family.mass(0) != INFINITE
+
+        def stop(i: int):
+            total = total_after(i)
+            if total > self.bound:
+                return SigmaValue("diverges", total, terms_used=i + 1, bound=self.bound)
+            if finite_mass:
+                # the mass the first i + 1 cover parts leave uncovered
+                remaining = lam0.sum_from((i + 1) * block)
+                if remaining == 0:
+                    return SigmaValue("exact", total, terms_used=i + 1)
+                if remaining < self.tolerance:
+                    return SigmaValue(
+                        "bounded", total, tail_bound=remaining, terms_used=i + 1
+                    )
+            return None
+
+        budget = self.term_budget
+        lo, step, found = 0, 1, None  # no term below lo meets a stop rule
+        while lo < budget and found is None:
+            probe = min(lo + step - 1, budget - 1)
+            found = stop(probe)
+            if found is None:
+                lo, step = probe + 1, step * 2
+        if found is None:
+            total = total_after(budget - 1) if budget > 0 else Fraction(0)
+            return SigmaValue(
+                "inconclusive", total, terms_used=max(budget, 0),
+                partials=partials(budget),
+            )
+        hi = found.terms_used - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            verdict = stop(mid)
+            if verdict is None:
+                lo = mid + 1
+            else:
+                hi, found = mid, verdict
+        return replace(found, partials=partials(found.terms_used))
+
     def value(self, event: CylinderSet) -> SigmaValue:
         if event.ctx != self.handle.ctx:
             raise ContextMismatchError("event built over a different context")
         top = self.cover.support_bound(event)
+        below = self._root_slice_sums(event) if top != -1 else None
+        if below is not None:
+            return self._closed_form_value(below, top)
         partials = []
         total = Fraction(0)
         if top is not None:

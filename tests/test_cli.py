@@ -413,3 +413,32 @@ def test_eval_renders_past_int_digit_limit(capsys, tmp_path, case):
         assert Fraction(payload["value"]) == expected
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_sigma_eval_million_terms_in_closed_form(capsys, tmp_path):
+    """Root weights 1/1000 and P(q, 0) = 1/2: every root slice adds 1/2000,
+    so the bound 1000 would take 2,000,001 terms and the default budget of
+    10**6 ends the sum inconclusive.  The root-slice route reads it off the
+    partial sums instead of summing a million terms."""
+    samples = os.path.join(os.path.dirname(os.path.dirname(DATA)), "samples")
+    with open(os.path.join(samples, "counting_nat.spec")) as fh:
+        text = fh.read()
+    assert "lambda = const 1\n" in text
+    spec = tmp_path / "counting_thousandth.spec"
+    spec.write_text(text.replace("lambda = const 1\n", "lambda = const 1/1000\n"))
+    start = time.perf_counter()
+    code, payload, err = run_cli(capsys, "sigma-eval", "--spec", str(spec), "--cover", "root",
+                                 "--event", "x1=0")
+    elapsed = time.perf_counter() - start
+    terms = 10**6
+    # the partial sum over slices 0..n-1 is sum_q lam(q) * P(q, 0) = n / 2000
+    lam_q, p_q0 = Fraction(1, 1000), Fraction(1, 2)
+    partial = terms * lam_q * p_q0
+    assert code == 3
+    assert payload["kind"] == "inconclusive"
+    assert payload["terms_used"] == terms
+    assert Fraction(payload["total"]) == partial == 500
+    assert payload["rendered"] == "Inconclusive(lower=500, terms=1000000)"
+    assert "Inconclusive(lower=500, terms=1000000)" in err
+    # generous: the closed form takes a few milliseconds, the loop ~80 s
+    assert elapsed < 10

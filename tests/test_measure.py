@@ -542,6 +542,9 @@ RUN_FAMILIES = {
         TransitionKernel.for_naturals(G(F(1, 2), F(1, 2)), {0: NatSeq.finite([F(1, 2)])}),
         8,
     ),
+    # a path under a sub-stochastic kernel: free branches are kernel powers
+    # applied to 1
+    "substochastic_s2_k1": (1, 2, [F(1, 2), F(1, 2)], [[F(1, 3), F(1, 6)], [F(1, 4), F(1, 4)]], 60),
 }
 
 
@@ -578,3 +581,111 @@ def test_compressed_chain_walk_matches_level_by_level(name):
         value = fam.measure(depth).measure_of(from_constraints(ctx, rect))
         assert value == level_by_level_value(ctx, lam, kernel, depth, rect), (rect, depth)
     assert {n for n in RUN_LENGTHS if n < top} <= runs
+
+
+# Sums over the naturals take maximal runs of values in closed form.  The
+# references below add one value at a time.
+
+RUN_SEQS = {
+    "prefix_const": NatSeq((F(1, 2), F(0), F(3)), "const", F(2, 7), F(0)),
+    "prefix_geometric": NatSeq((F(1, 5), F(2, 5), F(0), F(1)), "geometric", F(3, 4), F(1, 3)),
+    "const": NatSeq.constant(F(5, 3)),
+    "geometric": NatSeq.geometric(F(1, 2), F(1, 2)),
+    "geometric_ratio_zero": NatSeq.geometric(F(2), F(0)),
+    "finite": NatSeq.finite([F(1, 3), F(0), F(1, 4), F(2)]),
+}
+
+
+def seeded_value_sets(rng, count=40):
+    """Sets of spins below 40: single values, short and long runs, some
+    crossing the end of every prefix above, and scattered values."""
+    sets = [set(), {0}, {3}, {2, 3, 4, 5}, set(range(0, 40)), set(range(3, 9)) | {20, 21, 30}]
+    for _ in range(count):
+        values = set()
+        for _ in range(rng.randint(1, 4)):
+            lo = rng.randrange(40)
+            values.update(range(lo, lo + rng.choice([1, 1, 2, 3, 10])))
+        sets.append(values)
+    return sets
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SEQS))
+def test_run_sums_match_per_value_sums(name):
+    seq = RUN_SEQS[name]
+    rng = random.Random(name)
+    for values in seeded_value_sets(rng):
+        expected = F(0)
+        for q in values:
+            expected += seq.value_at(q)
+        assert seq.sum_in(values) == expected, values
+        assert seq.sum_in(sorted(values, reverse=True)) == expected
+        assert seq.sum_not_in(values) == value_sub(seq.sum_all(), expected), values
+    for lo in range(0, 12):
+        for hi in range(lo, 14):
+            expected = sum((seq.value_at(q) for q in range(lo, hi)), F(0))
+            assert seq.sum_range(lo, hi) == expected, (lo, hi)
+    assert seq.sum_range(5, 2) == 0
+
+
+def reference_weighted_sum(spins, row, constraint, g):
+    """Sum of row(r) * g(r) over the allowed child spins, one spin at a time;
+    over the naturals g[-1] is shared by every spin from len(g) - 1 on."""
+    if spins.is_finite:
+        allowed = [r for r in range(spins.size) if constraint is None
+                   or (r in constraint.values) == (constraint.mode == "in")]
+        return sum((row.value_at(r) * g[r] for r in allowed), F(0))
+    w = len(g) - 1
+    total = F(0)
+    if constraint is not None and constraint.mode == "in":
+        for r in constraint.values:
+            total = value_add(total, value_mul(row.value_at(r), g[min(r, w)]))
+        return total
+    excluded = set() if constraint is None else constraint.values
+    start = max([w] + [q + 1 for q in excluded])
+    for r in range(start):
+        if r not in excluded:
+            total = value_add(total, value_mul(row.value_at(r), g[min(r, w)]))
+    return value_add(total, value_mul(g[w], row.sum_from(start)))
+
+
+@pytest.mark.parametrize("w", [0, 1, 3])
+def test_weighted_sums_match_per_value_sums(w):
+    rng = random.Random(w)
+    ctx = Context(TreeGeometry(2, 4), SpinSet.naturals())
+    kernel = TransitionKernel.for_naturals(NatSeq.geometric(F(1, 2), F(1, 2)),
+                                           [NatSeq.constant(F(1))] * w)
+    mu = markov_family(ctx, NatSeq.constant(1), kernel).measure(1)
+    # INFINITE entries of g meet zero row entries: 0 * inf = 0
+    rows = list(RUN_SEQS.values()) + [NatSeq.finite([F(0), F(0), F(1, 2)]), NatSeq()]
+    gs = [
+        tuple(F(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(w + 1)),
+        (F(1, 2),) * w + (INFINITE,),
+        (INFINITE,) * (w + 1),
+        tuple(F(0) if i % 2 else INFINITE for i in range(w + 1)),
+    ]
+    constraints = [None]
+    for values in seeded_value_sets(rng, count=15):
+        if values:
+            constraints.append(constraint_in(values))
+        constraints.append(constraint_not_in(values))
+    # wide notin sets
+    constraints += [constraint_not_in(range(2, 5000)), constraint_not_in(set(range(0, 3000, 3)))]
+    for row in rows:
+        for g in gs:
+            for c in constraints:
+                got = mu._weighted_sum(row, mu._selection(c, w), g)
+                assert got == reference_weighted_sum(ctx.spins, row, c, g), (row, g, c)
+
+
+def test_weighted_sums_over_finite_spins():
+    ctx = Context(TreeGeometry(2, 3), SpinSet.finite(4))
+    kernel = [[F(1, 4)] * 4] * 4
+    mu = markov_family(ctx, [F(1, 4)] * 4, kernel).measure(1)
+    rng = random.Random(4)
+    row = NatSeq.finite([F(1, 3), F(0), F(1, 4), F(2)])
+    for _ in range(30):
+        g = tuple(F(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(4))
+        values = rng.sample(range(4), rng.randint(1, 3))
+        for c in (None, constraint_in(values)):
+            got = mu._weighted_sum(row, mu._selection(c, 4), g)
+            assert got == reference_weighted_sum(ctx.spins, row, c, g)

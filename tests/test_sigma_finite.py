@@ -1,16 +1,22 @@
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from treemeasure import (
+    Context,
     ContextMismatchError,
     CoverError,
     ExtensionHandle,
     INFINITE,
     MassError,
     NatSeq,
+    SigmaValue,
     SpinRangeError,
+    SpinSet,
     TransitionKernel,
+    TreeGeometry,
     conditional_family,
     constraint_in,
     constraint_not_in,
@@ -27,7 +33,15 @@ from treemeasure import (
     sigma_extension,
     single_site,
     slice_cover,
+    value_add,
+    value_sub,
 )
+from treemeasure.sigma_finite import (
+    DEFAULT_DIVERGENCE_BOUND,
+    DEFAULT_TERM_BUDGET,
+    DEFAULT_TOLERANCE,
+)
+from treemeasure.specdsl import load_spec
 
 F = Fraction
 
@@ -347,3 +361,162 @@ def test_normalized_extension_refuses_drifting_mass(ctx_k2s2):
     handle = ExtensionHandle.issue(drifting, trusted=True, trust_reason="adversarial probe")
     with pytest.raises(MassError):
         normalized_extension(handle)
+
+
+# A slice cover at the root of a chain family with a stochastic kernel sums
+# in closed form.  The reference is the term loop itself: one exact value
+# mu(E & A_i) per cover part, under the same stop rules.
+
+
+def term_loop_value(handle, cover, event, tolerance=DEFAULT_TOLERANCE,
+                    term_budget=DEFAULT_TERM_BUDGET, bound=DEFAULT_DIVERGENCE_BOUND):
+    def term(i):
+        piece = event.intersect(cover.part(i))
+        return F(0) if piece.is_empty() else handle.mu(piece)
+
+    def result(kind, total, terms, **extra):
+        return SigmaValue(kind, total, terms_used=terms, partials=tuple(partials[:16]), **extra)
+
+    partials = []
+    total = F(0)
+    top = cover.support_bound(event)
+    if top is not None:
+        for i in range(top + 1):
+            total = value_add(total, term(i))
+            partials.append(total)
+        return result("exact", total, top + 1)
+    mass = handle.family.mass(0)
+    covered = F(0)
+    for i in range(term_budget):
+        total = value_add(total, term(i))
+        partials.append(total)
+        if total == INFINITE:
+            return result("exact", INFINITE, i + 1)
+        if total > bound:
+            return result("diverges", total, i + 1, bound=bound)
+        if mass != INFINITE:
+            covered = value_add(covered, handle.mu(cover.part(i)))
+            remaining = value_sub(mass, covered)
+            if remaining == 0:
+                return result("exact", total, i + 1)
+            if remaining < tolerance:
+                return result("bounded", total, i + 1, tail_bound=remaining)
+    return result("inconclusive", total, max(term_budget, 0))
+
+
+def seeded_events(ctx, rng, count):
+    """Unions of 1-3 rectangles over the root, its children and level 2:
+    root-only events (support-bounded when every root set is finite) and
+    events that leave the root free or cofinite."""
+    sites = [0, 1, 2, 3, 4, 7]
+    events = []
+    for _ in range(count):
+        event = None
+        for _ in range(rng.randint(1, 3)):
+            chosen = rng.sample(sites, rng.randint(1, 2))
+            if rng.random() < 0.3:
+                chosen = [0]
+            rect = {}
+            for v in chosen:
+                lo = rng.randrange(6)
+                values = set(range(lo, lo + rng.randint(1, 5))) | {rng.randrange(12)}
+                rect[v] = (constraint_in if rng.random() < 0.6 else constraint_not_in)(values)
+            piece = from_constraints(ctx, rect)
+            event = piece if event is None else event.union(piece)
+        events.append(event)
+    return events
+
+
+SPEC_DIRS = [
+    os.path.join(os.path.dirname(__file__), "data"),
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), "samples"),
+]
+COVER_SPECS = sorted(
+    os.path.join(d, fn) for d in SPEC_DIRS for fn in os.listdir(d)
+    if fn.endswith(".spec") and "[covers]" in open(os.path.join(d, fn)).read()
+)
+
+
+@pytest.mark.parametrize("path", COVER_SPECS, ids=os.path.basename)
+def test_cover_sums_match_term_loop_on_cover_fixtures(path):
+    with open(path) as fh:
+        built = load_spec(fh.read())
+    ctx = built.ctx
+    handle = ExtensionHandle.issue(built.family, verify_depth=2)
+    covers = list(built.covers.values())
+    if not ctx.spins.is_finite:
+        covers += [slice_cover(ctx, 0, block) for block in (1, 2, 3)]
+        events = [omega(ctx), single_site(ctx, 1, 0)] + seeded_events(
+            ctx, random.Random(os.path.basename(path)), 12)
+    else:
+        events = [omega(ctx), single_site(ctx, 1, 0), single_site(ctx, 0, 1)]
+    for cover in covers:
+        for event in events:
+            for budget, bound in ((40, F(1000)), (20_000, F(7, 2))):
+                kwargs = dict(term_budget=budget, bound=bound)
+                got = sigma_extension(handle, cover, **kwargs).value(event)
+                assert got == term_loop_value(handle, cover, event, **kwargs), (
+                    cover.label, event.render(), budget)
+
+
+STOCHASTIC_NAT_FAMILIES = {
+    # root weights with a finite support: the uncovered mass reaches 0
+    "finite_lam": (
+        NatSeq.finite([F(1, 4), F(0), F(1, 2), F(1, 4)]),
+        TransitionKernel.for_naturals(NatSeq.geometric(F(1, 2), F(1, 2))),
+    ),
+    # explicit kernel rows (w = 2) and geometric root weights after a prefix
+    "rows_geometric_lam": (
+        NatSeq((F(1, 8), F(1, 8)), "geometric", F(3, 8), F(1, 2)),
+        TransitionKernel.for_naturals(
+            NatSeq.geometric(F(1, 3), F(2, 3)),
+            [NatSeq.finite([F(1, 2), F(1, 2)]), NatSeq((F(0),), "geometric", F(1, 2), F(1, 2))],
+        ),
+    ),
+    # constant root weights after a prefix: infinite mass
+    "prefix_const_lam": (
+        NatSeq((F(3), F(0), F(1, 2)), "const", F(1, 3), F(0)),
+        TransitionKernel.for_naturals(
+            NatSeq.geometric(F(1, 2), F(1, 2)), {1: NatSeq.finite([F(0), F(1)])}
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOCHASTIC_NAT_FAMILIES))
+def test_cover_sums_match_term_loop_on_seeded_events(name):
+    lam, kernel = STOCHASTIC_NAT_FAMILIES[name]
+    ctx = Context(TreeGeometry(2, 6), SpinSet.naturals())
+    handle = ExtensionHandle.issue(markov_family(ctx, lam, kernel), verify_depth=2)
+    rng = random.Random(name)
+    events = [omega(ctx), single_site(ctx, 1, 0), single_site(ctx, 0, 2)]
+    events += seeded_events(ctx, rng, 16)
+    settings = [
+        dict(term_budget=100, bound=F(1000)),
+        dict(term_budget=100, bound=F(1, 2), tolerance=F(1, 2**20)),
+        dict(term_budget=3, bound=F(1000), tolerance=F(0)),
+        dict(term_budget=0),
+        dict(term_budget=50, tolerance=F(1, 100)),
+    ]
+    kinds = set()
+    for event in events:
+        for block in (1, 2, 3):
+            cover = slice_cover(ctx, 0, block)
+            for kwargs in settings:
+                got = sigma_extension(handle, cover, **kwargs).value(event)
+                assert got == term_loop_value(handle, cover, event, **kwargs), (
+                    event.render(), block, kwargs)
+                kinds.add(got.kind)
+    expected = {"exact", "inconclusive", "diverges"}
+    assert expected | ({"bounded"} if name == "rows_geometric_lam" else set()) <= kinds
+
+
+def test_closed_form_cover_sum_reaches_every_verdict(counting_fam, nat_ctx):
+    handle = counting_handle(counting_fam)
+    ext = sigma_extension(handle, slice_cover(nat_ctx, site=0), term_budget=20_000)
+    event = single_site(nat_ctx, 1, 0)
+    # each term is 1/2: the partial sum first exceeds 1000 at term 2001
+    diverges = ext.value(event)
+    assert diverges == term_loop_value(handle, ext.cover, event, term_budget=20_000)
+    assert (diverges.kind, diverges.terms_used, diverges.total) == ("diverges", 2001, F(2001, 2))
+    assert diverges.partials == tuple(F(i + 1, 2) for i in range(16))
