@@ -19,7 +19,17 @@ stochastic, only the root, the constrained sites and their branch points
 (at most 2c nodes) do that work: an unconstrained path of L levels between
 two of them is the kernel's L-th power, applied as popcount(L)
 matrix-vector products through binary powers cached on the kernel.  Every
-free child subtree is a memoized factor of its height.
+free child subtree is a memoized factor of its height; on a path (k = 1) it
+is itself one kernel power.
+
+Over the naturals no cost grows with the width of a value range.  A
+function of a spin is shared by every spin from the kernel's uniform row
+on, so a constraint's allowed spins there are summed as maximal runs (an
+`in` set) or as the gaps between excluded values (a `notin` set), each run
+one closed-form `NatSeq.sum_range`, and multiplied by that shared value
+once.  Only sorting and scanning the named values is linear in their number.
+`VolumeMeasure.root_slice_sums` reuses the same split for the partial sums
+mu(E & {x0 < n}) of a root-slice cover sum.
 
 Values are Fraction or the float infinity for a diverging mass.
 """
