@@ -9,6 +9,7 @@ codes: 0 computed or PASS, 1 verified violation, 2 usage or parse problem,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -60,6 +61,7 @@ def _depth_arg(text: str) -> int:
     return depth
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treemeasure",

@@ -49,7 +49,10 @@ class ExtensionHandle:
     depth or records why verification was skipped.  Every value ever
     computed is cached under the cylinder's canonical key; recomputing the
     same set at another depth must reproduce the cached value, so the cache
-    doubles as a representation-independence monitor.
+    doubles as a representation-independence monitor.  The key is the
+    event's canonical rectangles, so the cache refuses two values for one
+    spelling of an event: with s = 3, `x0=0 | x0=1` and `x0 in {0,1}` have
+    different keys and are checked separately.
     """
 
     def __init__(self, family: MeasureFamily, report: ConsistencyReport | None,

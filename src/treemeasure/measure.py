@@ -1030,8 +1030,9 @@ def check_consistency(fam: MeasureFamily, depth: int,
     """Verify that deeper measures marginalize onto shallower ones.
 
     Finite spin sets are checked exhaustively by enumeration: for each j <=
-    depth the depth-j measure is summed atom-by-atom onto every shallower
-    ball and compared against the family's own measure there.  Over the
+    depth the depth-j measure is summed atom-by-atom onto the depth j - 1
+    ball and compared against the family's own measure there; projections
+    compose, so these matches give every shallower one.  Over the
     denumerable spin set, stochastic closed forms are checked exactly via
     row sums; otherwise a finite probe battery is compared (reported as
     non-exhaustive).
@@ -1053,24 +1054,21 @@ def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyRepor
             return ConsistencyReport(
                 requested, achieved, None, "enumeration", budget_limited=True
             )
+        # depth j - 1 already matches every shallower depth, so matching it
+        # implies the rest
         projected = _enumerate_marginal(fam.measure(j), j - 1, budget)
-        for i in range(j - 1, -1, -1):
-            reference = fam.measure(i).dense_table(budget)
-            keys = sorted(set(projected) | set(reference))
-            for key in keys:
-                lhs = projected.get(key, Fraction(0))
-                rhs = reference.get(key, Fraction(0))
-                if lhs != rhs:
-                    witness = from_constraints(
-                        ctx, {v: constraint_in([key[v]]) for v in range(len(key))}
-                    )
-                    return ConsistencyReport(
-                        requested, achieved, Violation(i, j, witness, lhs, rhs),
-                        "enumeration",
-                    )
-            if i > 0:
-                cut = ctx.tree.ball_size(i - 1)
-                projected = _regroup(projected, lambda key: key[:cut])
+        reference = fam.measure(j - 1).dense_table(budget)
+        for key in sorted(set(projected) | set(reference)):
+            lhs = projected.get(key, Fraction(0))
+            rhs = reference.get(key, Fraction(0))
+            if lhs != rhs:
+                witness = from_constraints(
+                    ctx, {v: constraint_in([key[v]]) for v in range(len(key))}
+                )
+                return ConsistencyReport(
+                    requested, achieved, Violation(j - 1, j, witness, lhs, rhs),
+                    "enumeration",
+                )
         achieved = j
     return ConsistencyReport(requested, achieved, None, "enumeration")
 

@@ -254,9 +254,7 @@ class Cover:
         whole = None
         for p in self._parts:
             whole = p if whole is None else whole.union(p)
-        covers = whole is not None and whole.is_omega() or (
-            whole is not None and whole.semantic_equal(omega(self.ctx))
-        )
+        covers = whole is not None and whole.is_omega()
         disjoint = True
         detail = ""
         for a in range(len(self._parts)):
@@ -301,13 +299,17 @@ def slice_cover(ctx: Context, site: int = 0, block: int = 1, label: str = "") ->
 
 @dataclass(frozen=True)
 class SigmaValue:
-    """Outcome of a cover sum.
+    """Outcome of a cover sum, with the interval of values it certifies.
 
-    exact: `total` is the value (possibly the float infinity).
+    exact: `total` is the value (possibly the float infinity): [total, total].
     bounded: the value lies in [total, total + tail_bound].
-    diverges: the value is certified greater than `bound`.
+    diverges: the partial sum `total` passed `bound`: [total, infinity].
     inconclusive: the partial sum reached the term budget; `total` is a
-    lower bound with no tail certificate.
+    lower bound with no tail certificate: [total, infinity].
+
+    Both audits (`cover_independence`, `cover_sum_check`) call disjoint
+    intervals a violation, and read `diverges` against a finite value at or
+    above its total as inconclusive.
     """
 
     kind: str
@@ -387,12 +389,25 @@ class SigmaFiniteExtension:
                 return None
         return mu.root_slice_sums(event)
 
+    def _stop(self, i: int, total, remaining) -> SigmaValue | None:
+        """The verdict after term i, or None to keep summing.  `remaining` is
+        the mass the first i + 1 cover parts leave uncovered, None when the
+        family's mass is infinite.  A rule that holds at term i holds at every
+        later term: totals never fall, and the uncovered mass never rises."""
+        if total == INFINITE:
+            return SigmaValue("exact", INFINITE, terms_used=i + 1)
+        if total > self.bound:
+            return SigmaValue("diverges", total, terms_used=i + 1, bound=self.bound)
+        if remaining == 0:
+            return SigmaValue("exact", total, terms_used=i + 1)
+        if remaining is not None and remaining < self.tolerance:
+            return SigmaValue("bounded", total, tail_bound=remaining, terms_used=i + 1)
+        return None
+
     def _closed_form_value(self, below, top: int | None) -> SigmaValue:
         """The term loop's SigmaValue, read off the partial sums: the total
-        after term i is below((i + 1) * block).  Every stop rule, once met,
-        holds at every later term (totals never fall, the uncovered mass
-        never rises), so the first term meeting one is found by a galloping
-        search and then a binary search."""
+        after term i is below((i + 1) * block).  The first term meeting a
+        stop rule is found by a galloping search and then a binary search."""
         block = self.cover.block
 
         def total_after(i: int):
@@ -410,19 +425,8 @@ class SigmaFiniteExtension:
         finite_mass = self.handle.family.mass(0) != INFINITE
 
         def stop(i: int):
-            total = total_after(i)
-            if total > self.bound:
-                return SigmaValue("diverges", total, terms_used=i + 1, bound=self.bound)
-            if finite_mass:
-                # the mass the first i + 1 cover parts leave uncovered
-                remaining = lam0.sum_from((i + 1) * block)
-                if remaining == 0:
-                    return SigmaValue("exact", total, terms_used=i + 1)
-                if remaining < self.tolerance:
-                    return SigmaValue(
-                        "bounded", total, tail_bound=remaining, terms_used=i + 1
-                    )
-            return None
+            remaining = lam0.sum_from((i + 1) * block) if finite_mass else None
+            return self._stop(i, total_after(i), remaining)
 
         budget = max(self.term_budget, 0)
         lo, hi = 0, 1  # galloping: no term below lo meets a stop rule
@@ -445,50 +449,26 @@ class SigmaFiniteExtension:
         below = self._root_slice_sums(event) if top != -1 else None
         if below is not None:
             return self._closed_form_value(below, top)
+        # a support bound fixes the term count and makes the sum exact;
+        # otherwise the stop rules end it, or the term budget does
+        terms = top + 1 if top is not None else max(self.term_budget, 0)
+        mass = self.handle.family.mass(0) if top is None else None
+        remaining = mass if mass != INFINITE else None
         partials = []
         total = Fraction(0)
-        if top is not None:
-            for i in range(top + 1):
-                total = value_add(total, self._term(event, i))
-                if len(partials) < PARTIAL_TRACE_LIMIT:
-                    partials.append(total)
-            return SigmaValue(
-                "exact", total, terms_used=top + 1, partials=tuple(partials)
-            )
-        mass = self.handle.family.mass(0)
-        cover_partial = Fraction(0)
-        i = 0
-        while i < self.term_budget:
+        for i in range(terms):
             total = value_add(total, self._term(event, i))
             if len(partials) < PARTIAL_TRACE_LIMIT:
                 partials.append(total)
-            if total == INFINITE:
-                return SigmaValue(
-                    "exact", INFINITE, terms_used=i + 1, partials=tuple(partials)
-                )
-            if total > self.bound:
-                return SigmaValue(
-                    "diverges", total, terms_used=i + 1, bound=self.bound,
-                    partials=tuple(partials),
-                )
-            if mass != INFINITE:
-                cover_partial = value_add(
-                    cover_partial, self.handle.mu(self.cover.part(i))
-                )
-                remaining = value_sub(mass, cover_partial)
-                if remaining == 0:
-                    return SigmaValue(
-                        "exact", total, terms_used=i + 1, partials=tuple(partials)
-                    )
-                if remaining < self.tolerance:
-                    return SigmaValue(
-                        "bounded", total, tail_bound=remaining, terms_used=i + 1,
-                        partials=tuple(partials),
-                    )
-            i += 1
-        return SigmaValue(
-            "inconclusive", total, terms_used=i, partials=tuple(partials)
-        )
+            if top is not None:
+                continue
+            if remaining is not None:
+                remaining = value_sub(remaining, self.handle.mu(self.cover.part(i)))
+            verdict = self._stop(i, total, remaining)
+            if verdict is not None:
+                return replace(verdict, partials=tuple(partials))
+        kind = "exact" if top is not None else "inconclusive"
+        return SigmaValue(kind, total, terms_used=terms, partials=tuple(partials))
 
     def mass(self) -> SigmaValue:
         return self.value(omega(self.handle.ctx))
@@ -528,23 +508,25 @@ class IndependenceReport:
         return all(r.agree is not False for r in self.records)
 
 
+def _bracket(sv: SigmaValue) -> tuple:
+    """The interval [lo, hi] the value of a cover sum is certified to lie in."""
+    if sv.kind == "exact":
+        return sv.total, sv.total
+    if sv.kind == "bounded":
+        return sv.total, sv.total + sv.tail_bound
+    return sv.total, INFINITE
+
+
 def _values_agree(a: SigmaValue, b: SigmaValue) -> bool | None:
     if a.kind == "inconclusive" or b.kind == "inconclusive":
         return None
-    if a.kind == "diverges" or b.kind == "diverges":
-        other = b if a.kind == "diverges" else a
-        if other.kind == "diverges":
-            return True
-        return other.kind == "exact" and other.total == INFINITE
-    if a.kind == "exact" and b.kind == "exact":
-        return a.total == b.total
-    lo_a = a.total
-    hi_a = a.total if a.kind == "exact" else a.total + a.tail_bound
-    lo_b = b.total
-    hi_b = b.total if b.kind == "exact" else b.total + b.tail_bound
-    if lo_a == INFINITE or lo_b == INFINITE:
-        return lo_a == lo_b
-    return not (hi_a < lo_b or hi_b < lo_a)
+    (lo_a, hi_a), (lo_b, hi_b) = _bracket(a), _bracket(b)
+    if hi_a < lo_b or hi_b < lo_a:
+        return False
+    # a diverging sum against a finite value at or above its total
+    if (hi_a == INFINITE) != (hi_b == INFINITE):
+        return None
+    return True
 
 
 def cover_independence(handle: ExtensionHandle, first: Cover, second: Cover,
@@ -582,23 +564,12 @@ class CoverSumReport:
 
 
 def _cover_sum_verdict(direct, summed: SigmaValue) -> str:
-    if summed.kind == "exact":
-        return "PASS" if direct == summed.total else "FAIL"
-    if summed.kind == "bounded":
-        if direct == INFINITE:
-            return "FAIL"
-        return (
-            "PASS"
-            if summed.total <= direct <= summed.total + summed.tail_bound
-            else "FAIL"
-        )
-    if summed.kind == "diverges":
-        if direct == INFINITE:
-            return "PASS"
-        return "FAIL" if direct < summed.total else "INCONCLUSIVE"
-    if direct != INFINITE and summed.total > direct:
+    lo, hi = _bracket(summed)
+    if not lo <= direct <= hi:
         return "FAIL"
-    return "INCONCLUSIVE"
+    if summed.kind == "inconclusive" or (hi == INFINITE) != (direct == INFINITE):
+        return "INCONCLUSIVE"
+    return "PASS"
 
 
 def cover_sum_check(handle: ExtensionHandle, cover: Cover, events,
@@ -627,9 +598,7 @@ def fixed_level_cover(handle: ExtensionHandle, cover: Cover,
     cylinder sets based within one fixed level, with cover sums that
     reproduce direct values on probe events; return the summation engine.
     """
-    report = cover.verify()
-    if not report.ok:
-        raise CoverError(f"cover {cover.label!r} rejected: {report.detail}")
+    engine = sigma_extension(handle, cover, **kwargs)
     if level is None:
         if cover.kind == "finite":
             level = max(p.base_depth for p in cover._parts)
@@ -655,14 +624,15 @@ def fixed_level_cover(handle: ExtensionHandle, cover: Cover,
         if handle.ctx.spins.is_finite:
             width = min(probe_count, handle.ctx.spins.size)
         probes = [single_site(handle.ctx, 0, q) for q in range(width)]
-    sums = cover_sum_check(handle, cover, probes, **kwargs)
-    if sums.verdict == "FAIL":
-        bad = next(r for r in sums.records if r.verdict == "FAIL")
-        raise CoverError(
-            f"cover sum mismatch on {bad.event.render()}: direct "
-            f"{render_value(bad.direct)} vs {bad.summed.render()}"
-        )
-    return SigmaFiniteExtension(handle, cover, cover_report=report, **kwargs)
+    for event in probes:
+        direct = handle.mu(event)
+        summed = engine.value(event)
+        if _cover_sum_verdict(direct, summed) == "FAIL":
+            raise CoverError(
+                f"cover sum mismatch on {event.render()}: direct "
+                f"{render_value(direct)} vs {summed.render()}"
+            )
+    return engine
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from treemeasure import compile_event, load_spec
-from treemeasure.cli import main
+from treemeasure.cli import build_parser, main
+from treemeasure.sigma_finite import Cover, CoverReport
 
 F = Fraction
 
@@ -228,6 +229,60 @@ def test_covers_compare_explicit_events(capsys):
     assert [r["event"] for r in payload["records"]] == [
         "x0 in {0,1,2,3}", "x0=1 & x1=0"
     ]
+
+
+DIVERGING_SPEC = """[tree]
+k = 2
+[spins]
+kind = nat
+[family]
+kind = markov
+lambda = geometric 2000 1/2
+P = geometric 1/2 1/2
+[covers]
+root = slice x0
+split = list "x0=0" ; "x0 notin {0}"
+head = list "x0=0"
+"""
+
+
+def test_covers_compare_diverging_against_finite(capsys, tmp_path, monkeypatch):
+    spec = tmp_path / "diverging.spec"
+    spec.write_text(DIVERGING_SPEC)
+    # x1=0 has value 2000; the root slices pass the bound 1000 at 1500
+    code, payload, err = run_cli(capsys, "covers-compare", "--spec", str(spec),
+                                 "--cover", "split", "--cover", "root", "--event", "x1=0")
+    assert code == 3
+    assert payload["ok"] is True
+    rec = payload["records"][0]
+    assert (rec["first"]["total"], rec["second"]["kind"], rec["agree"]) == (
+        "2000", "diverges", None)
+    code, payload, _ = run_cli(capsys, "cover-sum", "--spec", str(spec),
+                               "--cover", "root", "--event", "x1=0")
+    assert (code, payload["verdict"]) == (3, "INCONCLUSIVE")
+    # `head` misses most of the space; let it past verification to get a
+    # finite value (1000) below the diverging total
+    monkeypatch.setattr(Cover, "verify", lambda self: CoverReport(True, True, "semantic"))
+    code, payload, err = run_cli(capsys, "covers-compare", "--spec", str(spec),
+                                 "--cover", "head", "--cover", "root", "--event", "x1=0")
+    assert code == 1
+    assert payload["ok"] is False
+    assert (payload["records"][0]["first"]["total"], payload["records"][0]["agree"]) == (
+        "1000", False)
+    assert "MISMATCH" in err
+
+
+def test_consecutive_calls_share_no_parser_state(capsys):
+    assert build_parser() is build_parser()
+    args = ("covers-compare", "--spec", NAT, "--cover", "roots", "--cover", "pairs")
+    code, payload, _ = run_cli(capsys, *args, "--event", "x0=1")
+    assert (code, len(payload["records"])) == (0, 1)
+    code, payload, _ = run_cli(capsys, *args, "--seed", "5")
+    assert (code, len(payload["records"])) == (0, 8)
+    with pytest.raises(SystemExit) as exc:
+        main(["covers-compare", "--spec", NAT, "--cover"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_cover_sum_pass(capsys):

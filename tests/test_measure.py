@@ -288,6 +288,19 @@ def test_consistency_violation_witness(ctx_k2s2):
     assert "!=" in v.render()
 
 
+def test_consistency_violation_below_depth_one(ctx_k2s2):
+    # vertex 4 lies at level 2; its weights sum to 3/4, so depths 0 and 1
+    # agree and depth 2 marginalizes to 3/4 of depth 1
+    fam = product_family(ctx_k2s2, [F(1, 2), F(1, 2)], {4: [F(1, 4), F(1, 2)]})
+    report = check_consistency(fam, 3)
+    assert report.verified_depth == 1
+    v = report.violation
+    assert (v.i, v.j) == (1, 2)
+    assert v.witness.contains((0, 0, 0, 0))
+    assert not v.witness.contains((0, 0, 0, 1))
+    assert (v.lhs, v.rhs) == (F(3, 64), F(1, 16))
+
+
 def test_consistency_nat_closed_row(counting_fam):
     report = check_consistency(counting_fam, 3)
     assert report.ok

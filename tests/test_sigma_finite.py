@@ -28,6 +28,7 @@ from treemeasure import (
     markov_family,
     normalized_extension,
     omega,
+    product_family,
     restriction_identity_check,
     scale,
     sigma_extension,
@@ -40,6 +41,8 @@ from treemeasure.sigma_finite import (
     DEFAULT_DIVERGENCE_BOUND,
     DEFAULT_TERM_BUDGET,
     DEFAULT_TOLERANCE,
+    _cover_sum_verdict,
+    _values_agree,
 )
 from treemeasure.specdsl import load_spec
 
@@ -266,6 +269,91 @@ def test_cover_independence_blocks(counting_fam, nat_ctx):
         assert rec.first.total == rec.second.total
 
 
+DIVERGING_SPEC = """
+[tree]
+k = 2
+[spins]
+kind = nat
+[family]
+kind = markov
+lambda = geometric 2000 1/2
+P = geometric 1/2 1/2
+[covers]
+root = slice x0
+split = list "x0=0" ; "x0 notin {0}"
+"""
+
+
+def test_diverging_sum_against_finite_value():
+    built = load_spec(DIVERGING_SPEC)
+    ctx = built.ctx
+    handle = ExtensionHandle.issue(built.family, verify_depth=1)
+    event = single_site(ctx, 1, 0)
+    # x1=0 has value 2000; the root slices pass the bound 1000 at 1500
+    report = cover_independence(handle, built.covers["split"], built.covers["root"], [event])
+    rec = report.records[0]
+    assert (rec.first.kind, rec.first.total) == ("exact", 2000)
+    assert (rec.second.kind, rec.second.total) == ("diverges", 1500)
+    assert rec.agree is None and report.ok
+    sums = cover_sum_check(handle, built.covers["root"], [event])
+    assert sums.verdict == "INCONCLUSIVE"
+    # a finite value below the diverging total is still a violation
+    head = finite_cover([single_site(ctx, 0, 0)])
+    report = cover_independence(handle, head, built.covers["root"], [event],
+                                verify_cover=False)
+    assert report.records[0].first.total == 1000
+    assert report.records[0].agree is False and not report.ok
+
+
+# each verdict certifies an interval: bounded [2, 3], diverges and
+# inconclusive [5, infinity]; a direct value is the exact interval [d, d]
+BOUNDED = SigmaValue("bounded", F(2), tail_bound=F(1))
+DIVERGES = SigmaValue("diverges", F(5), bound=F(4))
+INCONCLUSIVE = SigmaValue("inconclusive", F(5))
+READINGS = [
+    (SigmaValue("exact", F(3)), F(3), "PASS", True),
+    (SigmaValue("exact", F(3)), F(4), "FAIL", False),
+    (SigmaValue("exact", INFINITE), INFINITE, "PASS", True),
+    (SigmaValue("exact", INFINITE), F(4), "FAIL", False),
+    (BOUNDED, F(1), "FAIL", False),
+    (BOUNDED, F(5, 2), "PASS", True),
+    (BOUNDED, F(3), "PASS", True),
+    (BOUNDED, F(4), "FAIL", False),
+    (BOUNDED, INFINITE, "FAIL", False),
+    (DIVERGES, F(4), "FAIL", False),
+    (DIVERGES, F(6), "INCONCLUSIVE", None),
+    (DIVERGES, INFINITE, "PASS", True),
+    (INCONCLUSIVE, F(6), "INCONCLUSIVE", None),
+    (INCONCLUSIVE, INFINITE, "INCONCLUSIVE", None),
+]
+
+
+@pytest.mark.parametrize("summed, direct, verdict, agree", READINGS)
+def test_cover_sum_readers_share_one_interval(summed, direct, verdict, agree):
+    assert _cover_sum_verdict(direct, summed) == verdict
+    exact = SigmaValue("exact", direct)
+    assert _values_agree(exact, summed) is agree
+    assert _values_agree(summed, exact) is agree
+
+
+def test_term_loop_stops_on_uncovered_mass(nat_ctx):
+    """Products sum one term at a time; root weights with a finite support
+    leave no uncovered mass after their last value, geometric ones leave a
+    tail bound."""
+    w = NatSeq.geometric(F(1, 2), F(1, 2))
+    cover = slice_cover(nat_ctx, site=0)
+    kwargs = dict(term_budget=200, tolerance=F(1, 2**20))
+    # the uncovered mass is 3/4, then 0; or 2**-n after n terms, first below
+    # the tolerance at n = 21
+    for root, kind, terms in ((NatSeq.finite([F(1, 4), F(3, 4)]), "exact", 2),
+                              (w, "bounded", 21)):
+        handle = ExtensionHandle.issue(product_family(nat_ctx, w, {0: root}), verify_depth=2)
+        for event in (omega(nat_ctx), single_site(nat_ctx, 1, 0)):
+            got = sigma_extension(handle, cover, **kwargs).value(event)
+            assert (got.kind, got.terms_used) == (kind, terms)
+            assert got == term_loop_value(handle, cover, event, **kwargs)
+
+
 def test_cover_sum_check_pass(counting_fam, nat_ctx):
     handle = counting_handle(counting_fam)
     events = [single_site(nat_ctx, 0, q) for q in range(6)]
@@ -325,6 +413,20 @@ def test_fixed_level_cover_rejects_deep_site(counting_fam, nat_ctx):
     handle = counting_handle(counting_fam)
     with pytest.raises(CoverError):
         fixed_level_cover(handle, slice_cover(nat_ctx, site=1), level=0)
+
+
+def test_fixed_level_cover_rejects_mismatched_sums(ctx_k2s2):
+    ctx = ctx_k2s2
+    # kernel row 0 sums to 7/6: depth-1 values of x0=0 disagree with depth 0
+    broken = markov_family(
+        ctx, [F(1, 2), F(1, 2)], [[F(2, 3), F(1, 2)], [F(1, 3), F(2, 3)]]
+    )
+    handle = ExtensionHandle.issue(broken, trusted=True, trust_reason="adversarial probe")
+    cover = finite_cover([
+        from_constraints(ctx, {0: constraint_in([0]), 1: constraint_in([q])}) for q in (0, 1)
+    ] + [single_site(ctx, 0, 1)])
+    with pytest.raises(CoverError, match="cover sum mismatch on x0=0"):
+        fixed_level_cover(handle, cover)
 
 
 def test_normalized_extension_scaled(chain_fam, ctx_k2s2):
