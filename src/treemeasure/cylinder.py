@@ -92,6 +92,10 @@ class SiteConstraint:
     once normalized, non-empty except for the transient empty marker).
     mode "notin": everything except the listed values is allowed; this form
     survives normalization only over the denumerable spin set.
+
+    Rectangles hold normalized constraints (`c_normalize`): over finite spins,
+    "in" sets only.  No module but this one reads `mode` and `values`; the
+    others go through `c_runs`, `c_contains` and `c_render`.
     """
 
     mode: str
@@ -149,34 +153,68 @@ def c_intersect(a: SiteConstraint, b: SiteConstraint, spins: SpinSet) -> SiteCon
 
 
 def c_complement(c: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
-    if spins.is_finite:
-        full = frozenset(spins.values())
-        allowed = full - c.values if c.mode == IN else c.values & full
-        if allowed == full:
-            return None
-        return SiteConstraint(IN, allowed)
     swapped = SiteConstraint(NOT_IN if c.mode == IN else IN, c.values)
     return c_normalize(swapped, spins)
 
 
-def c_allowed_values(c: SiteConstraint | None, spins: SpinSet):
-    """Iterable of allowed values; requires a finite answer."""
+def _runs(values) -> list:
+    """Maximal runs of consecutive spins among sorted distinct `values`, as
+    half-open (lo, hi) pairs."""
+    if not values:
+        return []
+    if values[-1] - values[0] == len(values) - 1:
+        return [(values[0], values[-1] + 1)]
+    runs = []
+    lo = prev = values[0]
+    for q in values[1:]:
+        if q != prev + 1:
+            runs.append((lo, prev + 1))
+            lo = q
+        prev = q
+    runs.append((lo, prev + 1))
+    return runs
+
+
+def _gaps(excluded) -> list:
+    """The spins outside sorted distinct `excluded`, as half-open runs; the
+    last one is (lo, None), open-ended."""
+    gaps, start = [], 0
+    for lo, hi in _runs([q for q in excluded if q >= 0]):
+        if lo > start:
+            gaps.append((start, lo))
+        start = hi
+    gaps.append((start, None))
+    return gaps
+
+
+def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
+    """The spins a normalized constraint allows (None: every spin), as
+    maximal half-open runs (lo, hi) in increasing order; hi None means every
+    spin from lo on."""
     if c is None:
-        return spins.values()
-    if c.mode == IN:
-        return sorted(c.values)
-    if spins.is_finite:
-        return sorted(set(spins.values()) - c.values)
-    raise SpinRangeError("cofinite constraint over the denumerable spin set")
+        return [(0, spins.size)]
+    values = sorted(c.values)
+    return _runs(values) if c.mode == IN else _gaps(values)
+
+
+def c_allowed_values(c: SiteConstraint | None, spins: SpinSet) -> list:
+    """The allowed values in increasing order; requires a finite answer."""
+    runs = c_runs(c, spins)
+    if runs and runs[-1][1] is None:
+        raise SpinRangeError("cofinite constraint over the denumerable spin set")
+    return [q for lo, hi in runs for q in range(lo, hi)]
+
+
+def render_atom(site: int, mode: str, values) -> str:
+    """The text of one site constraint over sorted `values`: `x3=1` for a
+    single allowed value, else `x3 in {0,2}` or `x3 notin {0,2}`."""
+    if mode == IN and len(values) == 1:
+        return f"x{site}={values[0]}"
+    return f"x{site} {mode} {{{','.join(str(v) for v in values)}}}"
 
 
 def c_render(c: SiteConstraint, site: int) -> str:
-    vals = ",".join(str(v) for v in sorted(c.values))
-    if c.mode == IN:
-        if len(c.values) == 1:
-            return f"x{site}={next(iter(c.values))}"
-        return f"x{site} in {{{vals}}}"
-    return f"x{site} notin {{{vals}}}"
+    return render_atom(site, c.mode, sorted(c.values))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +527,7 @@ class CylinderSet:
             count = 1
             for site in range(size):
                 c = r.constraint_at(site)
-                count *= s if c is None else len(list(c_allowed_values(c, self.ctx.spins)))
+                count *= s if c is None else len(c_allowed_values(c, self.ctx.spins))
             total += count
         return total
 
@@ -506,10 +544,7 @@ class CylinderSet:
                 raise BudgetError(f"atom budget {budget} exceeded at depth {n}")
         tuples: set[tuple[int, ...]] = set()
         for r in self.disjoint_rectangles():
-            choices = []
-            for site in range(size):
-                c = r.constraint_at(site)
-                choices.append(list(c_allowed_values(c, self.ctx.spins)))
+            choices = [c_allowed_values(r.constraint_at(v), self.ctx.spins) for v in range(size)]
             for combo in itertools.product(*choices):
                 tuples.add(combo)
                 if len(tuples) > budget:
@@ -554,6 +589,15 @@ def from_constraints(ctx: Context, mapping) -> CylinderSet:
 def from_configuration(ctx: Context, config: Configuration) -> CylinderSet:
     mapping = {s: constraint_in([v]) for s, v in zip(config.sites, config.values)}
     return from_constraints(ctx, mapping)
+
+
+def first_overlap(parts) -> tuple[int, int] | None:
+    """The first pair of indices a < b whose cylinder sets intersect, or None
+    when the sets are pairwise disjoint."""
+    for a, b in itertools.combinations(range(len(parts)), 2):
+        if not parts[a].intersect(parts[b]).is_empty():
+            return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------

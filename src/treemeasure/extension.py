@@ -20,10 +20,12 @@ from .cylinder import (
     CylinderSet,
     constraint_in,
     empty_set,
+    first_overlap,
     from_constraints,
     random_cylinder,
 )
 from .errors import (
+    BudgetError,
     ContextMismatchError,
     DisjointnessError,
     MassError,
@@ -46,13 +48,14 @@ class ExtensionHandle:
     """The cylinder-set function determined by a consistent family.
 
     Built through `issue`, which either verifies consistency up to a stated
-    depth or records why verification was skipped.  Every value ever
-    computed is cached under the cylinder's canonical key; recomputing the
-    same set at another depth must reproduce the cached value, so the cache
-    doubles as a representation-independence monitor.  The key is the
-    event's canonical rectangles, so the cache refuses two values for one
-    spelling of an event: with s = 3, `x0=0 | x0=1` and `x0 in {0,1}` have
-    different keys and are checked separately.
+    depth or records why verification was skipped; a check that ran out of
+    its atom budget raises `BudgetError` instead.  Every value ever computed
+    is cached under the cylinder's canonical key; recomputing the same set at
+    another depth must reproduce the cached value, so the cache doubles as a
+    representation-independence monitor.  The key is the event's canonical
+    rectangles, so the cache refuses two values for one spelling of an
+    event: with s = 3, `x0=0 | x0=1` and `x0 in {0,1}` have different keys
+    and are checked separately.
     """
 
     def __init__(self, family: MeasureFamily, report: ConsistencyReport | None,
@@ -78,6 +81,11 @@ class ExtensionHandle:
         if report.violation is not None:
             raise VerificationError(
                 f"family is not consistent: {report.violation.render()}"
+            )
+        if report.budget_limited:
+            raise BudgetError(
+                f"consistency verified to depth {report.verified_depth} of {verify_depth} "
+                f"within atom budget {budget}; trusted=True with a reason accepts it anyway"
             )
         return cls(family, report, False, "")
 
@@ -141,13 +149,12 @@ def additivity_check(handle: ExtensionHandle, parts, whole: CylinderSet | None =
     raise rather than producing a meaningless sum.
     """
     parts = list(parts)
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            if not parts[a].intersect(parts[b]).is_empty():
-                raise DisjointnessError(
-                    f"parts {a} and {b} overlap: "
-                    f"{parts[a].render()} vs {parts[b].render()}"
-                )
+    overlap = first_overlap(parts)
+    if overlap is not None:
+        a, b = overlap
+        raise DisjointnessError(
+            f"parts {a} and {b} overlap: {parts[a].render()} vs {parts[b].render()}"
+        )
     union = empty_set(handle.ctx)
     for p in parts:
         union = union.union(p)

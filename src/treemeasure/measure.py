@@ -36,7 +36,6 @@ Values are Fraction or the float infinity for a diverging mass.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -52,7 +51,9 @@ from .cylinder import (
     Rectangle,
     SiteConstraint,
     SpinSet,
-    c_allowed_values,
+    _gaps,
+    _runs,
+    c_runs,
     constraint_in,
     from_constraints,
     omega,
@@ -125,36 +126,6 @@ def render_value(v) -> str:
 
 # ---------------------------------------------------------------------------
 # sequences over the naturals with closed-form tails
-
-
-def _runs(values) -> list:
-    """Maximal runs of consecutive spins among sorted distinct `values`, as
-    half-open (lo, hi) pairs."""
-    if not values:
-        return []
-    if values[-1] - values[0] == len(values) - 1:
-        return [(values[0], values[-1] + 1)]
-    runs = []
-    lo = prev = values[0]
-    for q in values[1:]:
-        if q != prev + 1:
-            runs.append((lo, prev + 1))
-            lo = q
-        prev = q
-    runs.append((lo, prev + 1))
-    return runs
-
-
-def _gaps(excluded, start: int) -> list:
-    """The spins from `start` on outside sorted distinct `excluded`, as
-    half-open runs; the last one is (lo, None), open-ended."""
-    gaps = []
-    for lo, hi in _runs([q for q in excluded if q >= start]):
-        if lo > start:
-            gaps.append((start, lo))
-        start = hi
-    gaps.append((start, None))
-    return gaps
 
 
 @dataclass(frozen=True)
@@ -248,7 +219,7 @@ class NatSeq:
 
     def sum_not_in(self, values):
         """Sum over every spin outside `values`, one closed form per gap."""
-        return self.sum_runs(_gaps(sorted(set(values)), 0))
+        return self.sum_runs(_gaps(sorted(set(values))))
 
     def scaled(self, c) -> "NatSeq":
         c = Fraction(c)
@@ -524,13 +495,6 @@ class VolumeMeasure:
             return self._rect_value_product(rect)
         return self._rect_value_chain(rect)
 
-    def _site_weight_sum(self, w, constraint: SiteConstraint | None):
-        if constraint is None:
-            return w.sum_all()
-        if constraint.mode == "in":
-            return w.sum_in(constraint.values)
-        return w.sum_not_in(constraint.values)
-
     def _rect_value_product(self, rect: Rectangle):
         """Product over the constrained sites and the overrides in the ball;
         the remaining free sites all carry the default row sum."""
@@ -539,9 +503,10 @@ class VolumeMeasure:
         constraints = rect.as_dict()
         special = set(constraints)
         special.update(v for v in form.overrides if v < ball)
+        spins = self.ctx.spins
         acc = Fraction(1)
         for v in special:
-            acc = value_mul(acc, self._site_weight_sum(form.weight_at(v), constraints.get(v)))
+            acc = value_mul(acc, form.weight_at(v).sum_runs(c_runs(constraints.get(v), spins)))
             if acc == 0:
                 return Fraction(0)
         free = value_pow(form.default.sum_all(), ball - len(special))
@@ -603,17 +568,14 @@ class VolumeMeasure:
         the allowed spins below w, one by one, and half-open runs (lo, hi) of
         allowed spins from w on (hi None: unbounded).  Finite spins have
         w = s, so the runs are empty."""
-        spins = self.ctx.spins
-        if spins.is_finite:
-            return c_allowed_values(constraint, spins), ()
-        if constraint is None:
-            return range(w), ((w, None),)
-        values = sorted(constraint.values)
-        if constraint.mode == "in":
-            cut = bisect.bisect_left(values, w)
-            return values[:cut], _runs(values[cut:])
-        excluded = constraint.values
-        return [r for r in range(w) if r not in excluded], _gaps(values, w)
+        head, runs = [], []
+        for lo, hi in c_runs(constraint, self.ctx.spins):
+            if lo < w:
+                head.extend(range(lo, w if hi is None else min(hi, w)))
+                lo = w
+            if hi is None or lo < hi:
+                runs.append((lo, hi))
+        return head, runs
 
     def _weighted_sum(self, row: NatSeq, sel, g: tuple):
         """Sum of row(r) * g(r) over the child spins r of the selection.  A
@@ -903,6 +865,14 @@ class MeasureFamily:
         return self.measure(n).mass()
 
 
+def family_kind(unit: bool, mass) -> str:
+    """"probability" when `unit` holds (unit total mass and unit row sums),
+    else "finite" or "sigma-finite" as the total `mass` is finite or not."""
+    if unit:
+        return "probability"
+    return "finite" if mass != INFINITE else "sigma-finite"
+
+
 def markov_family(ctx: Context, lam, kernel, kind: str | None = None,
                   label: str = "") -> MeasureFamily:
     """Family of chain measures: root weights lam, one-step kernel along edges."""
@@ -913,12 +883,7 @@ def markov_family(ctx: Context, lam, kernel, kind: str | None = None,
         raise ContextMismatchError("kernel spin set differs from the context")
     if kind is None:
         total = lam.sum_all()
-        if total == 1 and kernel.is_stochastic():
-            kind = "probability"
-        elif total != INFINITE:
-            kind = "finite"
-        else:
-            kind = "sigma-finite"
+        kind = family_kind(total == 1 and kernel.is_stochastic(), total)
     return MeasureFamily(
         ctx,
         lambda n: VolumeMeasure(ctx, n, MarkovForm(lam, kernel)),
@@ -935,13 +900,7 @@ def product_family(ctx: Context, weight, overrides=None, kind: str | None = None
     form_of = lambda n: ProductForm(weight, overrides)  # noqa: E731
     if kind is None:
         sums = [weight.sum_all()] + [w.sum_all() for w in overrides.values()]
-        root_sum = overrides.get(0, weight).sum_all()
-        if all(x == 1 for x in sums):
-            kind = "probability"
-        elif root_sum != INFINITE:
-            kind = "finite"
-        else:
-            kind = "sigma-finite"
+        kind = family_kind(all(x == 1 for x in sums), overrides.get(0, weight).sum_all())
     return MeasureFamily(
         ctx, lambda n: VolumeMeasure(ctx, n, form_of(n)), kind, label=label or "product"
     )
@@ -971,11 +930,10 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
         cut = ctx.tree.ball_size(i)
         tables[i] = _regroup(tables[i + 1], lambda key: key[:cut])
     mass = sum(clean.values(), Fraction(0))
-    kind = "probability" if mass == 1 else "finite"
     return MeasureFamily(
         ctx,
         lambda n: VolumeMeasure(ctx, n, DenseTableForm(tables[n])),
-        kind,
+        family_kind(mass == 1, mass),
         label=label or "table",
         declared_consistent_to=depth,
         max_defined_depth=depth,

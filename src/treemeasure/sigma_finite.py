@@ -15,10 +15,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cylinder import (
-    IN,
     Context,
     CylinderSet,
+    c_contains,
+    c_runs,
     constraint_in,
+    first_overlap,
     from_constraints,
     omega,
     single_site,
@@ -36,6 +38,7 @@ from .measure import (
     MarkovForm,
     MeasureFamily,
     NatSeq,
+    family_kind,
     markov_family,
     render_value,
     scale,
@@ -115,30 +118,20 @@ class ConditionalExtension:
             )
         constraint = self.event.rectangles[0].constraint_at(0)
         lam: NatSeq = form.lam
-        if constraint.mode == IN:
-            width = max(constraint.values) + 1
-            prefix = tuple(
-                lam.value_at(q) if q in constraint.values else Fraction(0)
-                for q in range(width)
-            )
-            lam2 = NatSeq(prefix, "const", Fraction(0), Fraction(0))
+        # allowed root spins keep their weights; an open last run of them
+        # keeps lam's tail from the end of the restricted prefix on
+        lo, hi = c_runs(constraint, ctx.spins)[-1]
+        width = hi if hi is not None else max(lo, len(lam.prefix))
+        prefix = tuple(
+            lam.value_at(q) if c_contains(constraint, q) else Fraction(0)
+            for q in range(width)
+        )
+        if hi is None:
+            lam2 = NatSeq(prefix, lam.tail_kind, lam.value_at(width), lam.tail_r)
         else:
-            width = max(
-                len(lam.prefix),
-                max(constraint.values) + 1 if constraint.values else 0,
-            )
-            prefix = tuple(
-                Fraction(0) if q in constraint.values else lam.value_at(q)
-                for q in range(width)
-            )
-            shift = width - len(lam.prefix)
-            tail_a = lam.tail_a
-            if lam.tail_kind == "geometric":
-                tail_a = tail_a * lam.tail_r**shift
-            lam2 = NatSeq(prefix, lam.tail_kind, tail_a, lam.tail_r)
-        kind = "finite" if lam2.sum_all() != INFINITE else "sigma-finite"
+            lam2 = NatSeq(prefix)
         return markov_family(
-            ctx, lam2, form.kernel, kind=kind,
+            ctx, lam2, form.kernel, kind=family_kind(False, lam2.sum_all()),
             label=f"restricted({self.event.render()})",
         )
 
@@ -239,10 +232,10 @@ class Cover:
             return len(self._parts) - 1
         top = -1
         for rect in event.rectangles:
-            constraint = rect.constraint_at(self.site)
-            if constraint is None or constraint.mode != IN:
+            hi = c_runs(rect.constraint_at(self.site), self.ctx.spins)[-1][1]
+            if hi is None:
                 return None
-            top = max(top, max(constraint.values))
+            top = max(top, hi - 1)
         return top // self.block
 
     def verify(self) -> CoverReport:
@@ -251,23 +244,14 @@ class Cover:
                 True, True, "structural",
                 f"blocks of {self.block} at site {self.site} partition the spin set",
             )
-        whole = None
-        for p in self._parts:
-            whole = p if whole is None else whole.union(p)
-        covers = whole is not None and whole.is_omega()
-        disjoint = True
-        detail = ""
-        for a in range(len(self._parts)):
-            for b in range(a + 1, len(self._parts)):
-                if not self._parts[a].intersect(self._parts[b]).is_empty():
-                    disjoint = False
-                    detail = f"parts {a} and {b} overlap"
-                    break
-            if not disjoint:
-                break
-        if not covers and not detail:
-            detail = "union of parts misses part of the space"
-        return CoverReport(covers, disjoint, "semantic", detail)
+        whole = CylinderSet.build(self.ctx, [r for p in self._parts for r in p.rectangles])
+        covers = whole.is_omega()
+        overlap = first_overlap(self._parts)
+        if overlap is not None:
+            detail = f"parts {overlap[0]} and {overlap[1]} overlap"
+        else:
+            detail = "" if covers else "union of parts misses part of the space"
+        return CoverReport(covers, overlap is None, "semantic", detail)
 
 
 def finite_cover(parts, label: str = "") -> Cover:
@@ -308,8 +292,9 @@ class SigmaValue:
     lower bound with no tail certificate: [total, infinity].
 
     Both audits (`cover_independence`, `cover_sum_check`) call disjoint
-    intervals a violation, and read `diverges` against a finite value at or
-    above its total as inconclusive.
+    intervals a violation, inconclusive or not; otherwise they read
+    `inconclusive`, and `diverges` against a finite value at or above its
+    total, as inconclusive.
     """
 
     kind: str
@@ -518,11 +503,13 @@ def _bracket(sv: SigmaValue) -> tuple:
 
 
 def _values_agree(a: SigmaValue, b: SigmaValue) -> bool | None:
-    if a.kind == "inconclusive" or b.kind == "inconclusive":
-        return None
+    """False for disjoint intervals, None when an inconclusive sum or a
+    diverging sum against a finite value leaves the answer open, else True."""
     (lo_a, hi_a), (lo_b, hi_b) = _bracket(a), _bracket(b)
     if hi_a < lo_b or hi_b < lo_a:
         return False
+    if a.kind == "inconclusive" or b.kind == "inconclusive":
+        return None
     # a diverging sum against a finite value at or above its total
     if (hi_a == INFINITE) != (hi_b == INFINITE):
         return None
@@ -564,12 +551,8 @@ class CoverSumReport:
 
 
 def _cover_sum_verdict(direct, summed: SigmaValue) -> str:
-    lo, hi = _bracket(summed)
-    if not lo <= direct <= hi:
-        return "FAIL"
-    if summed.kind == "inconclusive" or (hi == INFINITE) != (direct == INFINITE):
-        return "INCONCLUSIVE"
-    return "PASS"
+    agree = _values_agree(SigmaValue("exact", direct), summed)
+    return {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[agree]
 
 
 def cover_sum_check(handle: ExtensionHandle, cover: Cover, events,

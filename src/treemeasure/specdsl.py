@@ -20,12 +20,14 @@ from .cylinder import (
     constraint_in,
     constraint_not_in,
     from_constraints,
+    render_atom,
 )
 from .errors import SpecSemanticError, SpecSyntaxError, TreeMeasureError
 from .measure import (
     MeasureFamily,
     NatSeq,
     TransitionKernel,
+    as_weights,
     markov_family,
     product_family,
     render_value,
@@ -255,10 +257,7 @@ def render_event(ast) -> str:
 
 def _render_event(ast, level: int) -> str:
     if isinstance(ast, EventAtom):
-        if ast.mode == "in" and len(ast.values) == 1:
-            return f"x{ast.site}={ast.values[0]}"
-        body = "{" + ",".join(str(v) for v in ast.values) + "}"
-        return f"x{ast.site} {ast.mode} {body}"
+        return render_atom(ast.site, ast.mode, ast.values)
     if isinstance(ast, EventNot):
         return "!(" + _render_event(ast.inner, 0) + ")"
     if isinstance(ast, EventOr):
@@ -387,24 +386,13 @@ def _render_weight_spec(ws: WeightSpec) -> str:
 
 
 def _build_weight(ws: WeightSpec, spins: SpinSet, what: str) -> NatSeq:
-    for v in ws.values:
-        if v < 0:
-            raise SpecSemanticError(f"{what}: weights must be non-negative")
-    if spins.is_finite:
-        if ws.tail is not None:
-            raise SpecSemanticError(
-                f"{what}: tail forms need the denumerable spin set"
-            )
-        if len(ws.values) != spins.size:
-            raise SpecSemanticError(
-                f"{what}: need {spins.size} weights, got {len(ws.values)}"
-            )
-    tail = ws.tail if ws.tail is not None else ("const", Fraction(0))
+    """The weights as the library's `as_weights` builds them; its errors come
+    back as spec errors naming `what`."""
+    if spins.is_finite and ws.tail is not None:
+        raise SpecSemanticError(f"{what}: tail forms need the denumerable spin set")
     try:
-        if tail[0] == "const":
-            return NatSeq(ws.values, "const", tail[1], Fraction(0))
-        return NatSeq(ws.values, "geometric", tail[1], tail[2])
-    except ValueError as exc:
+        return as_weights(spins, NatSeq(ws.values, *(ws.tail or ("const", Fraction(0)))))
+    except (TreeMeasureError, ValueError) as exc:
         raise SpecSemanticError(f"{what}: {exc}") from None
 
 
@@ -937,22 +925,14 @@ def build_document(doc: SpecDocument) -> BuiltSpec:
 
     covers: dict[str, Cover] = {}
     for name, spec in doc.covers:
-        if isinstance(spec, SliceCoverSpec):
-            if spins.is_finite:
-                raise SpecSemanticError(
-                    f"cover {name!r}: slice covers need the denumerable spin set"
-                )
-            try:
-                tree.check_vertex(spec.site)
-            except TreeMeasureError as exc:
-                raise SpecSemanticError(f"cover {name!r}: {exc}") from None
-            covers[name] = slice_cover(ctx, spec.site, spec.block, label=name)
-        else:
-            try:
+        try:
+            if isinstance(spec, SliceCoverSpec):
+                covers[name] = slice_cover(ctx, spec.site, spec.block, label=name)
+            else:
                 parts = [lower_event(ctx, e) for e in spec.events]
-            except TreeMeasureError as exc:
-                raise SpecSemanticError(f"cover {name!r}: {exc}") from None
-            covers[name] = finite_cover(parts, label=name)
+                covers[name] = finite_cover(parts, label=name)
+        except (TreeMeasureError, ValueError) as exc:
+            raise SpecSemanticError(f"cover {name!r}: {exc}") from None
 
     return BuiltSpec(doc, ctx, family, covers)
 

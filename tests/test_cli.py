@@ -272,6 +272,26 @@ def test_covers_compare_diverging_against_finite(capsys, tmp_path, monkeypatch):
     assert "MISMATCH" in err
 
 
+def test_covers_compare_inconclusive_above_exact(capsys, tmp_path):
+    spec = tmp_path / "inconsistent_product.spec"
+    spec.write_text(
+        "[tree]\nk = 2\n[spins]\nkind = nat\n[family]\nkind = product\n"
+        "w = geometric 1/2 1/2\nw@4 = geometric 1/4 1/2\n[covers]\n"
+        'root = slice x0\ndeep = list "x4=0" ; "x4 notin {0}"\n'
+    )
+    # exact 1/4 against an inconclusive lower bound of 3/8: a certified mismatch
+    code, payload, err = run_cli(
+        capsys, "covers-compare", "--spec", str(spec), "--cover", "deep", "--cover", "root",
+        "--event", "x0 notin {0}", "--term-budget", "3",
+    )
+    assert code == 1
+    rec = payload["records"][0]
+    assert (rec["first"]["rendered"], rec["second"]["rendered"], rec["agree"]) == (
+        "1/4", "Inconclusive(lower=3/8, terms=3)", False)
+    assert payload["ok"] is False
+    assert "MISMATCH: 0/1" in err
+
+
 def test_consecutive_calls_share_no_parser_state(capsys):
     assert build_parser() is build_parser()
     args = ("covers-compare", "--spec", NAT, "--cover", "roots", "--cover", "pairs")

@@ -25,6 +25,7 @@ from treemeasure import (
     rho,
     single_site,
 )
+from treemeasure.cylinder import c_complement, c_contains, c_normalize, c_runs
 
 F = Fraction
 
@@ -279,3 +280,30 @@ def test_render_smoke(ctx_k2s2):
     assert empty_set(ctx).render() == "empty"
     assert omega(ctx).render() == "omega"
     assert "x1" in single_site(ctx, 1, 0).render()
+
+
+def test_runs_match_membership():
+    """c_runs against c_contains: normalized constraints and their
+    complements over three spins; in and notin sets over the naturals."""
+    rng = random.Random(23)
+    finite, nat = SpinSet.finite(3), SpinSet.naturals()
+    cases = []  # (constraint, spins, cofinite)
+    for _ in range(40):
+        c = c_normalize(constraint_in(rng.sample(range(3), rng.randint(1, 2))), finite)
+        cases += [(c, finite, False), (c_complement(c, finite), finite, False)]
+        values = rng.sample(range(12), rng.randint(0, 6))
+        if values:
+            cases.append((constraint_in(values), nat, False))
+        cases.append((constraint_not_in(values), nat, True))
+    cases.append((constraint_not_in(set(range(5000)) - {7, 4000}), nat, True))
+    for c, spins, cofinite in cases:
+        runs = c_runs(c, spins)
+        # increasing, non-empty and maximal: no two runs touch
+        bounds = [q for run in runs for q in run if q is not None]
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), runs
+        assert (runs[-1][1] is None) == cofinite
+        for q in range(max(c.values, default=0) + 3):
+            inside = any(lo <= q and (hi is None or q < hi) for lo, hi in runs)
+            assert inside == c_contains(c, q), (c, q)
+    assert c_runs(None, finite) == [(0, 3)]
+    assert c_runs(None, nat) == [(0, None)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from treemeasure import (
+    BudgetError,
     ContextMismatchError,
     DisjointnessError,
     ExtensionHandle,
@@ -34,6 +35,20 @@ def broken_family(ctx):
     return markov_family(
         ctx, [F(1, 2), F(1, 2)], [[F(2, 3), F(1, 2)], [F(1, 3), F(2, 3)]]
     )
+
+
+def test_issue_refuses_budget_limited_check(chain_fam, ctx_k2s2):
+    # 2**4 atoms at depth 1 exceed a budget of 15: nothing gets verified,
+    # whether the family is consistent or not (row 0 sums to 2/3)
+    short = markov_family(ctx_k2s2, [F(1, 2), F(1, 2)], [[F(1, 3), F(1, 3)], [F(1, 3), F(2, 3)]])
+    for fam in (chain_fam, short):
+        with pytest.raises(BudgetError) as err:
+            ExtensionHandle.issue(fam, verify_depth=2, budget=15)
+        assert "depth 0 of 2" in str(err.value) and "budget 15" in str(err.value)
+        assert "trusted=True" in str(err.value)
+    handle = ExtensionHandle.issue(short, verify_depth=2, budget=15, trusted=True,
+                                   trust_reason="checked elsewhere")
+    assert handle.trusted and handle.report is None
 
 
 def test_issue_verifies_consistency(chain_fam, ctx_k2s2):

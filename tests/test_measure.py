@@ -325,6 +325,25 @@ def test_consistency_nat_probe_violation(nat_ctx):
     assert v.rhs == 1
 
 
+def test_consistency_nat_probes_at_depth_two(nat_ctx):
+    # only root spin 0 carries weight, and its row sums to 1: the default
+    # row's sum of 2/3 is never reached, so the depth-2 probes all agree
+    kern = TransitionKernel.for_naturals(
+        NatSeq.geometric(F(1, 3), F(1, 2)), rows={0: NatSeq.finite([1])}
+    )
+    report = check_consistency(markov_family(nat_ctx, NatSeq.finite([1]), kern), 2)
+    assert report.ok
+    assert (report.verified_depth, report.method, report.exhaustive) == (2, "probes", False)
+    # vertex 4 sits at level 2 and its weights sum to 1/2
+    fam = product_family(
+        nat_ctx, NatSeq.geometric(F(1, 2), F(1, 2)), {4: NatSeq.geometric(F(1, 4), F(1, 2))}
+    )
+    report = check_consistency(fam, 2)
+    v = report.violation
+    assert (v.i, v.j, v.witness.render(), v.lhs, v.rhs) == (0, 2, "x0=0", F(1, 4), F(1, 2))
+    assert (report.verified_depth, report.method) == (1, "probes")
+
+
 def test_nat_chain_hand_values():
     ctx = Context(TreeGeometry(1), SpinSet.naturals())
     kern = TransitionKernel.for_naturals(

@@ -305,6 +305,37 @@ def test_diverging_sum_against_finite_value():
     assert report.records[0].agree is False and not report.ok
 
 
+INCONSISTENT_PRODUCT_SPEC = """[tree]
+k = 2
+[spins]
+kind = nat
+[family]
+kind = product
+w = geometric 1/2 1/2
+w@4 = geometric 1/4 1/2
+[covers]
+root = slice x0
+deep = list "x4=0" ; "x4 notin {0}"
+"""
+
+
+def test_inconclusive_sum_above_exact_value_is_a_mismatch():
+    # vertex 4's weights sum to 1/2, which the depth-1 screen cannot see: the
+    # deep cover halves the value of x0 notin {0}, while three root slices
+    # already sum past it
+    built = load_spec(INCONSISTENT_PRODUCT_SPEC)
+    handle = ExtensionHandle.issue(built.family, verify_depth=1)
+    event = from_constraints(built.ctx, {0: constraint_not_in([0])})
+    report = cover_independence(handle, built.covers["deep"], built.covers["root"], [event],
+                                term_budget=3)
+    rec = report.records[0]
+    assert (rec.first.kind, rec.first.total) == ("exact", F(1, 4))
+    assert (rec.second.kind, rec.second.total) == ("inconclusive", F(3, 8))
+    assert rec.agree is False and not report.ok
+    # the cover-sum reading of the same pair of intervals
+    assert _cover_sum_verdict(rec.first.total, rec.second) == "FAIL"
+
+
 # each verdict certifies an interval: bounded [2, 3], diverges and
 # inconclusive [5, infinity]; a direct value is the exact interval [d, d]
 BOUNDED = SigmaValue("bounded", F(2), tail_bound=F(1))
