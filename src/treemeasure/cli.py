@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .cylinder import constraint_in, from_constraints
+from .cylinder import DEFAULT_ATOM_BUDGET, constraint_in, from_constraints
 from .errors import (
     BudgetError,
     CoverError,
@@ -190,8 +190,16 @@ def _cover_of(built, name: str):
 
 
 def _handle(built) -> ExtensionHandle:
-    # cheap depth-1 screen; the consistency command is the thorough check
-    return ExtensionHandle.issue(built.family, verify_depth=1)
+    # cheap depth-1 screen; the consistency command is the thorough check.
+    # The library's message points API callers at `trusted=True`, which no
+    # flag of this command offers.
+    try:
+        return ExtensionHandle.issue(built.family, verify_depth=1)
+    except BudgetError:
+        raise BudgetError(
+            "the depth-1 consistency screen is inconclusive within the atom "
+            f"budget {DEFAULT_ATOM_BUDGET}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ cylinder sets decidable by rectangle algebra alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,10 +117,16 @@ def constraint_not_in(values) -> SiteConstraint:
     return SiteConstraint(NOT_IN, frozenset(values))
 
 
+@functools.cache
+def _full(size: int) -> frozenset[int]:
+    """The finite spin set {0, ..., size-1}, built once per size."""
+    return frozenset(range(size))
+
+
 def c_normalize(c: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
     """Canonical form; None means the constraint allows every spin."""
     if spins.is_finite:
-        full = frozenset(spins.values())
+        full = _full(spins.size)
         allowed = (c.values & full) if c.mode == IN else (full - c.values)
         if allowed == full:
             return None
@@ -139,22 +146,44 @@ def c_contains(c: SiteConstraint, q: int) -> bool:
     return q not in c.values
 
 
-def c_intersect(a: SiteConstraint, b: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
-    """Intersection in canonical form; None means unconstrained."""
-    if a.mode == IN and b.mode == IN:
-        out = SiteConstraint(IN, a.values & b.values)
-    elif a.mode == IN:
-        out = SiteConstraint(IN, a.values - b.values)
+# The site operations below take normalized constraints and return normalized
+# ones without calling `c_normalize`: "in & in", "in - notin" and
+# "notin | notin" are canonical as they stand, and an intersection allows
+# every spin only if both operands do, which no normalized constraint does.
+
+
+def c_intersect(a: SiteConstraint, b: SiteConstraint, spins: SpinSet) -> SiteConstraint:
+    """Intersection of normalized constraints; never None, and the empty
+    marker when they share no spin."""
+    if a.mode == IN:
+        values = a.values & b.values if b.mode == IN else a.values - b.values
     elif b.mode == IN:
-        out = SiteConstraint(IN, b.values - a.values)
+        a, b = b, a
+        values = a.values - b.values
     else:
-        out = SiteConstraint(NOT_IN, a.values | b.values)
-    return c_normalize(out, spins)
+        values = a.values | b.values
+    # an operand that already is the intersection is returned itself
+    return a if len(values) == len(a.values) else SiteConstraint(a.mode, values)
 
 
 def c_complement(c: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
-    swapped = SiteConstraint(NOT_IN if c.mode == IN else IN, c.values)
-    return c_normalize(swapped, spins)
+    """The spins a normalized constraint excludes; None (every spin) for the
+    empty marker."""
+    if c_is_empty(c):
+        return None
+    if spins.is_finite:
+        return SiteConstraint(IN, _full(spins.size) - c.values)
+    # swapping the mode shares the value set, however wide, instead of copying it
+    return SiteConstraint(NOT_IN if c.mode == IN else IN, c.values)
+
+
+def _c_minus(a: SiteConstraint, b: SiteConstraint) -> SiteConstraint:
+    """The spins a allows and b excludes, for normalized a and b."""
+    if a.mode == IN:
+        return SiteConstraint(IN, a.values - b.values if b.mode == IN else a.values & b.values)
+    if b.mode == IN:
+        return SiteConstraint(NOT_IN, a.values | b.values)
+    return SiteConstraint(IN, b.values - a.values)
 
 
 def _runs(values) -> list:
@@ -193,8 +222,13 @@ def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
     spin from lo on."""
     if c is None:
         return [(0, spins.size)]
-    values = sorted(c.values)
-    return _runs(values) if c.mode == IN else _gaps(values)
+    # kept on the constraint, which is immutable; callers only read the list
+    runs = getattr(c, "_runs", None)
+    if runs is None:
+        values = sorted(c.values)
+        runs = _runs(values) if c.mode == IN else _gaps(values)
+        object.__setattr__(c, "_runs", runs)
+    return runs
 
 
 def c_allowed_values(c: SiteConstraint | None, spins: SpinSet) -> list:
@@ -292,40 +326,75 @@ def make_rectangle(ctx: Context, mapping) -> Rectangle | None:
 def rect_intersect(a: Rectangle, b: Rectangle, spins: SpinSet) -> Rectangle | None:
     merged = dict(a.items)
     for site, c in b.items:
-        if site in merged:
-            c2 = c_intersect(merged[site], c, spins)
-            if c2 is None:
-                del merged[site]
-                continue
-            if c_is_empty(c2):
+        prior = merged.get(site)
+        if prior is not None:
+            c = c_intersect(prior, c, spins)
+            if c_is_empty(c):
                 return None
-            merged[site] = c2
-        else:
-            merged[site] = c
+        merged[site] = c
     return Rectangle(tuple(sorted(merged.items())))
+
+
+def _meets(a: Rectangle, at: dict[int, SiteConstraint]) -> bool:
+    """Whether rectangle a meets the rectangle with constraints `at` (by
+    site): at every site both constrain, they allow a common spin."""
+    for site, c in a.items:
+        d = at.get(site)
+        if d is None:
+            continue
+        if c.mode == IN:
+            if c.values.isdisjoint(d.values) if d.mode == IN else c.values <= d.values:
+                return False
+        elif d.mode == IN and d.values <= c.values:
+            return False
+    return True
+
+
+def _carve(p: Rectangle, d: Rectangle, spins: SpinSet) -> list[Rectangle]:
+    """Disjoint rectangles covering p minus d, for rectangles that meet: at
+    each site of d in turn, the piece that leaves d's constraint there and
+    keeps d's constraints at the sites before it."""
+    out: list[Rectangle] = []
+    head = []  # the sites below the current one, d's constraints applied
+    items, k = p.items, 0
+    for site, dc in d.items:
+        while k < len(items) and items[k][0] < site:
+            head.append(items[k])
+            k += 1
+        if k < len(items) and items[k][0] == site:
+            pc = items[k][1]
+            k += 1
+            rest = _c_minus(pc, dc)
+            dc = c_intersect(pc, dc, spins)
+        else:
+            rest = c_complement(dc, spins)
+        if not c_is_empty(rest):
+            out.append(Rectangle((*head, (site, rest), *items[k:])))
+        head.append((site, dc))
+    return out
 
 
 def rect_subtract(p: Rectangle, d: Rectangle, spins: SpinSet) -> list[Rectangle]:
     """Disjoint rectangles covering p minus d."""
-    if rect_intersect(p, d, spins) is None:
-        return [p]
-    out: list[Rectangle] = []
-    fixed = dict(p.items)
-    for site, dc in d.items:
-        pc = fixed.get(site)
-        neg = c_complement(dc, spins)
-        if neg is not None:
-            piece_c = neg if pc is None else c_intersect(pc, neg, spins)
-            if piece_c is not None and not c_is_empty(piece_c):
-                piece = dict(fixed)
-                piece[site] = piece_c
-                out.append(Rectangle(tuple(sorted(piece.items()))))
-        cap = dc if pc is None else c_intersect(pc, dc, spins)
-        if cap is None:
-            fixed.pop(site, None)
-        else:
-            fixed[site] = cap
-    return out
+    return _carve(p, d, spins) if _meets(p, dict(d.items)) else [p]
+
+
+def _survivors(r: Rectangle, cuts, maps, spins: SpinSet, budget: int, doing: str):
+    """The pieces of r outside every rectangle of `cuts` (`maps[i]` is
+    `dict(cuts[i].items)`), pairwise disjoint.  The subtraction cascade runs
+    depth first, so each piece is yielded as soon as it passes the last cut;
+    more than `budget` pieces waiting at once raise `BudgetError`."""
+    waiting = [(r, 0)]
+    while waiting:
+        p, i = waiting.pop()
+        while i < len(cuts) and not _meets(p, maps[i]):
+            i += 1
+        if i == len(cuts):
+            yield p
+            continue
+        waiting.extend((q, i + 1) for q in _carve(p, cuts[i], spins))
+        if len(waiting) > budget:
+            raise BudgetError(f"rectangle budget exceeded {doing}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +500,7 @@ class CylinderSet:
         if not self.rectangles:
             return False
         # the union may cover everything without any single rectangle doing so
-        return self.complement().is_empty()
+        return omega(self.ctx).subset_of(self)
 
     def contains(self, values) -> bool:
         """values: indexable by vertex covering every constrained site."""
@@ -457,50 +526,58 @@ class CylinderSet:
 
     def subtract(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
         _require_same_ctx(self, other)
-        pieces = list(self.rectangles)
-        for d in other.rectangles:
-            nxt = []
-            for p in pieces:
-                nxt.extend(rect_subtract(p, d, self.ctx.spins))
-                if len(nxt) > budget:
-                    raise BudgetError("rectangle budget exceeded during subtraction")
-            pieces = nxt
-            if not pieces:
-                break
+        cuts = other.rectangles
+        maps = [dict(d.items) for d in cuts]
+        pieces = []
+        for r in self.rectangles:
+            pieces.extend(_survivors(r, cuts, maps, self.ctx.spins, budget, "during subtraction"))
+            if len(pieces) > budget:
+                raise BudgetError("rectangle budget exceeded during subtraction")
         return CylinderSet.build(self.ctx, pieces)
 
     def complement(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
         return omega(self.ctx).subtract(self, budget)
 
     def subset_of(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
-        return self.subtract(other, budget).is_empty()
+        """Whether self lies inside other; stops at the first piece of self
+        found outside every rectangle of other."""
+        _require_same_ctx(self, other)
+        cuts = other.rectangles
+        maps = [dict(d.items) for d in cuts]
+        for r in self.rectangles:
+            for _ in _survivors(r, cuts, maps, self.ctx.spins, budget, "during subtraction"):
+                return False
+        return True
 
     def semantic_equal(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
         return self.subset_of(other, budget) and other.subset_of(self, budget)
 
     def disjoint_rectangles(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> tuple[Rectangle, ...]:
-        """Rectangles with the same union but pairwise disjoint."""
+        """Rectangles with the same union but pairwise disjoint.
+
+        The result is kept on the set, which is immutable, with the budget it
+        was computed under; a call with a smaller budget computes it again,
+        so it raises `BudgetError` exactly when a first call would.
+        """
         rects = self.rectangles
         if len(rects) <= 1:
             return rects
+        kept = getattr(self, "_disjoint", None)
+        if kept is not None and budget >= kept[0]:
+            return kept[1]
         # distinct fully-singleton rectangles over one site tuple are disjoint
         sites0 = rects[0].sites()
         if all(r.sites() == sites0 and r.all_singletons() for r in rects):
             return rects
+        maps = [dict(r.items) for r in rects]
         out: list[Rectangle] = []
-        spins = self.ctx.spins
-        for r in rects:
-            pieces = [r]
-            for d in out:
-                pieces = [q for p in pieces for q in rect_subtract(p, d, spins)]
-                if len(pieces) > budget:
-                    raise BudgetError("rectangle budget exceeded while disjoining")
-                if not pieces:
-                    break
-            out.extend(pieces)
+        for i, r in enumerate(rects):
+            # the pieces of r outside the rectangles before it
+            out.extend(_survivors(r, rects[:i], maps, self.ctx.spins, budget, "while disjoining"))
             if len(out) > budget:
                 raise BudgetError("rectangle budget exceeded while disjoining")
-        return tuple(out)
+        object.__setattr__(self, "_disjoint", (budget, tuple(out)))
+        return self._disjoint[1]
 
     def lift_to_base(self, n: int) -> "CylinderSet":
         """Same set, re-registered at base depth n (n may only grow it)."""
@@ -595,7 +672,9 @@ def first_overlap(parts) -> tuple[int, int] | None:
     """The first pair of indices a < b whose cylinder sets intersect, or None
     when the sets are pairwise disjoint."""
     for a, b in itertools.combinations(range(len(parts)), 2):
-        if not parts[a].intersect(parts[b]).is_empty():
+        _require_same_ctx(parts[a], parts[b])
+        maps = [dict(q.items) for q in parts[b].rectangles]
+        if any(_meets(p, at) for p in parts[a].rectangles for at in maps):
             return a, b
     return None
 

@@ -517,3 +517,20 @@ def test_sigma_eval_million_terms_in_closed_form(capsys, tmp_path):
     assert "Inconclusive(lower=500, terms=1000000)" in err
     # generous: the closed form takes a few milliseconds, the loop ~80 s
     assert elapsed < 10
+
+
+@pytest.mark.parametrize("command", ["probe-empty", "sigma-eval"])
+def test_budget_limited_screen_exits_inconclusive(capsys, tmp_path, command):
+    # 2**31 atoms on the depth-1 ball: past the atom budget, so the depth-1
+    # screen that builds the handle cannot finish; no CLI flag could accept it
+    spec = tmp_path / "wide_k30.spec"
+    spec.write_text(
+        "[tree]\nk = 30\nmax_depth = 3\n[spins]\nkind = finite\nsize = 2\n"
+        "[family]\nkind = markov\nlambda = 1 1\nP = 1/2 1/4 ; 1/4 1/2\n"
+        '[covers]\nhalves = list "x0=0" ; "x0=1"\n'
+    )
+    extra = ["--cover", "halves", "--event", "x0=0"] if command == "sigma-eval" else []
+    code, payload, err = run_cli(capsys, command, "--spec", str(spec), *extra)
+    assert (code, payload) == (3, None)
+    assert err == ("budget exceeded: the depth-1 consistency screen is inconclusive "
+                   "within the atom budget 16777216\n")

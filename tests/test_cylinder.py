@@ -307,3 +307,127 @@ def test_runs_match_membership():
             assert inside == c_contains(c, q), (c, q)
     assert c_runs(None, finite) == [(0, 3)]
     assert c_runs(None, nat) == [(0, None)]
+
+
+# Set oracles beyond two spins, over five sites of the depth-2 ball (every
+# other site stays free).  Over the naturals every listed value is below M,
+# so the quotient atom space {0, ..., M} is exact: the value M stands for
+# every spin >= M, and no constraint tells those spins apart.
+QUOTIENT_M = 3
+ORACLE_SITES = (0, 2, 4, 7, 9)
+
+
+def quotient_atoms(ctx):
+    """Every assignment of the quotient spins to ORACLE_SITES, as tuples
+    indexed by vertex over the depth-2 ball."""
+    top = ctx.spins.size if ctx.spins.is_finite else QUOTIENT_M + 1
+    atoms = []
+    for values in itertools.product(range(top), repeat=len(ORACLE_SITES)):
+        atom = [0] * ctx.tree.ball_size(2)
+        for site, q in zip(ORACLE_SITES, values):
+            atom[site] = q
+        atoms.append(tuple(atom))
+    return atoms
+
+
+def raw_matches(mapping, atom):
+    return all((atom[s] in c.values) == (c.mode == "in") for s, c in mapping.items())
+
+
+def mixed_mappings(ctx, rng, count):
+    """Seeded {site: constraint} dicts, in and notin mixed, values below M."""
+    top = ctx.spins.size if ctx.spins.is_finite else QUOTIENT_M
+    mappings = []
+    for _ in range(count):
+        mapping = {}
+        for site in rng.sample(ORACLE_SITES, rng.randint(1, 3)):
+            vals = rng.sample(range(top), rng.randint(1, top - 1))
+            maker = constraint_in if rng.random() < 0.5 else constraint_not_in
+            mapping[site] = maker(vals)
+        mappings.append(mapping)
+    return mappings
+
+
+@pytest.mark.parametrize("spins", [SpinSet.finite(3), SpinSet.naturals()], ids=["s3", "nat"])
+def test_algebra_matches_quotient_atom_sets(spins):
+    """intersect, subtract, complement, subset_of, semantic_equal, is_omega,
+    first_overlap and disjoint_rectangles against atom sets, on seeded
+    unions mixing in and notin."""
+    from treemeasure.cylinder import first_overlap
+
+    ctx = Context(TreeGeometry(2), spins)
+    atoms = quotient_atoms(ctx)
+    everything = set(atoms)
+
+    def atom_set(cyl):
+        return {a for a in atoms if cyl.contains(a)}
+
+    rng = random.Random(2027)
+    seen = {"subset": set(), "equal": set(), "omega": set(), "overlap": set()}
+    for _ in range(30):
+        ma, mb = (mixed_mappings(ctx, rng, rng.randint(1, 4)) for _ in range(2))
+        a, b = build_from(ctx, ma), build_from(ctx, mb)
+        sa = {x for x in atoms if any(raw_matches(m, x) for m in ma)}
+        sb = {x for x in atoms if any(raw_matches(m, x) for m in mb)}
+        assert atom_set(a) == sa
+        assert atom_set(a.intersect(b)) == sa & sb
+        assert atom_set(a.subtract(b)) == sa - sb
+        assert atom_set(a.complement()) == everything - sa
+        # a union that holds a, one spelling a differently, and the whole space
+        wide = a.union(b)
+        respelled = a.subtract(b).union(a.intersect(b))
+        covering = a.union(a.complement())
+        for x, y, sx, sy in [(a, b, sa, sb), (b, a, sb, sa), (a, wide, sa, sa | sb),
+                             (a, respelled, sa, sa), (covering, a, everything, sa)]:
+            assert x.subset_of(y) == (sx <= sy)
+            assert x.semantic_equal(y) == (sx == sy)
+            seen["subset"].add(sx <= sy)
+            seen["equal"].add(sx == sy)
+        for x, sx in [(a, sa), (wide, sa | sb), (covering, everything)]:
+            assert x.is_omega() == (sx == everything)
+            seen["omega"].add(sx == everything)
+        for parts, sets in [([a, b, a.complement()], [sa, sb, everything - sa]),
+                            ([a.subtract(b), b, a], [sa - sb, sb, sa]),
+                            ([a.intersect(b), a.subtract(b), a.complement()],
+                             [sa & sb, sa - sb, everything - sa])]:
+            expected = next(((i, j) for i, j in itertools.combinations(range(3), 2)
+                             if sets[i] & sets[j]), None)
+            assert first_overlap(parts) == expected
+            seen["overlap"].add(expected)
+        for e, se in [(a, sa), (wide, sa | sb), (covering, everything)]:
+            pieces = [atom_set(CylinderSet.build(ctx, [r])) for r in e.disjoint_rectangles()]
+            assert sum(len(p) for p in pieces) == len(se)
+            assert set().union(*pieces) == se
+    # every predicate came out both ways; both overlaps and none were found
+    assert seen == {"subset": {True, False}, "equal": {True, False},
+                    "omega": {True, False}, "overlap": {(0, 1), (0, 2), (1, 2), None}}
+
+
+def test_kept_disjoint_form_keeps_budgets():
+    ctx = Context(TreeGeometry(2), SpinSet.finite(3))
+    e = from_constraints(ctx, {0: constraint_in([0, 1])}).union(
+        from_constraints(ctx, {1: constraint_in([0, 1]), 2: constraint_in([2])})
+    )
+    parts = e.disjoint_rectangles()
+    assert len(parts) == 2  # the second rectangle, cut down to x0=2
+    assert len(e.intersect(e.complement()).rectangles) == 0
+    assert e.disjoint_rectangles() is parts
+    with pytest.raises(BudgetError):
+        e.disjoint_rectangles(budget=1)
+    # the kept form stays out of equality, hashing and the repr
+    twin = CylinderSet.build(ctx, e.rectangles)
+    assert (twin == e, hash(twin) == hash(e), repr(twin) == repr(e)) == (True, True, True)
+    assert e.disjoint_rectangles(budget=3) == parts
+
+
+def test_subset_of_never_true_past_its_budget():
+    ctx = Context(TreeGeometry(2), SpinSet.finite(3))
+    pinned = from_constraints(
+        ctx, {0: constraint_in([0]), 1: constraint_in([0]), 2: constraint_in([0])}
+    )
+    whole = pinned.union(pinned.complement())
+    assert omega(ctx).subset_of(whole) and whole.is_omega()
+    with pytest.raises(BudgetError):
+        omega(ctx).subset_of(whole, budget=1)
+    with pytest.raises(BudgetError):
+        omega(ctx).semantic_equal(whole, budget=1)
