@@ -152,7 +152,7 @@ def c_contains(c: SiteConstraint, q: int) -> bool:
 # every spin only if both operands do, which no normalized constraint does.
 
 
-def c_intersect(a: SiteConstraint, b: SiteConstraint, spins: SpinSet) -> SiteConstraint:
+def c_intersect(a: SiteConstraint, b: SiteConstraint) -> SiteConstraint:
     """Intersection of normalized constraints; never None, and the empty
     marker when they share no spin."""
     if a.mode == IN:
@@ -323,12 +323,12 @@ def make_rectangle(ctx: Context, mapping) -> Rectangle | None:
     return Rectangle(tuple(items))
 
 
-def rect_intersect(a: Rectangle, b: Rectangle, spins: SpinSet) -> Rectangle | None:
+def rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
     merged = dict(a.items)
     for site, c in b.items:
         prior = merged.get(site)
         if prior is not None:
-            c = c_intersect(prior, c, spins)
+            c = c_intersect(prior, c)
             if c_is_empty(c):
                 return None
         merged[site] = c
@@ -365,7 +365,7 @@ def _carve(p: Rectangle, d: Rectangle, spins: SpinSet) -> list[Rectangle]:
             pc = items[k][1]
             k += 1
             rest = _c_minus(pc, dc)
-            dc = c_intersect(pc, dc, spins)
+            dc = c_intersect(pc, dc)
         else:
             rest = c_complement(dc, spins)
         if not c_is_empty(rest):
@@ -374,27 +374,30 @@ def _carve(p: Rectangle, d: Rectangle, spins: SpinSet) -> list[Rectangle]:
     return out
 
 
-def rect_subtract(p: Rectangle, d: Rectangle, spins: SpinSet) -> list[Rectangle]:
-    """Disjoint rectangles covering p minus d."""
-    return _carve(p, d, spins) if _meets(p, dict(d.items)) else [p]
-
-
-def _survivors(r: Rectangle, cuts, maps, spins: SpinSet, budget: int, doing: str):
-    """The pieces of r outside every rectangle of `cuts` (`maps[i]` is
+def _survivors(rects, cuts, maps, spins: SpinSet, budget: int, doing: str):
+    """The pieces of `rects` outside every rectangle of `cuts` (`maps[i]` is
     `dict(cuts[i].items)`), pairwise disjoint.  The subtraction cascade runs
-    depth first, so each piece is yielded as soon as it passes the last cut;
-    more than `budget` pieces waiting at once raise `BudgetError`."""
-    waiting = [(r, 0)]
+    depth first, so each piece is yielded as soon as it passes the last cut.
+    More than `budget` pieces past any one cut raise `BudgetError`: run to
+    its end, the cascade raises exactly when one run cut by cut would."""
+    n = len(cuts)
+    passed = [0] * n
+    waiting = [(r, 0) for r in reversed(rects)]
     while waiting:
         p, i = waiting.pop()
-        while i < len(cuts) and not _meets(p, maps[i]):
+        while i < n and not _meets(p, maps[i]):
+            passed[i] += 1
+            if passed[i] > budget:
+                raise BudgetError(f"rectangle budget exceeded {doing}")
             i += 1
-        if i == len(cuts):
+        if i == n:
             yield p
             continue
-        waiting.extend((q, i + 1) for q in _carve(p, cuts[i], spins))
-        if len(waiting) > budget:
+        pieces = _carve(p, cuts[i], spins)
+        passed[i] += len(pieces)
+        if passed[i] > budget:
             raise BudgetError(f"rectangle budget exceeded {doing}")
+        waiting.extend((q, i + 1) for q in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +516,7 @@ class CylinderSet:
         out = []
         for p in self.rectangles:
             for q in other.rectangles:
-                r = rect_intersect(p, q, self.ctx.spins)
+                r = rect_intersect(p, q)
                 if r is not None:
                     out.append(r)
                     if len(out) > budget:
@@ -524,47 +527,33 @@ class CylinderSet:
         _require_same_ctx(self, other)
         return CylinderSet.build(self.ctx, self.rectangles + other.rectangles)
 
-    def subtract(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
+    def _outside(self, other: "CylinderSet", budget: int):
+        """The pieces of self outside other, one cascade over all of self."""
         _require_same_ctx(self, other)
-        cuts = other.rectangles
-        maps = [dict(d.items) for d in cuts]
-        pieces = []
-        for r in self.rectangles:
-            pieces.extend(_survivors(r, cuts, maps, self.ctx.spins, budget, "during subtraction"))
-            if len(pieces) > budget:
-                raise BudgetError("rectangle budget exceeded during subtraction")
-        return CylinderSet.build(self.ctx, pieces)
+        maps = [dict(d.items) for d in other.rectangles]
+        return _survivors(self.rectangles, other.rectangles, maps, self.ctx.spins, budget,
+                          "during subtraction")
+
+    def subtract(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
+        return CylinderSet.build(self.ctx, list(self._outside(other, budget)))
 
     def complement(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
         return omega(self.ctx).subtract(self, budget)
 
     def subset_of(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
         """Whether self lies inside other; stops at the first piece of self
-        found outside every rectangle of other."""
-        _require_same_ctx(self, other)
-        cuts = other.rectangles
-        maps = [dict(d.items) for d in cuts]
-        for r in self.rectangles:
-            for _ in _survivors(r, cuts, maps, self.ctx.spins, budget, "during subtraction"):
-                return False
-        return True
+        found outside every rectangle of other, and answers True only after
+        the whole cascade has stayed within the budget."""
+        return next(self._outside(other, budget), None) is None
 
     def semantic_equal(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
         return self.subset_of(other, budget) and other.subset_of(self, budget)
 
     def disjoint_rectangles(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> tuple[Rectangle, ...]:
-        """Rectangles with the same union but pairwise disjoint.
-
-        The result is kept on the set, which is immutable, with the budget it
-        was computed under; a call with a smaller budget computes it again,
-        so it raises `BudgetError` exactly when a first call would.
-        """
+        """Rectangles with the same union but pairwise disjoint."""
         rects = self.rectangles
         if len(rects) <= 1:
             return rects
-        kept = getattr(self, "_disjoint", None)
-        if kept is not None and budget >= kept[0]:
-            return kept[1]
         # distinct fully-singleton rectangles over one site tuple are disjoint
         sites0 = rects[0].sites()
         if all(r.sites() == sites0 and r.all_singletons() for r in rects):
@@ -573,11 +562,12 @@ class CylinderSet:
         out: list[Rectangle] = []
         for i, r in enumerate(rects):
             # the pieces of r outside the rectangles before it
-            out.extend(_survivors(r, rects[:i], maps, self.ctx.spins, budget, "while disjoining"))
-            if len(out) > budget:
-                raise BudgetError("rectangle budget exceeded while disjoining")
-        object.__setattr__(self, "_disjoint", (budget, tuple(out)))
-        return self._disjoint[1]
+            for p in _survivors((r,), rects[:i], maps, self.ctx.spins, budget,
+                                "while disjoining"):
+                out.append(p)
+                if len(out) > budget:
+                    raise BudgetError("rectangle budget exceeded while disjoining")
+        return tuple(out)
 
     def lift_to_base(self, n: int) -> "CylinderSet":
         """Same set, re-registered at base depth n (n may only grow it)."""

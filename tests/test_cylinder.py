@@ -403,21 +403,47 @@ def test_algebra_matches_quotient_atom_sets(spins):
                     "omega": {True, False}, "overlap": {(0, 1), (0, 2), (1, 2), None}}
 
 
-def test_kept_disjoint_form_keeps_budgets():
+def test_disjoint_rectangles_budget_holds_on_every_call():
     ctx = Context(TreeGeometry(2), SpinSet.finite(3))
     e = from_constraints(ctx, {0: constraint_in([0, 1])}).union(
         from_constraints(ctx, {1: constraint_in([0, 1]), 2: constraint_in([2])})
     )
     parts = e.disjoint_rectangles()
     assert len(parts) == 2  # the second rectangle, cut down to x0=2
-    assert len(e.intersect(e.complement()).rectangles) == 0
-    assert e.disjoint_rectangles() is parts
     with pytest.raises(BudgetError):
         e.disjoint_rectangles(budget=1)
-    # the kept form stays out of equality, hashing and the repr
-    twin = CylinderSet.build(ctx, e.rectangles)
-    assert (twin == e, hash(twin) == hash(e), repr(twin) == repr(e)) == (True, True, True)
     assert e.disjoint_rectangles(budget=3) == parts
+
+
+def test_budget_bounds_a_wide_cascade(ctx_k2s2):
+    # the union of 17 pinned pairs x(2i) = x(2i+1) = 0: its complement has
+    # 2**17 disjoint pieces, 65,536 of them after the 16th cut, past the
+    # default budget; so do its disjoint form and the cascade that finds the
+    # union with both values at x34 covering everything
+    ctx = ctx_k2s2
+    pairs = CylinderSet.build(ctx, [
+        make_rectangle(ctx, {2 * i: constraint_in([0]), 2 * i + 1: constraint_in([0])})
+        for i in range(17)
+    ])
+    whole = pairs.union(single_site(ctx, 34, 0)).union(single_site(ctx, 34, 1))
+    with pytest.raises(BudgetError):
+        pairs.complement()
+    with pytest.raises(BudgetError):
+        whole.is_omega()
+    with pytest.raises(BudgetError):
+        pairs.disjoint_rectangles()
+    # the budget bounds the pieces after each cut: five pairs leave 32
+    # pieces of omega after the fifth, and 31 disjoint pieces in all
+    five = CylinderSet.build(ctx, pairs.rectangles[:5])
+    covered = five.union(single_site(ctx, 10, 0)).union(single_site(ctx, 10, 1))
+    assert len(five.complement(budget=32).rectangles) == 32
+    assert omega(ctx).subset_of(covered, budget=32)
+    assert len(five.disjoint_rectangles(budget=31)) == 31
+    for call in (lambda: five.complement(budget=31),
+                 lambda: omega(ctx).subset_of(covered, budget=31),
+                 lambda: five.disjoint_rectangles(budget=30)):
+        with pytest.raises(BudgetError):
+            call()
 
 
 def test_subset_of_never_true_past_its_budget():
