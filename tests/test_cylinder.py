@@ -403,18 +403,6 @@ def test_algebra_matches_quotient_atom_sets(spins):
                     "omega": {True, False}, "overlap": {(0, 1), (0, 2), (1, 2), None}}
 
 
-def test_disjoint_rectangles_budget_holds_on_every_call():
-    ctx = Context(TreeGeometry(2), SpinSet.finite(3))
-    e = from_constraints(ctx, {0: constraint_in([0, 1])}).union(
-        from_constraints(ctx, {1: constraint_in([0, 1]), 2: constraint_in([2])})
-    )
-    parts = e.disjoint_rectangles()
-    assert len(parts) == 2  # the second rectangle, cut down to x0=2
-    with pytest.raises(BudgetError):
-        e.disjoint_rectangles(budget=1)
-    assert e.disjoint_rectangles(budget=3) == parts
-
-
 def test_budget_bounds_a_wide_cascade(ctx_k2s2):
     # the union of 17 pinned pairs x(2i) = x(2i+1) = 0: its complement has
     # 2**17 disjoint pieces, 65,536 of them after the 16th cut, past the
@@ -433,7 +421,8 @@ def test_budget_bounds_a_wide_cascade(ctx_k2s2):
     with pytest.raises(BudgetError):
         pairs.disjoint_rectangles()
     # the budget bounds the pieces after each cut: five pairs leave 32
-    # pieces of omega after the fifth, and 31 disjoint pieces in all
+    # pieces of omega after the fifth, and 31 disjoint pieces in all; a
+    # first call within the budget does not spare a later, smaller one
     five = CylinderSet.build(ctx, pairs.rectangles[:5])
     covered = five.union(single_site(ctx, 10, 0)).union(single_site(ctx, 10, 1))
     assert len(five.complement(budget=32).rectangles) == 32
