@@ -482,14 +482,16 @@ class CylinderSet:
                 break
             seen.setdefault(r.key(), r)
         ordered = tuple(seen[k] for k in sorted(seen))
+        # items are sorted by site and indexing is breadth-first, so a
+        # rectangle's last site is its deepest
         depth = floor_depth
-        tree = ctx.tree
+        level = ctx.tree.level
         for r in ordered:
-            for site, _ in r.items:
-                lvl = tree.level(site)
+            if r.items:
+                lvl = level(r.items[-1][0])
                 if lvl > depth:
                     depth = lvl
-        tree.check_depth(depth)
+        ctx.tree.check_depth(depth)
         return CylinderSet(ctx, ordered, depth)
 
     # -- predicates ---------------------------------------------------------

@@ -266,12 +266,13 @@ class TransitionKernel:
             raise SpinRangeError("matrix kernels need a finite spin set")
         s = spins.size
         mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if len(mat) != s or any(len(row) != s for row in mat):
-            raise ValueError(f"kernel matrix must be {s}x{s}")
-        for row in mat:
-            for x in row:
-                if x < 0:
-                    raise ValueError("kernel entries must be non-negative")
+        if len(mat) != s:
+            raise ValueError(f"kernel matrix needs {s} rows, got {len(mat)}")
+        for q, row in enumerate(mat):
+            if len(row) != s:
+                raise ValueError(f"kernel row {q} needs {s} entries, got {len(row)}")
+            if any(x < 0 for x in row):
+                raise ValueError(f"kernel row {q}: entries must be non-negative")
         return cls(spins, matrix=mat)
 
     @classmethod
@@ -917,12 +918,12 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
     for key, w in dict(table).items():
         key = tuple(key)
         if len(key) != size:
-            raise ValueError(f"atom {key} does not cover the depth-{depth} ball")
-        for q in key:
-            ctx.spins.check(q)
+            raise ValueError(f"entry {key} needs {size} values for depth {depth}")
+        if not all(ctx.spins.contains(q) for q in key):
+            raise SpinRangeError(f"entry {key}: spins must lie in {ctx.spins}")
         w = Fraction(w)
         if w < 0:
-            raise ValueError("atom weights must be non-negative")
+            raise ValueError(f"entry {key}: weights must be non-negative")
         if w:
             clean[key] = clean.get(key, Fraction(0)) + w
     tables = {depth: clean}

@@ -2,7 +2,8 @@
 
 Documents are line-oriented with [section] headers and `key = value` lines.
 Events are boolean expressions over per-site constraints ("x0=1 & x4 in
-{0,2}").  All numbers are integers or rationals p/q; decimals are rejected.
+{0,2}"); their text is ASCII and nests at most MAX_EVENT_NESTING levels of
+'(' and '!'.  All numbers are integers or rationals p/q; decimals are rejected.
 Parsing reports line and column; rendering produces a canonical form whose
 re-parse equals the original parse.
 """
@@ -38,6 +39,9 @@ from .tree import DEFAULT_MAX_DEPTH, TreeGeometry
 
 SECTIONS = ("tree", "spins", "family", "covers")
 FAMILY_KINDS = ("markov", "markov-prob", "product", "table")
+# '(' and '!' an event may hold open at once; deeper text is a syntax error,
+# so neither the parser nor the walks over its trees exhaust the stack
+MAX_EVENT_NESTING = 200
 
 
 # ---------------------------------------------------------------------------
@@ -78,61 +82,37 @@ def _describe(tok: _Token) -> str:
     return "end of input" if tok.kind == "end" else f"{tok.text!r}"
 
 
+_EVENT_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<sym>\.\.|[&|!(){},=])"
+    r"|(?P<site>x[0-9]+)"
+    r"|(?P<decimal>[0-9]+\.(?!\.))"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def _tokenize_event(text: str, line_base: int = 1, col_base: int = 1) -> list[_Token]:
     toks = []
-    i, n = 0, len(text)
-    line, col = line_base, col_base
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
+    line, line_start = line_base, 1 - col_base  # col = offset - line_start + 1
+    for m in _EVENT_TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "space":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start() + word.rindex("\n") + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("..", i):
-            toks.append(_Token("sym", "..", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "&|!(){},=":
-            toks.append(_Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "x" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("site", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                raise SpecSyntaxError(
-                    "decimal numbers are not allowed; use integers or p/q",
-                    line, col,
-                )
-            toks.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("end", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "decimal":
+            raise SpecSyntaxError(
+                "decimal numbers are not allowed; use integers or p/q", line, col
+            )
+        if kind == "bad":
+            raise SpecSyntaxError(f"unexpected character {word!r}", line, col)
+        toks.append(_Token(kind, word, line, col))
+    toks.append(_Token("end", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -140,6 +120,7 @@ class _EventParser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0  # '(' and '!' open on the current path
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -185,15 +166,23 @@ class _EventParser:
         return parts[0] if len(parts) == 1 else EventAnd(tuple(parts))
 
     def parse_factor(self):
-        if self._is_sym("!"):
-            self.take()
-            return EventNot(self.parse_factor())
-        if self._is_sym("("):
-            self.take()
+        tok = self.peek()
+        if tok.kind != "sym" or tok.text not in ("!", "("):
+            return self.parse_atom()
+        if self.depth == MAX_EVENT_NESTING:
+            raise SpecSyntaxError(
+                f"events nest at most {MAX_EVENT_NESTING} levels of '(' and '!'",
+                tok.line, tok.col,
+            )
+        self.take()
+        self.depth += 1
+        if tok.text == "!":
+            inner = EventNot(self.parse_factor())
+        else:
             inner = self.parse_expr()
             self.expect_sym(")")
-            return inner
-        return self.parse_atom()
+        self.depth -= 1
+        return inner
 
     def parse_atom(self) -> EventAtom:
         tok = self.take()
@@ -273,8 +262,9 @@ def lower_event(ctx: Context, ast) -> CylinderSet:
     """Event tree -> cylinder set over the given context."""
     if isinstance(ast, EventAtom):
         ctx.tree.check_vertex(ast.site)
-        for v in ast.values:
-            ctx.spins.check(v)
+        if ast.values:  # spins are contiguous from 0: the extremes decide
+            ctx.spins.check(min(ast.values))
+            ctx.spins.check(max(ast.values))
         c = constraint_in(ast.values) if ast.mode == "in" else constraint_not_in(ast.values)
         return from_constraints(ctx, {ast.site: c})
     if isinstance(ast, EventNot):
@@ -313,8 +303,8 @@ class WeightSpec:
     tail: tuple | None = None
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
-_DECIMAL_RE = re.compile(r"-?\d+\.\d+")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]+")
 
 
 def _parse_rational(word: str, line: int, col: int) -> Fraction:
@@ -331,10 +321,7 @@ def _parse_rational(word: str, line: int, col: int) -> Fraction:
 
 
 def _split_words(text: str, col0: int) -> list[tuple[str, int]]:
-    out = []
-    for m in re.finditer(r"\S+", text):
-        out.append((m.group(), col0 + m.start()))
-    return out
+    return [(m.group(), col0 + m.start()) for m in re.finditer(r"\S+", text)]
 
 
 def _parse_weight_spec(words: list[tuple[str, int]], line: int) -> WeightSpec:
@@ -385,15 +372,20 @@ def _render_weight_spec(ws: WeightSpec) -> str:
     return "prefix " + " ".join(render_value(v) for v in ws.values) + " then " + tail
 
 
-def _build_weight(ws: WeightSpec, spins: SpinSet, what: str) -> NatSeq:
-    """The weights as the library's `as_weights` builds them; its errors come
-    back as spec errors naming `what`."""
-    if spins.is_finite and ws.tail is not None:
-        raise SpecSemanticError(f"{what}: tail forms need the denumerable spin set")
+def _checked(what: str, build, *args):
+    """build(*args); the library's errors come back as spec errors naming
+    `what`.  The library constructors are the only checks of family contents."""
     try:
-        return as_weights(spins, NatSeq(ws.values, *(ws.tail or ("const", Fraction(0)))))
+        return build(*args)
     except (TreeMeasureError, ValueError) as exc:
         raise SpecSemanticError(f"{what}: {exc}") from None
+
+
+def _build_weight(ws: WeightSpec, spins: SpinSet, what: str) -> NatSeq:
+    if spins.is_finite and ws.tail is not None:
+        raise SpecSemanticError(f"{what}: tail forms need the denumerable spin set")
+    tail = ws.tail or ("const", Fraction(0))
+    return _checked(what, lambda: as_weights(spins, NatSeq(ws.values, *tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +432,35 @@ class _Line:
     value_col: int
 
 
+# a line up to its first '#' outside double quotes; an unclosed quote runs on
+_CONTENT_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
+
+
 def _strip_comment(raw: str) -> str:
-    quoted = False
-    for idx, ch in enumerate(raw):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return raw[:idx]
-    return raw
+    return _CONTENT_RE.match(raw).group()
 
 
 _SECTION_RE = re.compile(r"\[([a-z][a-z-]*)\]")
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@-]*")
-_INT_RE = re.compile(r"\d+")
+_INT_RE = re.compile(r"[0-9]+")
 
 
 def _parse_int(text: str, line: int, col: int) -> int:
     if not _INT_RE.fullmatch(text):
         raise SpecSyntaxError(f"not an integer: {text!r}", line, col)
     return int(text)
+
+
+def _count(ln: _Line, what: str) -> int:
+    """The line's value as an integer >= 1."""
+    n = _parse_int(ln.value, ln.no, ln.value_col)
+    if n < 1:
+        raise SpecSemanticError(f"{what} must be >= 1", ln.no, ln.value_col)
+    return n
+
+
+def _weights(ln: _Line) -> WeightSpec:
+    return _parse_weight_spec(_split_words(ln.value, ln.value_col), ln.no)
 
 
 def _scan_lines(text: str) -> dict[str, list[_Line]]:
@@ -550,18 +552,9 @@ def parse_document(text: str) -> SpecDocument:
     tree_lines = sections["tree"]
     _reject_unknown(tree_lines, {"k", "max_depth"}, "tree")
     k_line = _require(tree_lines, "k", "tree")
-    order = _parse_int(k_line.value, k_line.no, k_line.value_col)
-    if order < 1:
-        raise SpecSemanticError("k must be >= 1", k_line.no, k_line.value_col)
+    order = _count(k_line, "k")
     depth_line = _unique(tree_lines, "max_depth", "tree")
-    if depth_line is None:
-        max_depth = DEFAULT_MAX_DEPTH
-    else:
-        max_depth = _parse_int(depth_line.value, depth_line.no, depth_line.value_col)
-        if max_depth < 1:
-            raise SpecSemanticError(
-                "max_depth must be >= 1", depth_line.no, depth_line.value_col
-            )
+    max_depth = DEFAULT_MAX_DEPTH if depth_line is None else _count(depth_line, "max_depth")
 
     spin_lines = sections["spins"]
     _reject_unknown(spin_lines, {"kind", "size"}, "spins")
@@ -577,11 +570,7 @@ def parse_document(text: str) -> SpecDocument:
     if spins_kind == "finite":
         if size_line is None:
             raise SpecSemanticError("[spins] kind finite needs size")
-        spins_size = _parse_int(size_line.value, size_line.no, size_line.value_col)
-        if spins_size < 1:
-            raise SpecSemanticError(
-                "size must be >= 1", size_line.no, size_line.value_col
-            )
+        spins_size = _count(size_line, "size")
     elif size_line is not None:
         raise SpecSemanticError(
             "size is only for finite spins", size_line.no, size_line.value_col
@@ -604,10 +593,7 @@ def parse_document(text: str) -> SpecDocument:
 
     if family_kind in ("markov", "markov-prob"):
         _reject_unknown(fam_lines, {"kind", "lambda", "P", "P@"}, "family")
-        lam_line = _require(fam_lines, "lambda", "family")
-        lam = _parse_weight_spec(
-            _split_words(lam_line.value, lam_line.value_col), lam_line.no
-        )
+        lam = _weights(_require(fam_lines, "lambda", "family"))
         p_line = _require(fam_lines, "P", "family")
         row_lines = sorted(
             (ln for ln in fam_lines if ln.key.startswith("P@")),
@@ -633,9 +619,7 @@ def parse_document(text: str) -> SpecDocument:
                     "give explicit rows as P@<q> lines",
                     p_line.no, p_line.value_col,
                 )
-            kernel_default = _parse_weight_spec(
-                _split_words(p_line.value, p_line.value_col), p_line.no
-            )
+            kernel_default = _weights(p_line)
             rows = []
             for want, ln in enumerate(row_lines):
                 got = _at_index(ln, "P")
@@ -644,16 +628,11 @@ def parse_document(text: str) -> SpecDocument:
                         f"explicit rows must be consecutive from P@0; found P@{got}",
                         ln.no,
                     )
-                rows.append(
-                    _parse_weight_spec(_split_words(ln.value, ln.value_col), ln.no)
-                )
+                rows.append(_weights(ln))
             kernel_rows = tuple(rows)
     elif family_kind == "product":
         _reject_unknown(fam_lines, {"kind", "w", "w@"}, "family")
-        w_line = _require(fam_lines, "w", "family")
-        weight_default = _parse_weight_spec(
-            _split_words(w_line.value, w_line.value_col), w_line.no
-        )
+        weight_default = _weights(_require(fam_lines, "w", "family"))
         overrides = {}
         for ln in fam_lines:
             if not ln.key.startswith("w@"):
@@ -661,9 +640,7 @@ def parse_document(text: str) -> SpecDocument:
             vertex = _at_index(ln, "w")
             if vertex in overrides:
                 raise SpecSemanticError(f"duplicate override {ln.key}", ln.no)
-            overrides[vertex] = _parse_weight_spec(
-                _split_words(ln.value, ln.value_col), ln.no
-            )
+            overrides[vertex] = _weights(ln)
         weight_overrides = tuple(sorted(overrides.items()))
     else:  # table
         _reject_unknown(fam_lines, {"kind", "depth", "entry"}, "family")
@@ -730,7 +707,7 @@ def _parse_cover_spec(ln: _Line):
                 "slice cover format: slice x<site> [block <n>]", ln.no, head_col
             )
         site_word, site_col = words[1]
-        m = re.fullmatch(r"x(\d+)", site_word)
+        m = re.fullmatch(r"x([0-9]+)", site_word)
         if not m:
             raise SpecSyntaxError(
                 f"not a site: {site_word!r}", ln.no, site_col, expected=["x<vertex>"]
@@ -753,48 +730,34 @@ def _parse_cover_spec(ln: _Line):
     )
 
 
+_LIST_TOKEN_RE = re.compile(
+    r'(?P<space>[ \t]+)|"(?P<event>[^"]*)"|(?P<quote>")|(?P<semi>;)|(?P<bad>.)', re.DOTALL
+)
+
+
 def _parse_quoted_events(ln: _Line):
     text = ln.value
-    pos = text.index("list") + 4
     events = []
     expecting = True
-    while pos < len(text):
-        ch = text[pos]
-        if ch in " \t":
-            pos += 1
+    for m in _LIST_TOKEN_RE.finditer(text, text.index("list") + 4):
+        kind, col = m.lastgroup, ln.value_col + m.start()
+        if kind == "space":
             continue
-        if ch == '"':
-            if not expecting:
-                raise SpecSyntaxError(
-                    "events must be separated by ';'", ln.no, ln.value_col + pos
-                )
-            end = text.find('"', pos + 1)
-            if end < 0:
-                raise SpecSyntaxError(
-                    "unterminated event quote", ln.no, ln.value_col + pos
-                )
-            events.append(
-                parse_event(
-                    text[pos + 1:end],
-                    line_base=ln.no,
-                    col_base=ln.value_col + pos + 1,
-                )
-            )
-            expecting = False
-            pos = end + 1
-            continue
-        if ch == ";":
+        if kind == "semi":
             if expecting:
-                raise SpecSyntaxError(
-                    "expected a quoted event before ';'", ln.no, ln.value_col + pos
-                )
+                raise SpecSyntaxError("expected a quoted event before ';'", ln.no, col)
             expecting = True
-            pos += 1
-            continue
-        raise SpecSyntaxError(
-            f"unexpected character {ch!r}", ln.no, ln.value_col + pos,
-            expected=['"', "';'"],
-        )
+        elif kind == "bad":
+            raise SpecSyntaxError(
+                f"unexpected character {m.group()!r}", ln.no, col, expected=['"', "';'"]
+            )
+        elif not expecting:
+            raise SpecSyntaxError("events must be separated by ';'", ln.no, col)
+        elif kind == "quote":
+            raise SpecSyntaxError("unterminated event quote", ln.no, col)
+        else:
+            events.append(parse_event(m.group("event"), ln.no, col + 1))
+            expecting = False
     if expecting:
         raise SpecSyntaxError(
             "cover list ended without an event", ln.no, ln.value_col + len(text)
@@ -859,6 +822,12 @@ class BuiltSpec:
     covers: dict[str, Cover]
 
 
+def _build_cover(ctx: Context, name: str, spec) -> Cover:
+    if isinstance(spec, SliceCoverSpec):
+        return slice_cover(ctx, spec.site, spec.block, label=name)
+    return finite_cover([lower_event(ctx, e) for e in spec.events], label=name)
+
+
 def build_document(doc: SpecDocument) -> BuiltSpec:
     tree = TreeGeometry(doc.order, doc.max_depth)
     spins = SpinSet.finite(doc.spins_size) if doc.spins_kind == "finite" else SpinSet.naturals()
@@ -867,15 +836,11 @@ def build_document(doc: SpecDocument) -> BuiltSpec:
     if doc.family_kind in ("markov", "markov-prob"):
         lam = _build_weight(doc.lam, spins, "lambda")
         if spins.is_finite:
-            if len(doc.kernel_rows) != spins.size:
-                raise SpecSemanticError(
-                    f"P needs {spins.size} rows, got {len(doc.kernel_rows)}"
-                )
             rows = [
                 _build_weight(row, spins, f"P row {q}").prefix
                 for q, row in enumerate(doc.kernel_rows)
             ]
-            kernel = TransitionKernel.from_matrix(spins, rows)
+            kernel = _checked("P", TransitionKernel.from_matrix, spins, rows)
         else:
             default = _build_weight(doc.kernel_default, spins, "P")
             rows = [
@@ -883,57 +848,25 @@ def build_document(doc: SpecDocument) -> BuiltSpec:
                 for q, row in enumerate(doc.kernel_rows)
             ]
             kernel = TransitionKernel.for_naturals(default, rows)
-        kind = None
-        if doc.family_kind == "markov-prob":
-            if not kernel.is_stochastic() or lam.sum_all() != 1:
-                raise SpecSemanticError(
-                    "markov-prob requires unit row sums and unit total root weight"
-                )
-            kind = "probability"
-        family = markov_family(ctx, lam, kernel, kind=kind)
+        family = markov_family(ctx, lam, kernel)
+        if doc.family_kind == "markov-prob" and family.kind != "probability":
+            raise SpecSemanticError(
+                "markov-prob requires unit row sums and unit total root weight"
+            )
     elif doc.family_kind == "product":
         default = _build_weight(doc.weight_default, spins, "w")
         overrides = {}
         for vertex, ws in doc.weight_overrides:
-            try:
-                tree.check_vertex(vertex)
-            except TreeMeasureError as exc:
-                raise SpecSemanticError(f"w@{vertex}: {exc}") from None
+            _checked(f"w@{vertex}", tree.check_vertex, vertex)
             overrides[vertex] = _build_weight(ws, spins, f"w@{vertex}")
         family = product_family(ctx, default, overrides)
     else:
-        try:
-            tree.check_depth(doc.table_depth)
-        except TreeMeasureError as exc:
-            raise SpecSemanticError(f"table depth: {exc}") from None
-        size = tree.ball_size(doc.table_depth)
-        table = {}
-        for key, weight in doc.entries:
-            if len(key) != size:
-                raise SpecSemanticError(
-                    f"entry {key} needs {size} values for depth {doc.table_depth}"
-                )
-            for v in key:
-                try:
-                    spins.check(v)
-                except TreeMeasureError as exc:
-                    raise SpecSemanticError(f"entry {key}: {exc}") from None
-            if weight < 0:
-                raise SpecSemanticError(f"entry {key}: weights must be non-negative")
-            table[key] = weight
-        family = table_family(ctx, doc.table_depth, table)
+        family = _checked("table", table_family, ctx, doc.table_depth, doc.entries)
 
-    covers: dict[str, Cover] = {}
-    for name, spec in doc.covers:
-        try:
-            if isinstance(spec, SliceCoverSpec):
-                covers[name] = slice_cover(ctx, spec.site, spec.block, label=name)
-            else:
-                parts = [lower_event(ctx, e) for e in spec.events]
-                covers[name] = finite_cover(parts, label=name)
-        except (TreeMeasureError, ValueError) as exc:
-            raise SpecSemanticError(f"cover {name!r}: {exc}") from None
-
+    covers = {
+        name: _checked(f"cover {name!r}", _build_cover, ctx, name, spec)
+        for name, spec in doc.covers
+    }
     return BuiltSpec(doc, ctx, family, covers)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -534,3 +535,57 @@ def test_budget_limited_screen_exits_inconclusive(capsys, tmp_path, command):
     assert (code, payload) == (3, None)
     assert err == ("budget exceeded: the depth-1 consistency screen is inconclusive "
                    "within the atom budget 16777216\n")
+
+
+# Event text that once escaped `main` as a traceback: non-ASCII digits passed
+# the scanner's `isdigit` but not `int`, and deep nesting overflowed the
+# recursive parser.  Both are spec errors now; nesting up to the limit works.
+@pytest.mark.parametrize("event", [
+    "x0=²", "x²=0", "x0 in {0..²}",
+    "(" * 400 + "x0=0" + ")" * 400, "!" * 1000 + "x0=0",
+], ids=["value", "site", "range", "parens-400", "nots-1000"])
+def test_event_escapes_exit_usage(capsys, event):
+    code, payload, err = run_cli(capsys, "eval", "--spec", CHAIN, "--event", event)
+    assert (code, payload) == (2, None)
+    assert err.startswith("spec error:")
+
+
+@pytest.mark.parametrize(
+    "event", ["(" * 200 + "x0=0" + ")" * 200, "!" * 200 + "x0=0"], ids=["parens", "nots"]
+)
+def test_event_nesting_up_to_the_limit(capsys, event):
+    code, payload, _ = run_cli(capsys, "eval", "--spec", CHAIN, "--event", event)
+    assert (code, payload["value"]) == (0, "1/2")
+
+
+FUZZ_WORDS = [
+    "x0", "x1", "x4", "x12", "=", " in ", " notin ", "{", "}", "..", ",", "&", "|",
+    "!", "(", ")", "0", "1", "2", "7", " ", "1.5", "3/4", ";", '"', "#", "~",
+    "\n", "²", "٣", "é",
+]
+
+
+def fuzz_text(rng):
+    if rng.random() < 0.1:
+        return rng.choice("(!") * rng.randint(1, 1000) + rng.choice(["x0=0", ""])
+    return "".join(rng.choice(FUZZ_WORDS) for _ in range(rng.randint(0, 12)))
+
+
+def test_event_grammar_fuzz_ends_in_exit_codes(capsys, tmp_path):
+    # every text ends in a documented exit code, both as an --event flag and
+    # inside a quoted cover list; no case may raise out of `main`
+    rng = random.Random(4021)
+    with open(CHAIN) as fh:
+        chain_text = fh.read()  # ends with its [covers] section
+    spec = tmp_path / "fuzz.spec"
+    codes = set()
+    started = time.perf_counter()
+    for _ in range(300):
+        text = fuzz_text(rng)
+        codes.add(main(["eval", "--spec", CHAIN, f"--event={text}", "--json"]))
+        spec.write_text(chain_text + f'fuzz = list "{text}"\n')
+        codes.add(main(["validate", "--spec", str(spec), "--json"]))
+        capsys.readouterr()
+    assert codes <= {0, 1, 2, 3}
+    assert {0, 2} <= codes
+    assert time.perf_counter() - started < 5

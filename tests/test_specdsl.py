@@ -13,6 +13,8 @@ from treemeasure import (
     EventOr,
     SpecSemanticError,
     SpecSyntaxError,
+    SpinRangeError,
+    TransitionKernel,
     build_document,
     compile_event,
     load_spec,
@@ -21,7 +23,9 @@ from treemeasure import (
     parse_event,
     render_document,
     render_event,
+    table_family,
 )
+from treemeasure.specdsl import MAX_EVENT_NESTING
 
 F = Fraction
 
@@ -461,3 +465,39 @@ def test_comments_and_whitespace_tolerated():
                           'halves = list "x0=0" ; "x0=1" # split')
     )
     assert doc == parse_document(CHAIN_DOC)
+
+
+def test_lower_event_checks_hand_built_values(ctx_k2s2):
+    # parsed atoms hold sorted values; a hand-built one may hold them in any
+    # order, and an out-of-range value must still be refused
+    for values in [(1, 2, 0), (0, -1, 1), (-1,)]:
+        with pytest.raises(SpinRangeError):
+            lower_event(ctx_k2s2, EventAtom(0, "in", values))
+    cyl = lower_event(ctx_k2s2, EventAtom(0, "in", (1, 0)))
+    assert cyl.semantic_equal(compile_event(ctx_k2s2, "x0 in {0, 1}"))
+
+
+def test_event_nesting_limit_counts_the_open_path():
+    open_path = "(" * 100 + "!" * (MAX_EVENT_NESTING - 100)
+    assert parse_event(open_path + "x0=1" + ")" * 100) is not None
+    # siblings do not add up: each path holds its own opens
+    deepest = "(" * MAX_EVENT_NESTING + "x0=1" + ")" * MAX_EVENT_NESTING
+    assert parse_event(" & ".join([deepest] * 3)) == EventAnd((EventAtom(0, "in", (1,)),) * 3)
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_event("!" + open_path + "x0=1" + ")" * 100)
+    assert "nest" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, MAX_EVENT_NESTING + 1)
+
+
+def test_family_errors_carry_the_library_message(ctx_k2s2):
+    ctx = ctx_k2s2
+    with pytest.raises(ValueError) as lib:
+        TransitionKernel.from_matrix(ctx.spins, [[F(2, 3), F(1, 3)]])
+    with pytest.raises(SpecSemanticError) as err:
+        load_spec(CHAIN_DOC.replace("2/3 1/3 ; 1/3 2/3", "2/3 1/3"))
+    assert err.value.message == f"P: {lib.value}"
+    with pytest.raises(SpinRangeError) as lib:
+        table_family(ctx, 0, {(3,): F(1)})
+    with pytest.raises(SpecSemanticError) as err:
+        load_spec(TABLE_DOC.replace("entry = 1 : 1/4", "entry = 3 : 1/4"))
+    assert err.value.message == f"table: {lib.value}"
