@@ -15,7 +15,12 @@ import random
 import sys
 from fractions import Fraction
 
-from .cylinder import DEFAULT_ATOM_BUDGET, constraint_in, from_constraints
+from .cylinder import (
+    DEFAULT_ATOM_BUDGET,
+    DEFAULT_RECTANGLE_BUDGET,
+    constraint_in,
+    from_constraints,
+)
 from .errors import (
     BudgetError,
     CoverError,
@@ -136,6 +141,10 @@ def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
 
 # ---------------------------------------------------------------------------
 # shared plumbing
+
+
+def _sigma_options(args) -> dict:
+    return {"tolerance": args.tolerance, "term_budget": args.term_budget, "bound": args.bound}
 
 
 def _load(args):
@@ -299,6 +308,11 @@ def cmd_probe_empty(args) -> int:
             chain.append(running)
     else:
         ctx.spins.check(args.value)
+        # building the chain costs about the square of its pinned sites
+        size = ctx.tree.ball_size(args.maxdepth)
+        if size > DEFAULT_RECTANGLE_BUDGET:
+            raise BudgetError(f"the default chain pins {size} sites at depth {args.maxdepth}, "
+                              f"more than the rectangle budget {DEFAULT_RECTANGLE_BUDGET}")
         chain = [
             from_constraints(
                 ctx,
@@ -323,10 +337,7 @@ def cmd_sigma_eval(args) -> int:
     cover = _cover_of(built, args.cover)
     event = compile_event(built.ctx, args.event)
     handle = _handle(built)
-    ext = sigma_extension(
-        handle, cover, tolerance=args.tolerance,
-        term_budget=args.term_budget, bound=args.bound,
-    )
+    ext = sigma_extension(handle, cover, **_sigma_options(args))
     sv = ext.value(event)
     payload = {
         "command": "sigma-eval",
@@ -347,8 +358,7 @@ def cmd_covers_compare(args) -> int:
     handle = _handle(built)
     events = _events_from_args(args, built)
     report = cover_independence(
-        handle, first, second, [e for _, e in events],
-        tolerance=args.tolerance, term_budget=args.term_budget, bound=args.bound,
+        handle, first, second, [e for _, e in events], **_sigma_options(args)
     )
     records = []
     inconclusive = False
@@ -383,10 +393,7 @@ def cmd_cover_sum(args) -> int:
     cover = _cover_of(built, args.cover)
     handle = _handle(built)
     events = _events_from_args(args, built)
-    report = cover_sum_check(
-        handle, cover, [e for _, e in events],
-        tolerance=args.tolerance, term_budget=args.term_budget, bound=args.bound,
-    )
+    report = cover_sum_check(handle, cover, [e for _, e in events], **_sigma_options(args))
     records = [
         {
             "event": rec.event.render(),

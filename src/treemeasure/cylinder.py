@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,16 @@ from .tree import TreeGeometry
 
 DEFAULT_ATOM_BUDGET = 2**24
 DEFAULT_RECTANGLE_BUDGET = 50_000
+
+
+def exceeds_budget(s: int, n: int, budget: int) -> bool:
+    """Whether s**n atoms (s spins on n sites) exceed `budget`.  No power
+    past the budget is built: for s >= 2, any n >= budget.bit_length()
+    already exceeds it."""
+    if s < 2 or n < budget.bit_length():
+        return s**n > budget
+    return True
+
 
 IN = "in"
 NOT_IN = "notin"
@@ -54,11 +65,6 @@ class SpinSet:
 
     def contains(self, q: int) -> bool:
         return q >= 0 and (self.size is None or q < self.size)
-
-    def values(self) -> range:
-        if self.size is None:
-            raise SpinRangeError("cannot enumerate the denumerable spin set")
-        return range(self.size)
 
     def check(self, q: int) -> None:
         if not self.contains(q):
@@ -103,10 +109,12 @@ class SiteConstraint:
     values: frozenset[int]
 
     def key(self):
-        return (self.mode, tuple(sorted(self.values)))
-
-
-ANY = SiteConstraint(NOT_IN, frozenset())
+        # memoized: the pieces of one cascade share constraint objects
+        cached = getattr(self, "_key", None)
+        if cached is None:
+            cached = (self.mode, tuple(sorted(self.values)))
+            object.__setattr__(self, "_key", cached)
+        return cached
 
 
 def constraint_in(values) -> SiteConstraint:
@@ -229,14 +237,6 @@ def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
         runs = _runs(values) if c.mode == IN else _gaps(values)
         object.__setattr__(c, "_runs", runs)
     return runs
-
-
-def c_allowed_values(c: SiteConstraint | None, spins: SpinSet) -> list:
-    """The allowed values in increasing order; requires a finite answer."""
-    runs = c_runs(c, spins)
-    if runs and runs[-1][1] is None:
-        raise SpinRangeError("cofinite constraint over the denumerable spin set")
-    return [q for lo, hi in runs for q in range(lo, hi)]
 
 
 def render_atom(site: int, mode: str, values) -> str:
@@ -447,9 +447,6 @@ class Configuration:
         m = self.as_mapping()
         return Configuration(keep, tuple(m[s] for s in keep))
 
-    def render(self) -> str:
-        return ",".join(f"x{s}={v}" for s, v in zip(self.sites, self.values))
-
 
 # ---------------------------------------------------------------------------
 # cylinder sets
@@ -461,8 +458,7 @@ class CylinderSet:
 
     rectangles is canonical: no duplicates, sorted by rectangle key.  The
     empty union is the empty set; a union containing the unconstrained
-    rectangle is the whole configuration space.  floor_depth only lifts the
-    reported base depth; it never changes the set.
+    rectangle is the whole configuration space.
     """
 
     ctx: Context
@@ -472,7 +468,7 @@ class CylinderSet:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def build(ctx: Context, rects, floor_depth: int = 0) -> "CylinderSet":
+    def build(ctx: Context, rects) -> "CylinderSet":
         seen = {}
         for r in rects:
             if r is None:
@@ -484,7 +480,7 @@ class CylinderSet:
         ordered = tuple(seen[k] for k in sorted(seen))
         # items are sorted by site and indexing is breadth-first, so a
         # rectangle's last site is its deepest
-        depth = floor_depth
+        depth = 0
         level = ctx.tree.level
         for r in ordered:
             if r.items:
@@ -500,11 +496,6 @@ class CylinderSet:
         return not self.rectangles
 
     def is_omega(self) -> bool:
-        if any(r.is_unconstrained() for r in self.rectangles):
-            return True
-        if not self.rectangles:
-            return False
-        # the union may cover everything without any single rectangle doing so
         return omega(self.ctx).subset_of(self)
 
     def contains(self, values) -> bool:
@@ -591,14 +582,11 @@ class CylinderSet:
             raise SpinRangeError("cannot count atoms over the denumerable spin set")
         size = self.ctx.tree.ball_size(n)
         s = self.ctx.spins.size
-        total = 0
-        for r in self.disjoint_rectangles():
-            count = 1
-            for site in range(size):
-                c = r.constraint_at(site)
-                count *= s if c is None else len(c_allowed_values(c, self.ctx.spins))
-            total += count
-        return total
+        # over finite spins every normalized constraint is an "in" set
+        return sum(
+            math.prod(len(c.values) for _, c in r.items) * s ** (size - len(r.items))
+            for r in self.disjoint_rectangles()
+        )
 
     def atoms(self, n: int | None = None, budget: int = DEFAULT_ATOM_BUDGET) -> list[Configuration]:
         """All depth-n base configurations in the set, lexicographic order."""
@@ -608,12 +596,17 @@ class CylinderSet:
         if not self.ctx.spins.is_finite:
             raise SpinRangeError("cannot enumerate atoms over the denumerable spin set")
         size = self.ctx.tree.ball_size(n)
-        if self.ctx.spins.size**size > budget and not self.is_empty():
-            if self.atom_count(n) > budget:
+        s = self.ctx.spins.size
+        rects = self.disjoint_rectangles()
+        if rects and exceeds_budget(s, size, budget):
+            # a rectangle's atoms: its pinned choices times s per free site
+            if (any(exceeds_budget(s, size - len(r.items), budget) for r in rects)
+                    or self.atom_count(n) > budget):
                 raise BudgetError(f"atom budget {budget} exceeded at depth {n}")
         tuples: set[tuple[int, ...]] = set()
-        for r in self.disjoint_rectangles():
-            choices = [c_allowed_values(r.constraint_at(v), self.ctx.spins) for v in range(size)]
+        for r in rects:
+            at = dict(r.items)
+            choices = [sorted(at[v].values) if v in at else range(s) for v in range(size)]
             for combo in itertools.product(*choices):
                 tuples.add(combo)
                 if len(tuples) > budget:
@@ -759,11 +752,11 @@ def agreement_cylinder(ctx: Context, first: Rectangle, second: Rectangle) -> Cyl
 # randomized probes
 
 
-def random_cylinder(ctx: Context, rng, max_depth: int = 2, max_rectangles: int = 3) -> CylinderSet:
-    """Seeded random cylinder set for crosschecks; deterministic in rng state."""
+def random_cylinder(ctx: Context, rng, max_depth: int = 2) -> CylinderSet:
+    """Seeded random union of 1-3 rectangles for crosschecks; deterministic in rng state."""
     size = ctx.tree.ball_size(max_depth)
     rects = []
-    for _ in range(rng.randint(1, max_rectangles)):
+    for _ in range(rng.randint(1, 3)):
         mapping = {}
         for site in rng.sample(range(size), rng.randint(1, min(4, size))):
             if ctx.spins.is_finite:

@@ -93,10 +93,6 @@ class ExtensionHandle:
     def ctx(self) -> Context:
         return self.family.ctx
 
-    @property
-    def kind(self) -> str:
-        return self.family.kind
-
     def mu(self, event: CylinderSet, at_depth: int | None = None):
         """Value of a cylinder set, evaluated at its base depth by default.
 
@@ -260,9 +256,8 @@ class CrosscheckReport:
 
 
 def uniqueness_crosscheck(first: ExtensionHandle, second: ExtensionHandle,
-                          seed: int, trials: int = 100,
-                          max_depth: int = 2) -> CrosscheckReport:
-    """Compare two handles on seeded random cylinder sets.
+                          seed: int, trials: int = 100) -> CrosscheckReport:
+    """Compare two handles on seeded random cylinder sets based within depth 2.
 
     Reports the first disagreement, and when every disagreement is by one
     common factor, that factor (the scaled-family signature).
@@ -275,7 +270,7 @@ def uniqueness_crosscheck(first: ExtensionHandle, second: ExtensionHandle,
     agreements = 0
     comparable = True
     for _ in range(trials):
-        event = random_cylinder(first.ctx, rng, max_depth=max_depth)
+        event = random_cylinder(first.ctx, rng)
         lhs = first.mu(event)
         rhs = second.mu(event)
         if lhs == rhs:

@@ -55,6 +55,7 @@ from .cylinder import (
     _runs,
     c_runs,
     constraint_in,
+    exceeds_budget,
     from_constraints,
     omega,
 )
@@ -660,15 +661,9 @@ class VolumeMeasure:
 
     def dense_table(self, budget: int = DEFAULT_ATOM_BUDGET) -> dict:
         """Materialize {value tuple: weight}, zero atoms omitted (finite spins)."""
-        if not self.ctx.spins.is_finite:
-            raise SpinRangeError("cannot materialize a table over the denumerable spin set")
         if isinstance(self.form, DenseTableForm):
             return dict(self.form.table)
-        size = self._ball()
-        s = self.ctx.spins.size
-        if s**size > budget:
-            raise BudgetError(f"dense table of {s}**{size} atoms exceeds budget {budget}")
-        return _enumerate_marginal(self, self.depth)
+        return _enumerate_marginal(self, self.depth, budget)
 
     def scaled(self, c) -> "VolumeMeasure":
         c = Fraction(c)
@@ -730,7 +725,7 @@ class VolumeMeasure:
 # enumeration marginals (the brute-force route)
 
 
-def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int = DEFAULT_ATOM_BUDGET) -> dict:
+def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     """Marginal of mu onto the depth-i ball by summing over every base atom.
 
     Integer-scaled arithmetic: every atom weight is a product of the same
@@ -743,7 +738,7 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int = DEFAULT_ATOM_BU
     s = ctx.spins.size
     full = ctx.tree.ball_size(mu.depth)
     t = ctx.tree.ball_size(i)
-    if s**full > budget:
+    if exceeds_budget(s, full, budget):
         raise BudgetError(f"enumeration of {s}**{full} atoms exceeds budget {budget}")
     form = mu.form
     if isinstance(form, DenseTableForm):
@@ -893,15 +888,13 @@ def markov_family(ctx: Context, lam, kernel, kind: str | None = None,
     )
 
 
-def product_family(ctx: Context, weight, overrides=None, kind: str | None = None,
-                   label: str = "") -> MeasureFamily:
+def product_family(ctx: Context, weight, overrides=None, label: str = "") -> MeasureFamily:
     """Family of product measures with a default site weight and overrides."""
     weight = as_weights(ctx.spins, weight)
     overrides = {v: as_weights(ctx.spins, w) for v, w in (overrides or {}).items()}
     form_of = lambda n: ProductForm(weight, overrides)  # noqa: E731
-    if kind is None:
-        sums = [weight.sum_all()] + [w.sum_all() for w in overrides.values()]
-        kind = family_kind(all(x == 1 for x in sums), overrides.get(0, weight).sum_all())
+    sums = [weight.sum_all()] + [w.sum_all() for w in overrides.values()]
+    kind = family_kind(all(x == 1 for x in sums), overrides.get(0, weight).sum_all())
     return MeasureFamily(
         ctx, lambda n: VolumeMeasure(ctx, n, form_of(n)), kind, label=label or "product"
     )
@@ -948,7 +941,7 @@ def random_consistent_family(ctx: Context, seed: int, depth: int,
         raise SpinRangeError("random dense families need a finite spin set")
     s = ctx.spins.size
     size = ctx.tree.ball_size(depth)
-    if s**size > budget:
+    if exceeds_budget(s, size, budget):
         raise BudgetError(f"random family of {s}**{size} atoms exceeds budget {budget}")
     rng = random.Random(seed)
     table = {
@@ -1009,7 +1002,7 @@ def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyRepor
     s = ctx.spins.size
     achieved = 0
     for j in range(1, depth + 1):
-        if s ** ctx.tree.ball_size(j) > budget:
+        if exceeds_budget(s, ctx.tree.ball_size(j), budget):
             return ConsistencyReport(
                 requested, achieved, None, "enumeration", budget_limited=True
             )
@@ -1032,10 +1025,10 @@ def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyRepor
     return ConsistencyReport(requested, achieved, None, "enumeration")
 
 
-def _probe_bases(ctx: Context, i: int, width: int = 6) -> list[CylinderSet]:
-    """Small battery of depth-i bases with spins below `width`."""
+def _probe_bases(ctx: Context, i: int) -> list[CylinderSet]:
+    """Small battery of depth-i bases with spins below 6."""
     probes = []
-    for q in range(width):
+    for q in range(6):
         probes.append(from_constraints(ctx, {0: constraint_in([q])}).lift_to_base(i))
     if i >= 1:
         first_child = ctx.tree.children(0)[0]

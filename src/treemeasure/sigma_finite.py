@@ -340,11 +340,8 @@ class SigmaFiniteExtension:
     because those families give every event the same value at every depth.
     """
 
-    def __init__(self, handle: ExtensionHandle, cover: Cover,
-                 tolerance: Fraction = DEFAULT_TOLERANCE,
-                 term_budget: int = DEFAULT_TERM_BUDGET,
-                 bound: Fraction = DEFAULT_DIVERGENCE_BOUND,
-                 cover_report: CoverReport | None = None):
+    def __init__(self, handle: ExtensionHandle, cover: Cover, tolerance: Fraction,
+                 term_budget: int, bound: Fraction, cover_report: CoverReport | None):
         if cover.ctx != handle.ctx:
             raise ContextMismatchError("cover built over a different context")
         self.handle = handle
@@ -575,11 +572,11 @@ def cover_sum_check(handle: ExtensionHandle, cover: Cover, events,
 
 
 def fixed_level_cover(handle: ExtensionHandle, cover: Cover,
-                      level: int | None = None, probes=None,
-                      probe_count: int = 8, **kwargs) -> SigmaFiniteExtension:
+                      level: int | None = None, **kwargs) -> SigmaFiniteExtension:
     """Accept a cover only if it is a disjoint partition by finite-mass
     cylinder sets based within one fixed level, with cover sums that
-    reproduce direct values on probe events; return the summation engine.
+    reproduce direct values on the root values below 8; return the
+    summation engine.
     """
     engine = sigma_extension(handle, cover, **kwargs)
     if level is None:
@@ -597,17 +594,14 @@ def fixed_level_cover(handle: ExtensionHandle, cover: Cover,
         raise CoverError(
             f"slice site x{cover.site} lies beyond level {level}"
         )
-    check_count = cover.count if cover.count is not None else probe_count
+    check_count = cover.count if cover.count is not None else 8
     for i in range(check_count):
         part_mass = handle.mu(cover.part(i))
         if part_mass == INFINITE:
             raise CoverError(f"part {i} has infinite value")
-    if probes is None:
-        width = probe_count
-        if handle.ctx.spins.is_finite:
-            width = min(probe_count, handle.ctx.spins.size)
-        probes = [single_site(handle.ctx, 0, q) for q in range(width)]
-    for event in probes:
+    width = min(8, handle.ctx.spins.size) if handle.ctx.spins.is_finite else 8
+    for q in range(width):
+        event = single_site(handle.ctx, 0, q)
         direct = handle.mu(event)
         summed = engine.value(event)
         if _cover_sum_verdict(direct, summed) == "FAIL":
@@ -643,18 +637,17 @@ class NormalizedExtension:
         return value_mul(self.total, self.base.mu(event, at_depth=at_depth))
 
 
-def normalized_extension(handle: ExtensionHandle,
-                         check_depths=(0, 1, 2)) -> NormalizedExtension:
+def normalized_extension(handle: ExtensionHandle) -> NormalizedExtension:
     """Split a finite-total handle into mass times a probability handle.
 
-    The family's mass is recomputed at each depth in `check_depths`; the
-    masses must be finite and all equal (anything else means the family is
-    not the finite-total object it claims to be).
+    The family's mass is recomputed at depths 0, 1 and 2 (those it defines);
+    the masses must be finite and all equal (anything else means the family
+    is not the finite-total object it claims to be).
     """
     fam = handle.family
-    depths = list(check_depths)
+    depths = [0, 1, 2]
     if fam.max_defined_depth is not None:
-        depths = [d for d in depths if d <= fam.max_defined_depth] or [0]
+        depths = [d for d in depths if d <= fam.max_defined_depth]
     masses = [fam.mass(d) for d in depths]
     for m in masses:
         if m == INFINITE:

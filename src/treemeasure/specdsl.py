@@ -94,7 +94,7 @@ _EVENT_TOKEN_RE = re.compile(
 )
 
 
-def _tokenize_event(text: str, line_base: int = 1, col_base: int = 1) -> list[_Token]:
+def _tokenize_event(text: str, line_base: int, col_base: int) -> list[_Token]:
     toks = []
     line, line_start = line_base, 1 - col_base  # col = offset - line_start + 1
     for m in _EVENT_TOKEN_RE.finditer(text):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from treemeasure import compile_event, load_spec
-from treemeasure.cli import build_parser, main
+from treemeasure.cli import build_parser, entrypoint, main
 from treemeasure.sigma_finite import Cover, CoverReport
 
 F = Fraction
@@ -535,6 +535,44 @@ def test_budget_limited_screen_exits_inconclusive(capsys, tmp_path, command):
     assert (code, payload) == (3, None)
     assert err == ("budget exceeded: the depth-1 consistency screen is inconclusive "
                    "within the atom budget 16777216\n")
+
+
+HUGE_FAMILIES = {
+    "finite": "[spins]\nkind = finite\nsize = 2\n"
+              "[family]\nkind = markov-prob\nlambda = 1/2 1/2\nP = 2/3 1/3 ; 1/3 2/3\n",
+    "nat": "[spins]\nkind = nat\n"
+           "[family]\nkind = markov\nlambda = const 1\nP = geometric 1/2 1/2\n",
+}
+
+
+@pytest.mark.parametrize("spins, argv", [
+    ("finite", ["consistency", "--depth", "1"]),
+    ("finite", ["probe-empty"]),
+    ("nat", ["probe-empty"]),
+], ids=["consistency-finite", "probe-empty-finite", "probe-empty-nat"])
+def test_huge_tree_order_exits_inconclusive(capsys, tmp_path, spins, argv):
+    # the depth-1 ball has 10**20 + 1 sites: 2**(10**20 + 1) atoms to
+    # enumerate, and a default chain that pins every site of it
+    spec = tmp_path / "huge.spec"
+    spec.write_text("[tree]\nk = 100000000000000000000\nmax_depth = 8\n" + HUGE_FAMILIES[spins])
+    code, payload, err = run_cli(capsys, *argv, "--spec", str(spec))
+    assert code == 3
+    if argv[0] == "consistency":
+        assert (payload["budget_limited"], payload["verified_depth"]) == (True, 0)
+    else:
+        assert payload is None and err.startswith("budget exceeded: ")
+
+
+def test_entrypoint_exits_with_the_command_code(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "argv", ["treemeasure", "validate", "--spec", CHAIN, "--json"])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    monkeypatch.setattr(sys, "argv", ["treemeasure", "validate", "--spec", str(tmp_path / "missing.spec")])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == 2
 
 
 # Event text that once escaped `main` as a traceback: non-ASCII digits passed

@@ -25,7 +25,7 @@ from treemeasure import (
     rho,
     single_site,
 )
-from treemeasure.cylinder import c_complement, c_contains, c_normalize, c_runs
+from treemeasure.cylinder import c_complement, c_contains, c_normalize, c_runs, exceeds_budget
 
 F = Fraction
 
@@ -263,6 +263,34 @@ def test_budget_guards(ctx_k2s2):
     assert len(a.intersect(b).rectangles) == 4
 
 
+def test_budget_counts_pieces_that_pass_a_cut_unmet(ctx_k2s2):
+    # three rectangles pinned at x0=0 pass the cut x0=1 without meeting it
+    ctx = ctx_k2s2
+    a = CylinderSet.build(ctx, [
+        make_rectangle(ctx, {0: constraint_in([0]), v: constraint_in([0])}) for v in (1, 2, 3)
+    ])
+    b = single_site(ctx, 0, 1)
+    assert a.subtract(b, budget=3).rectangles == a.rectangles
+    with pytest.raises(BudgetError):
+        a.subtract(b, budget=2)
+
+
+def test_exceeds_budget_at_its_edges():
+    assert not exceeds_budget(2, 24, 2**24) and exceeds_budget(2, 25, 2**24)
+    assert not exceeds_budget(3, 15, 3**15) and exceeds_budget(3, 15, 3**15 - 1)
+    assert exceeds_budget(2, 0, 0) and not exceeds_budget(2, 0, 1)
+    assert not exceeds_budget(1, 10**20, 1)
+    # a power with 10**20 bits is never built
+    assert exceeds_budget(2, 10**20, 2**24)
+
+
+def test_atoms_on_a_huge_tree_exceed_the_budget():
+    # one pinned site leaves 10**20 free sites on the depth-1 ball
+    ctx = Context(TreeGeometry(10**20), SpinSet.finite(2))
+    with pytest.raises(BudgetError):
+        single_site(ctx, 1, 0).atoms(1)
+
+
 def test_canonical_key_normalizes_constraints(ctx_k2s2):
     ctx = ctx_k2s2
     # over a finite alphabet, notin constraints normalize to in form
@@ -446,3 +474,14 @@ def test_subset_of_never_true_past_its_budget():
         omega(ctx).subset_of(whole, budget=1)
     with pytest.raises(BudgetError):
         omega(ctx).semantic_equal(whole, budget=1)
+
+
+def test_random_cylinder_over_the_naturals(nat_ctx):
+    events = [random_cylinder(nat_ctx, random.Random(5)) for _ in range(2)]
+    assert events[0] == events[1]
+    rng = random.Random(5)
+    events = [random_cylinder(nat_ctx, rng) for _ in range(40)]
+    assert all(1 <= len(e.rectangles) <= 3 and e.base_depth <= 2 for e in events)
+    constraints = [c for e in events for r in e.rectangles for _, c in r.items]
+    assert {c.mode for c in constraints} == {"in", "notin"}
+    assert all(max(c.values) < 8 for c in constraints)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from treemeasure import measure as measure_module
 from treemeasure import (
     BudgetError,
     Context,
@@ -430,6 +431,23 @@ def test_dense_table_budget(chain_fam, counting_fam):
     # a naturals measure cannot materialize a dense table
     with pytest.raises(SpinRangeError):
         counting_fam.measure(1).dense_table()
+
+
+def test_dense_table_passes_its_budget(monkeypatch):
+    # 4**13 atoms on the depth-12 ball of a path: within 2**26, past the
+    # default budget of 2**24
+    ctx = Context(TreeGeometry(1, 12), SpinSet.finite(4))
+    fam = markov_family(ctx, [F(1, 4)] * 4, [[F(1, 4)] * 4] * 4)
+    seen = []
+
+    def spy(mu, i, budget):
+        seen.append(budget)
+        return {}
+
+    monkeypatch.setattr(measure_module, "_enumerate_marginal", spy)
+    fam.measure(12).dense_table(budget=2**26)
+    marginal_table(fam, [24], budget=2**26)
+    assert seen == [2**26, 2**26]
 
 
 def test_inconclusive_value_render():
