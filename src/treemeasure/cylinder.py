@@ -233,7 +233,7 @@ def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
     # kept on the constraint, which is immutable; callers only read the list
     runs = getattr(c, "_runs", None)
     if runs is None:
-        values = sorted(c.values)
+        values = c.key()[1]
         runs = _runs(values) if c.mode == IN else _gaps(values)
         object.__setattr__(c, "_runs", runs)
     return runs
@@ -248,7 +248,7 @@ def render_atom(site: int, mode: str, values) -> str:
 
 
 def c_render(c: SiteConstraint, site: int) -> str:
-    return render_atom(site, c.mode, sorted(c.values))
+    return render_atom(site, c.mode, c.key()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,6 @@ class CylinderSet:
                 lvl = level(r.items[-1][0])
                 if lvl > depth:
                     depth = lvl
-        ctx.tree.check_depth(depth)
         return CylinderSet(ctx, ordered, depth)
 
     # -- predicates ---------------------------------------------------------
@@ -598,19 +597,17 @@ class CylinderSet:
         size = self.ctx.tree.ball_size(n)
         s = self.ctx.spins.size
         rects = self.disjoint_rectangles()
-        if rects and exceeds_budget(s, size, budget):
-            # a rectangle's atoms: its pinned choices times s per free site
-            if (any(exceeds_budget(s, size - len(r.items), budget) for r in rects)
-                    or self.atom_count(n) > budget):
-                raise BudgetError(f"atom budget {budget} exceeded at depth {n}")
-        tuples: set[tuple[int, ...]] = set()
+        # a walk visits every site; a rectangle's atoms are its pinned choices
+        # times s per free site, and disjoint rectangles share none
+        if rects and (size > budget
+                      or any(exceeds_budget(s, size - len(r.items), budget) for r in rects)
+                      or self.atom_count(n) > budget):
+            raise BudgetError(f"atom budget {budget} exceeded at depth {n}")
+        tuples = []
         for r in rects:
             at = dict(r.items)
-            choices = [sorted(at[v].values) if v in at else range(s) for v in range(size)]
-            for combo in itertools.product(*choices):
-                tuples.add(combo)
-                if len(tuples) > budget:
-                    raise BudgetError(f"atom budget {budget} exceeded at depth {n}")
+            choices = [at[v].key()[1] if v in at else range(s) for v in range(size)]
+            tuples += itertools.product(*choices)
         return [Configuration.on_ball(self.ctx, n, t) for t in sorted(tuples)]
 
     def canonical_key(self):
@@ -619,7 +616,8 @@ class CylinderSet:
     def render(self) -> str:
         if self.is_empty():
             return "empty"
-        if self.is_omega():
+        # one rectangle is omega only when it constrains nothing: it renders so
+        if len(self.rectangles) > 1 and self.is_omega():
             return "omega"
         return " | ".join(r.render() for r in self.rectangles)
 

@@ -42,7 +42,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .cylinder import (
     DEFAULT_ATOM_BUDGET,
@@ -700,10 +700,10 @@ class VolumeMeasure:
                 self.ctx, i, DenseTableForm(_regroup(form.table, lambda key: key[:cut]))
             )
         if isinstance(form, ProductForm):
-            cut = self.ctx.tree.ball_size(i)
-            scalar = Fraction(1)
-            for v in range(cut, self._ball()):
-                scalar = value_mul(scalar, form.weight_at(v).sum_all())
+            cut, ball = self.ctx.tree.ball_size(i), self._ball()
+            dropped = [w.sum_all() for v, w in form.overrides.items() if cut <= v < ball]
+            free = value_pow(form.default.sum_all(), ball - cut - len(dropped))
+            scalar = reduce(value_mul, dropped, free)
             if scalar == INFINITE:
                 raise MassError("marginal diverges: dropped site weights are not summable")
             over = {v: w for v, w in form.overrides.items() if v < cut}
@@ -738,11 +738,18 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     s = ctx.spins.size
     full = ctx.tree.ball_size(mu.depth)
     t = ctx.tree.ball_size(i)
-    if exceeds_budget(s, full, budget):
+    if full > budget or exceeds_budget(s, full, budget):
         raise BudgetError(f"enumeration of {s}**{full} atoms exceeds budget {budget}")
     form = mu.form
     if isinstance(form, DenseTableForm):
         return _regroup(form.table, lambda key: key[:t])
+    if s == 1:  # one atom, spin 0 at every site: its rows' spin-0 entries multiplied
+        if isinstance(form, ProductForm):
+            over = [w.prefix[0] for v, w in form.overrides.items() if v < full]
+            weight = form.default.prefix[0] ** (full - len(over)) * math.prod(over)
+        else:
+            weight = form.lam.prefix[0] * form.kernel.matrix[0][0] ** (full - 1)
+        return {(0,) * t: weight} if weight else {}
     # rows[v][p]: the weights of v's spins given its parent's spin p.  A
     # product form's rows ignore p, and so do the root's, which reads its own
     # spin slot in place of a parent's.
@@ -1002,7 +1009,7 @@ def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyRepor
     s = ctx.spins.size
     achieved = 0
     for j in range(1, depth + 1):
-        if exceeds_budget(s, ctx.tree.ball_size(j), budget):
+        if (size := ctx.tree.ball_size(j)) > budget or exceeds_budget(s, size, budget):
             return ConsistencyReport(
                 requested, achieved, None, "enumeration", budget_limited=True
             )

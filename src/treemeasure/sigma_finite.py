@@ -11,7 +11,7 @@ with its verdict vocabulary, and the checks that make a cover trustworthy.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cylinder import (
@@ -51,7 +51,6 @@ from .measure import (
 DEFAULT_TOLERANCE = Fraction(1, 2**40)
 DEFAULT_TERM_BUDGET = 10**6
 DEFAULT_DIVERGENCE_BOUND = Fraction(1000)
-PARTIAL_TRACE_LIMIT = 16
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,6 @@ class SigmaValue:
     tail_bound: Fraction | None = None
     terms_used: int = 0
     bound: Fraction | None = None
-    partials: tuple = ()
 
     def render(self) -> str:
         if self.kind == "exact":
@@ -330,8 +328,8 @@ class SigmaFiniteExtension:
     kernel (the "closed-row" chains of `check_consistency`) takes one chain
     pass per disjoint rectangle of the event, then reads each partial sum
     mu(E & {x0 < n}) in closed form: O(log n) of them locate the term where
-    the loop would stop, 16 more give the recorded partials.  The result is
-    the SigmaValue the loop returns, field for field.  Every other cover
+    the loop would stop.  The result is the SigmaValue the loop returns,
+    field for field.  Every other cover
     (explicit lists, slices at other sites), every other family (products,
     tables, non-stochastic kernels) and the empty event sum one term at a
     time, each term an `intersect` and an `ExtensionHandle.mu`.  Terms of
@@ -395,14 +393,8 @@ class SigmaFiniteExtension:
         def total_after(i: int):
             return below((i + 1) * block)
 
-        def partials(terms: int) -> tuple:
-            return tuple(total_after(i) for i in range(min(terms, PARTIAL_TRACE_LIMIT)))
-
         if top is not None:
-            terms = top + 1
-            return SigmaValue(
-                "exact", total_after(top), terms_used=terms, partials=partials(terms)
-            )
+            return SigmaValue("exact", total_after(top), terms_used=top + 1)
         lam0 = self.handle.family.measure(0).form.lam
         finite_mass = self.handle.family.mass(0) != INFINITE
 
@@ -418,11 +410,8 @@ class SigmaFiniteExtension:
             range(lo, min(hi, budget)), True, key=lambda i: stop(i) is not None
         )
         if first == budget:
-            return SigmaValue(
-                "inconclusive", below(budget * block), terms_used=budget,
-                partials=partials(budget),
-            )
-        return replace(stop(first), partials=partials(first + 1))
+            return SigmaValue("inconclusive", below(budget * block), terms_used=budget)
+        return stop(first)
 
     def value(self, event: CylinderSet) -> SigmaValue:
         if event.ctx != self.handle.ctx:
@@ -436,21 +425,17 @@ class SigmaFiniteExtension:
         terms = top + 1 if top is not None else max(self.term_budget, 0)
         mass = self.handle.family.mass(0) if top is None else None
         remaining = mass if mass != INFINITE else None
-        partials = []
         total = Fraction(0)
         for i in range(terms):
             total = value_add(total, self._term(event, i))
-            if len(partials) < PARTIAL_TRACE_LIMIT:
-                partials.append(total)
             if top is not None:
                 continue
             if remaining is not None:
                 remaining = value_sub(remaining, self.handle.mu(self.cover.part(i)))
             verdict = self._stop(i, total, remaining)
             if verdict is not None:
-                return replace(verdict, partials=tuple(partials))
-        kind = "exact" if top is not None else "inconclusive"
-        return SigmaValue(kind, total, terms_used=terms, partials=tuple(partials))
+                return verdict
+        return SigmaValue("exact" if top is not None else "inconclusive", total, terms_used=terms)
 
     def mass(self) -> SigmaValue:
         return self.value(omega(self.handle.ctx))

@@ -563,6 +563,29 @@ def test_huge_tree_order_exits_inconclusive(capsys, tmp_path, spins, argv):
         assert payload is None and err.startswith("budget exceeded: ")
 
 
+@pytest.mark.parametrize("k, argv, code", [
+    (2, ["consistency", "--depth", "10"], 0),
+    (10**20, ["consistency", "--depth", "1"], 3),
+    (10**20, ["probe-empty"], 3),
+], ids=["k2-consistency-depth10", "huge-consistency", "huge-probe-empty"])
+def test_one_spin_alphabet_ends_in_a_value_or_exit_3(capsys, tmp_path, k, argv, code):
+    # one spin passes every atom gate (1**n is 1), so the walk over a ball's
+    # sites is gated on its own; the single atom needs no walk
+    spec = tmp_path / "one_spin.spec"
+    spec.write_text(f"[tree]\nk = {k}\nmax_depth = 12\n[spins]\nkind = finite\nsize = 1\n"
+                    "[family]\nkind = markov\nlambda = 1\nP = 1\n")
+    start = time.perf_counter()
+    got, payload, err = run_cli(capsys, *argv, "--spec", str(spec))
+    assert time.perf_counter() - start < 1
+    assert got == code
+    if argv[0] == "consistency":
+        assert payload["ok"] is True
+        assert (payload["budget_limited"], payload["verified_depth"]) == (
+            (False, 10) if code == 0 else (True, 0))
+    else:
+        assert payload is None and err.startswith("budget exceeded: ")
+
+
 def test_entrypoint_exits_with_the_command_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "argv", ["treemeasure", "validate", "--spec", CHAIN, "--json"])
     with pytest.raises(SystemExit) as exc:

@@ -94,6 +94,17 @@ def test_field_operations_match_set_oracle(ctx_k2s2):
             assert a.contains(atom) == (atom in sa)
 
 
+def test_atoms_list_each_atom_once(ctx_k2s2):
+    # the seeded unions of the set-oracle test, whose set comparison would
+    # hide a duplicate atom
+    ctx = ctx_k2s2
+    rng = random.Random(411)
+    for _ in range(40):
+        for count in (rng.randint(1, 3), rng.randint(1, 3)):
+            a = build_from(ctx, random_mappings(ctx, rng, 2, count))
+            assert len(a.atoms(2)) == a.atom_count(2)
+
+
 def test_disjoint_rectangles_partition(ctx_k2s2):
     ctx = ctx_k2s2
     rng = random.Random(97)
@@ -291,6 +302,18 @@ def test_atoms_on_a_huge_tree_exceed_the_budget():
         single_site(ctx, 1, 0).atoms(1)
 
 
+def test_atoms_refuse_a_walk_over_more_sites_than_the_budget():
+    # over one spin the site's constraint normalizes away: one atom, but a
+    # walk over all 10**20 + 1 sites of the depth-1 ball
+    ctx = Context(TreeGeometry(10**20), SpinSet.finite(1))
+    with pytest.raises(BudgetError):
+        single_site(ctx, 1, 0).atoms(1)
+    small = Context(TreeGeometry(2), SpinSet.finite(1))
+    assert [a.values for a in omega(small).atoms(1)] == [(0, 0, 0, 0)]
+    with pytest.raises(BudgetError):
+        omega(small).atoms(1, budget=3)
+
+
 def test_canonical_key_normalizes_constraints(ctx_k2s2):
     ctx = ctx_k2s2
     # over a finite alphabet, notin constraints normalize to in form
@@ -308,6 +331,22 @@ def test_render_smoke(ctx_k2s2):
     assert empty_set(ctx).render() == "empty"
     assert omega(ctx).render() == "omega"
     assert "x1" in single_site(ctx, 1, 0).render()
+
+
+def test_render_decides_omega_only_for_unions(ctx_k2s2, monkeypatch):
+    ctx = ctx_k2s2
+    assert single_site(ctx, 0, 0).union(single_site(ctx, 0, 1)).render() == "omega"
+
+    def refuse(self):
+        raise AssertionError("is_omega called")
+
+    monkeypatch.setattr(CylinderSet, "is_omega", refuse)
+    pinned = from_constraints(ctx, {0: constraint_in([0]), 2: constraint_not_in([0])})
+    assert pinned.render() == "x0=0 & x2=1"
+    nat = Context(TreeGeometry(2), SpinSet.naturals())
+    assert from_constraints(nat, {1: constraint_not_in([3])}).render() == "x1 notin {3}"
+    assert omega(ctx).render() == "omega"
+    assert empty_set(ctx).render() == "empty"
 
 
 def test_runs_match_membership():

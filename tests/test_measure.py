@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,64 @@ def test_project_product_folds_dropped_mass(ctx_k2s2):
     mu0 = mu1.project(0)
     assert mu0.dense_table() == {(0,): F(27, 16), (1,): F(27, 8)}
     assert mu0.mass() == mu1.mass() == F(81, 16)
+
+
+def test_product_projection_costs_what_its_overrides_cost():
+    # the depth-30 ball has 3 * 2**30 - 2 sites; every dropped site carries
+    # the default row sum 1 except two overrides, with sums 2 and 1/3
+    ctx = Context(TreeGeometry(2, 30), SpinSet.finite(2))
+    deep = ctx.tree.ball_size(29) + 5
+    fam = product_family(ctx, [F(1, 2), F(1, 2)], overrides={
+        2: (F(1, 4), F(3, 4)), 7: (F(1), F(1)), deep: (F(1, 6), F(1, 6))})
+    start = time.perf_counter()
+    mu1 = fam.measure(30).project(1)
+    assert time.perf_counter() - start < 1
+    assert mu1.mass() == F(2, 3)
+    assert mu1.dense_table() == {
+        key: F(2, 3) * w for key, w in fam.measure(1).dense_table().items()
+    }
+
+
+def test_scaled_product_matches_atom_weight_sums(ctx_k2s2):
+    ctx = ctx_k2s2
+    fam = product_family(ctx, [F(1, 2), F(1, 2)],
+                         overrides={0: (F(1, 3), F(2, 3)), 4: (F(1, 5), F(3, 5))})
+    c = F(5, 2)
+    scaled = scale(fam, c)
+    events = [
+        omega(ctx), single_site(ctx, 0, 1), single_site(ctx, 2, 0),
+        from_constraints(ctx, {1: constraint_in([1]), 4: constraint_not_in([0])}),
+    ]
+    for n in range(3):
+        mu, base = scaled.measure(n), fam.measure(n)
+        for event in (e for e in events if e.base_depth <= n):
+            ball = itertools.product(range(2), repeat=ctx.tree.ball_size(n))
+            atoms = [a for a in ball if event.contains(a)]
+            value = mu.measure_of(event)
+            assert value == sum((mu.atom_weight(a) for a in atoms), F(0))
+            assert value == c * sum((base.atom_weight(a) for a in atoms), F(0))
+
+
+def test_one_spin_enumeration_is_the_single_atom():
+    # the enumeration's one atom against the evaluators' mass; a walk over
+    # more sites than the budget is refused
+    ctx = Context(TreeGeometry(2, 12), SpinSet.finite(1))
+    families = [
+        markov_family(ctx, [F(1, 2)], [[F(2, 3)]]),
+        product_family(ctx, [F(3, 2)], overrides={0: [F(1, 5)], 5: [F(0)]}),
+        product_family(ctx, [F(3, 2)], overrides={0: [F(1, 5)], 5: [F(2)]}),
+    ]
+    for fam in families:
+        for n in range(4):
+            mu = fam.measure(n)
+            mass = mu.mass()
+            assert mu.dense_table() == ({(0,) * ctx.tree.ball_size(n): mass} if mass else {})
+            with pytest.raises(BudgetError):
+                mu.dense_table(budget=ctx.tree.ball_size(n) - 1)
+    assert check_consistency(families[0], 10).violation.j == 1
+    huge = Context(TreeGeometry(10**20), SpinSet.finite(1))
+    with pytest.raises(BudgetError):
+        markov_family(huge, [F(1)], [[F(1)]]).measure(1).dense_table()
 
 
 def test_consistency_of_stochastic_chain(chain_fam):

@@ -508,21 +508,18 @@ def term_loop_value(handle, cover, event, tolerance=DEFAULT_TOLERANCE,
         return F(0) if piece.is_empty() else handle.mu(piece)
 
     def result(kind, total, terms, **extra):
-        return SigmaValue(kind, total, terms_used=terms, partials=tuple(partials[:16]), **extra)
+        return SigmaValue(kind, total, terms_used=terms, **extra)
 
-    partials = []
     total = F(0)
     top = cover.support_bound(event)
     if top is not None:
         for i in range(top + 1):
             total = value_add(total, term(i))
-            partials.append(total)
         return result("exact", total, top + 1)
     mass = handle.family.mass(0)
     covered = F(0)
     for i in range(term_budget):
         total = value_add(total, term(i))
-        partials.append(total)
         if total == INFINITE:
             return result("exact", INFINITE, i + 1)
         if total > bound:
@@ -652,4 +649,25 @@ def test_closed_form_cover_sum_reaches_every_verdict(counting_fam, nat_ctx):
     diverges = ext.value(event)
     assert diverges == term_loop_value(handle, ext.cover, event, term_budget=20_000)
     assert (diverges.kind, diverges.terms_used, diverges.total) == ("diverges", 2001, F(2001, 2))
-    assert diverges.partials == tuple(F(i + 1, 2) for i in range(16))
+
+
+def test_root_slice_sums_match_the_running_totals(counting_fam, nat_ctx):
+    # the closed form reads the total after term i as below((i + 1) * block):
+    # after each of the first 16 terms it is the term loop's running total
+    cases = [(counting_handle(counting_fam), [single_site(nat_ctx, 1, 0)])]
+    for name in sorted(STOCHASTIC_NAT_FAMILIES):
+        lam, kernel = STOCHASTIC_NAT_FAMILIES[name]
+        ctx = Context(TreeGeometry(2, 6), SpinSet.naturals())
+        handle = ExtensionHandle.issue(markov_family(ctx, lam, kernel), verify_depth=2)
+        events = [omega(ctx), single_site(ctx, 1, 0), single_site(ctx, 0, 2)]
+        cases.append((handle, events + seeded_events(ctx, random.Random(name), 16)))
+    for handle, events in cases:
+        for event in events:
+            below = handle.family.measure(event.base_depth).root_slice_sums(event)
+            for block in (1, 2, 3):
+                cover = slice_cover(handle.ctx, 0, block)
+                total = F(0)
+                for i in range(16):
+                    piece = event.intersect(cover.part(i))
+                    total = value_add(total, F(0) if piece.is_empty() else handle.mu(piece))
+                    assert below((i + 1) * block) == total, (event.render(), block, i)
