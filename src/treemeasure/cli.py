@@ -176,7 +176,7 @@ def _emit(args, payload: dict, summary: list[str]) -> None:
 
 def _events_from_args(args, built):
     if args.event:
-        return [(text, compile_event(built.ctx, text)) for text in args.event]
+        return [compile_event(built.ctx, text) for text in args.event]
     rng = random.Random(args.seed)
     events = []
     for _ in range(8):
@@ -186,8 +186,7 @@ def _events_from_args(args, built):
             top = built.ctx.spins.size - 1
             lo, hi = min(lo, top), min(hi, top)
         values = range(lo, hi + 1)
-        event = from_constraints(built.ctx, {0: constraint_in(values)})
-        events.append((event.render(), event))
+        events.append(from_constraints(built.ctx, {0: constraint_in(values)}))
     return events
 
 
@@ -357,12 +356,10 @@ def cmd_covers_compare(args) -> int:
     second = _cover_of(built, args.cover[1])
     handle = _handle(built)
     events = _events_from_args(args, built)
-    report = cover_independence(
-        handle, first, second, [e for _, e in events], **_sigma_options(args)
-    )
+    report = cover_independence(handle, first, second, events, **_sigma_options(args))
     records = []
     inconclusive = False
-    for (text, _), rec in zip(events, report.records):
+    for rec in report.records:
         records.append({
             "event": rec.event.render(),
             "first": _sigma_json(rec.first),
@@ -393,7 +390,7 @@ def cmd_cover_sum(args) -> int:
     cover = _cover_of(built, args.cover)
     handle = _handle(built)
     events = _events_from_args(args, built)
-    report = cover_sum_check(handle, cover, [e for _, e in events], **_sigma_options(args))
+    report = cover_sum_check(handle, cover, events, **_sigma_options(args))
     records = [
         {
             "event": rec.event.render(),

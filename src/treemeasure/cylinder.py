@@ -37,6 +37,14 @@ def exceeds_budget(s: int, n: int, budget: int) -> bool:
     return True
 
 
+def _count_atoms(rects, size: int, s: int) -> int:
+    """Atoms on `size` sites over s spins in the disjoint `rects`: each one's
+    pinned choices times s per free site (over finite spins every normalized
+    constraint is an "in" set)."""
+    return sum(math.prod(len(c.values) for _, c in r.items) * s ** (size - len(r.items))
+               for r in rects)
+
+
 IN = "in"
 NOT_IN = "notin"
 
@@ -579,13 +587,8 @@ class CylinderSet:
             raise ValueError("enumeration depth below base depth")
         if not self.ctx.spins.is_finite:
             raise SpinRangeError("cannot count atoms over the denumerable spin set")
-        size = self.ctx.tree.ball_size(n)
-        s = self.ctx.spins.size
-        # over finite spins every normalized constraint is an "in" set
-        return sum(
-            math.prod(len(c.values) for _, c in r.items) * s ** (size - len(r.items))
-            for r in self.disjoint_rectangles()
-        )
+        return _count_atoms(self.disjoint_rectangles(), self.ctx.tree.ball_size(n),
+                           self.ctx.spins.size)
 
     def atoms(self, n: int | None = None, budget: int = DEFAULT_ATOM_BUDGET) -> list[Configuration]:
         """All depth-n base configurations in the set, lexicographic order."""
@@ -601,7 +604,7 @@ class CylinderSet:
         # times s per free site, and disjoint rectangles share none
         if rects and (size > budget
                       or any(exceeds_budget(s, size - len(r.items), budget) for r in rects)
-                      or self.atom_count(n) > budget):
+                      or _count_atoms(rects, size, s) > budget):
             raise BudgetError(f"atom budget {budget} exceeded at depth {n}")
         tuples = []
         for r in rects:

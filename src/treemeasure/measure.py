@@ -36,7 +36,6 @@ Values are Fraction or the float infinity for a diverging mass.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import sys
@@ -75,20 +74,14 @@ INFINITE = math.inf
 
 
 def value_add(a, b):
-    if type(a) is Fraction and type(b) is Fraction:
-        return a + b
     if type(a) is float or type(b) is float:
         return INFINITE
     return a + b
 
 
 def value_mul(a, b):
-    if type(a) is Fraction and type(b) is Fraction:
-        return a * b
-    if a == 0 or b == 0:
-        return Fraction(0)
     if type(a) is float or type(b) is float:
-        return INFINITE
+        return Fraction(0) if a == 0 or b == 0 else INFINITE
     return a * b
 
 
@@ -944,17 +937,8 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
 def random_consistent_family(ctx: Context, seed: int, depth: int,
                              budget: int = DEFAULT_ATOM_BUDGET) -> MeasureFamily:
     """Seeded random dense family at `depth`, consistent by construction."""
-    if not ctx.spins.is_finite:
-        raise SpinRangeError("random dense families need a finite spin set")
-    s = ctx.spins.size
-    size = ctx.tree.ball_size(depth)
-    if exceeds_budget(s, size, budget):
-        raise BudgetError(f"random family of {s}**{size} atoms exceeds budget {budget}")
     rng = random.Random(seed)
-    table = {
-        key: Fraction(rng.randint(1, 96), 96)
-        for key in itertools.product(range(s), repeat=size)
-    }
+    table = {a.values: Fraction(rng.randint(1, 96), 96) for a in omega(ctx).atoms(depth, budget)}
     return table_family(ctx, depth, table, label=f"random(seed={seed})")
 
 
@@ -1006,16 +990,16 @@ def check_consistency(fam: MeasureFamily, depth: int,
 
 def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyReport:
     ctx = fam.ctx
-    s = ctx.spins.size
     achieved = 0
     for j in range(1, depth + 1):
-        if (size := ctx.tree.ball_size(j)) > budget or exceeds_budget(s, size, budget):
+        # depth j - 1 already matches every shallower depth, so matching it
+        # implies the rest
+        try:
+            projected = _enumerate_marginal(fam.measure(j), j - 1, budget)
+        except BudgetError:
             return ConsistencyReport(
                 requested, achieved, None, "enumeration", budget_limited=True
             )
-        # depth j - 1 already matches every shallower depth, so matching it
-        # implies the rest
-        projected = _enumerate_marginal(fam.measure(j), j - 1, budget)
         reference = fam.measure(j - 1).dense_table(budget)
         for key in sorted(set(projected) | set(reference)):
             lhs = projected.get(key, Fraction(0))

@@ -610,11 +610,9 @@ class NormalizedExtension:
     the probability values.
     """
 
-    def __init__(self, total: Fraction, base: ExtensionHandle | None,
-                 source: ExtensionHandle):
+    def __init__(self, total: Fraction, base: ExtensionHandle | None):
         self.total = total
         self.base = base
-        self.source = source
 
     def mu(self, event: CylinderSet, at_depth: int | None = None):
         if self.base is None:
@@ -642,10 +640,10 @@ def normalized_extension(handle: ExtensionHandle) -> NormalizedExtension:
         raise MassError(f"family masses disagree across depths: {rendered}")
     total = masses[0]
     if total == 0:
-        return NormalizedExtension(Fraction(0), None, handle)
+        return NormalizedExtension(Fraction(0), None)
     prob = scale(fam, Fraction(1) / total, kind="probability")
     base = ExtensionHandle.issue(
         prob, trusted=True,
         trust_reason="rescaling a verified family by a positive constant",
     )
-    return NormalizedExtension(total, base, handle)
+    return NormalizedExtension(total, base)

@@ -314,6 +314,22 @@ def test_atoms_refuse_a_walk_over_more_sites_than_the_budget():
         omega(small).atoms(1, budget=3)
 
 
+def test_atoms_disjoin_once(ctx_k2s2, monkeypatch):
+    # the budget gate counts the disjoint rectangles the walk already holds
+    union = single_site(ctx_k2s2, 0, 0).union(single_site(ctx_k2s2, 1, 1))
+    union = union.union(single_site(ctx_k2s2, 2, 0))
+    calls = []
+    disjoin = CylinderSet.disjoint_rectangles
+
+    def spy(self, *args):
+        calls.append(self)
+        return disjoin(self, *args)
+
+    monkeypatch.setattr(CylinderSet, "disjoint_rectangles", spy)
+    assert len(union.atoms(1)) == 14
+    assert len(calls) == 1
+
+
 def test_canonical_key_normalizes_constraints(ctx_k2s2):
     ctx = ctx_k2s2
     # over a finite alphabet, notin constraints normalize to in form

@@ -54,6 +54,17 @@ def test_value_arithmetic_conventions():
     assert value_sub(F(1), F(1, 4)) == F(3, 4)
 
 
+def test_value_arithmetic_int_operands_and_zero_times_infinity():
+    assert value_add(1, F(1, 2)) == F(3, 2)
+    assert value_add(2, INFINITE) == INFINITE
+    assert value_mul(3, F(1, 6)) == F(1, 2)
+    assert value_mul(0, F(5)) == 0
+    assert value_mul(2, INFINITE) == INFINITE
+    assert value_mul(0, INFINITE) == 0
+    for zero_times_infinity in (value_mul(F(0), INFINITE), value_mul(INFINITE, F(0))):
+        assert type(zero_times_infinity) is Fraction and zero_times_infinity == 0
+
+
 def test_natseq_sums():
     geo = NatSeq.geometric(F(1, 2), F(1, 2))
     assert geo.value_at(0) == F(1, 2)
@@ -460,6 +471,30 @@ def test_random_consistent_family_deterministic(ctx_k2s2):
     assert ta == b.measure(2).dense_table()
     assert ta != c.measure(2).dense_table()
     assert check_consistency(a, 2).ok
+
+
+def test_random_consistent_family_draws_in_atom_order(ctx_k2s2):
+    # the weights follow the atoms' lexicographic order, seed by seed
+    table = random_consistent_family(ctx_k2s2, 71, 1).measure(1).dense_table()
+    assert sorted(table.items())[:4] == [
+        ((0, 0, 0, 0), F(7, 16)),
+        ((0, 0, 0, 1), F(11, 16)),
+        ((0, 0, 1, 0), F(5, 6)),
+        ((0, 0, 1, 1), F(1, 48)),
+    ]
+
+
+def test_random_consistent_family_one_spin_walks_are_budgeted():
+    # one atom, but a walk over 10**20 + 2 sites, or over 12,286 sites
+    # against a budget of 1000
+    started = time.perf_counter()
+    with pytest.raises(BudgetError):
+        random_consistent_family(Context(TreeGeometry(10**20), SpinSet.finite(1)), 1, 1)
+    with pytest.raises(BudgetError):
+        random_consistent_family(
+            Context(TreeGeometry(2, 40), SpinSet.finite(1)), 1, 12, budget=1000
+        )
+    assert time.perf_counter() - started < 1
 
 
 def test_scale_family(chain_fam, ctx_k2s2):
