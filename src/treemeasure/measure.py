@@ -12,14 +12,19 @@ over the constrained sites and the overrides, and raises the default row sum
 to the number of remaining sites.  The chain forms make one bottom-up
 sum-product pass over the rectangle's skeleton: its constrained sites and
 their ancestors, O(c * d) nodes for c constrained sites at depth at most d,
-each with O(log d) index arithmetic.  Each node costs O(s^2) Fraction
-operations over s finite spins (over the naturals, in the kernel's explicit
-rows and the values the constraints name).  When k = 1 or the kernel is
-stochastic, only the root, the constrained sites and their branch points
-(at most 2c nodes) do that work: an unconstrained path of L levels between
-two of them is the kernel's L-th power, applied as popcount(L)
-matrix-vector products through binary powers cached on the kernel.  Every
-free child subtree is a memoized factor of its height; on a path (k = 1) it
+each with O(log d) index arithmetic.  The pass runs on integers: the kernel
+is kept as an integer matrix over the least common denominator of its
+entries, and a function of a spin as a tuple of ints over one shared
+denominator, so each node costs O(s^2) int multiplications over s finite
+spins (over the naturals, in the kernel's explicit rows and the values the
+constraints name) and no gcd.  The root step reduces the result to a
+Fraction once per rectangle, by gcds against the small number whose primes
+the denominator is made of.  When k = 1 or the kernel is stochastic, only
+the root, the constrained sites and their branch points (at most 2c nodes)
+do that work: an unconstrained path of L levels between two of them is the
+kernel's L-th power, applied as popcount(L) matrix-vector products through
+integer binary powers cached on the kernel.  Every free child subtree is a
+memoized factor of its height, kept in lowest terms; on a path (k = 1) it
 is itself one kernel power.
 
 Over the naturals no cost grows with the width of a value range.  A
@@ -116,6 +121,93 @@ def render_value(v) -> str:
             return str(Fraction(v))
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+# ---------------------------------------------------------------------------
+# integers over a common denominator
+#
+# The chain pass runs on ints.  A function of a spin is a pair (nums, den):
+# a tuple of ints over one shared denominator.  Over the naturals an entry
+# may be INFINITE, a sentinel that keeps the value algebra's rules: 0 *
+# INFINITE = 0, and a sum with an INFINITE term is INFINITE.  Plain int *
+# float would make 0 * INFINITE nan and overflow on an int past the float
+# range, so entries meet through `_mul` and `_dot`.
+
+
+def _scaled_rows(rows) -> tuple[tuple, int]:
+    """Rows of non-negative rationals as integer rows over their least
+    common denominator d: (integer rows, d).  INFINITE entries stay."""
+    d = math.lcm(*(x.denominator for row in rows for x in row if type(x) is not float))
+    return tuple(
+        tuple(x if type(x) is float else x.numerator * (d // x.denominator) for x in row)
+        for row in rows
+    ), d
+
+
+def _mul(a, b):
+    if type(a) is float or type(b) is float:
+        return INFINITE if a and b else 0
+    return a * b
+
+
+def _dot(row, vec):
+    terms = list(map(_mul, row, vec))
+    return INFINITE if INFINITE in terms else sum(terms)
+
+
+def _power(vec: tuple, e: int) -> tuple:
+    nums, den = vec
+    return tuple(x**e for x in nums), den**e
+
+
+def _product(vecs: list) -> tuple:
+    nums, den = vecs[0]
+    for other, d in vecs[1:]:
+        nums = tuple(map(_mul, nums, other))
+        den *= d
+    return nums, den
+
+
+def _common_factor(base: int, d: int, nums) -> int:
+    """gcd of d > 0 and the int entries of nums, where every prime factor of
+    d divides `base`.  It is gcd(base ** (2 ** j), d, *nums) at the first j
+    where that stops growing.  Each of those gcds takes the power of `base`
+    first, which is never larger than the common factor squared, so the cost
+    grows with that factor; a gcd of d with a numerator grows with the square
+    of their size."""
+    ints = [x for x in nums if type(x) is int]
+    common, power = 1, base
+    while True:
+        g = math.gcd(power, d, *ints)
+        if g == common:
+            return g
+        common, power = g, power * power
+
+
+def _reduced(vec: tuple, base: int) -> tuple:
+    """(nums, den) with the factor its entries share with den divided out;
+    every prime factor of den divides `base`."""
+    nums, den = vec
+    c = _common_factor(base, den, nums)
+    if c == 1:
+        return vec
+    return tuple(x if type(x) is float else x // c for x in nums), den // c
+
+
+def _divided(x, d: int, base: int):
+    """The value x / d, for an int d > 0 whose prime factors all divide
+    `base`.  Fraction's own division would pay a gcd of x's numerator with d
+    whole: 0.3 ms at 12,000 bits and 0.27 s at 393,000 bits (CPython 3.11,
+    one core of an x86-64 Xeon).  Here the common factor comes from
+    `_common_factor`, and the pair left is coprime, so it is stored as it
+    is, the way Fraction's own `__pow__` stores its results."""
+    if type(x) is float or d == 1 or not x:
+        return x
+    n = x.numerator
+    c = _common_factor(base, d, (n,))
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = n // c, x.denominator * (d // c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +418,66 @@ class TransitionKernel:
         )
 
     @cached_property
+    def _scaled(self) -> tuple[tuple, int]:
+        """(M, D): transfer_matrix as the integer matrix M over D, the least
+        common denominator of its entries."""
+        return _scaled_rows(self.transfer_matrix)
+
+    @cached_property
+    def _base(self) -> int:
+        """A number that every prime factor of the pass's denominators
+        divides: D and the denominators of the rows' run sums, whose primes
+        are those of the entries and, for a geometric tail a * r ** d, of a,
+        of r and of the numerator of 1 - r."""
+        parts = [self._scaled[1]]
+        for row in self.rows:
+            parts += [x.denominator for x in row.prefix]
+            parts += [row.tail_a.denominator, row.tail_r.denominator, (1 - row.tail_r).numerator]
+        return math.lcm(*parts)
+
+    @cached_property
+    def _run_columns(self) -> dict:
+        return {}
+
+    def _runs_column(self, runs: tuple) -> tuple:
+        """(col, L) for half-open runs (lo, hi) of child spins from w =
+        uniform_from on (hi None: unbounded): row q's sum over the runs is
+        col[q] / (D * L).  When the runs are every spin from w on, col is
+        M's last column and L = 1.  Memoized per runs."""
+        cache = self._run_columns
+        if runs not in cache:
+            mat, d = self._scaled
+            if runs == ((self.uniform_from, None),):
+                cache[runs] = tuple(row[-1] for row in mat), 1
+            else:
+                (sums,), scale = _scaled_rows([[row.sum_runs(runs) for row in self.rows]])
+                cache[runs] = tuple(_mul(x, d) for x in sums), scale
+        return cache[runs]
+
+    @cached_property
     def _powers(self) -> list:
-        """transfer_matrix ** (2 ** j) at index j, grown on demand."""
-        return [self.transfer_matrix]
+        """M ** (2 ** j) at index j, grown on demand: transfer_matrix **
+        (2 ** j) is that over D ** (2 ** j)."""
+        return [self._scaled[0]]
 
     def apply_power(self, vec: tuple, n: int) -> tuple:
-        """transfer_matrix ** n applied to vec: popcount(n) matrix-vector
-        products over the cached binary powers, of which there are never
-        more than the bit length of the largest n asked for."""
+        """transfer_matrix ** n applied to vec = (nums, den): popcount(n)
+        integer matrix-vector products over the cached binary powers, of
+        which there are never more than the bit length of the largest n asked
+        for; the denominator takes D ** n."""
+        nums, den = vec
+        den *= self._scaled[1] ** n
         powers = self._powers
         j = 0
         while n:
             if j == len(powers):
-                powers.append(_matmul(powers[-1], powers[-1]))
+                cols = tuple(zip(*powers[-1]))
+                powers.append(tuple(tuple(_dot(row, col) for col in cols) for row in powers[-1]))
             if n & 1:
-                vec = _matvec(powers[j], vec)
+                nums = tuple(_dot(row, nums) for row in powers[j])
             n >>= 1
             j += 1
-        return vec
+        return nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -380,37 +514,6 @@ class MarkovForm:
         self.kernel = kernel
 
     kind = "chain"
-
-
-# vectors (functions of one spin, in tuple form) and the matrices acting on
-# them; entries may be INFINITE, so products go through the value algebra
-
-
-def _dot(row, vec):
-    acc = Fraction(0)
-    for a, b in zip(row, vec):
-        acc = value_add(acc, value_mul(a, b))
-    return acc
-
-
-def _matvec(mat, vec) -> tuple:
-    return tuple(_dot(row, vec) for row in mat)
-
-
-def _matmul(a, b) -> tuple:
-    cols = tuple(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
-
-
-def _vec_pow(vec, e: int) -> tuple:
-    return tuple(value_pow(x, e) for x in vec)
-
-
-def _vec_product(vecs: list) -> tuple:
-    out = vecs[0]
-    for vec in vecs[1:]:
-        out = tuple(value_mul(a, b) for a, b in zip(out, vec))
-    return out
 
 
 class VolumeMeasure:
@@ -510,17 +613,20 @@ class VolumeMeasure:
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
     # the rectangle.  Breadth-first indexing puts children after parents, so
     # the skeleton in descending index order is a valid bottom-up schedule.
-    # A function of a vertex's spin is a tuple: one entry per spin over
-    # finite spins; over the naturals, the values at the spins 0..w-1 and
-    # then the one value shared by every spin from w = kernel.uniform_from on,
-    # where the kernel's rows stop changing.
+    # A function of a vertex's spin is a pair (nums, den) of ints: one entry
+    # per spin over finite spins; over the naturals, the values at the spins
+    # 0..w-1 and then the one value shared by every spin from
+    # w = kernel.uniform_from on, where the kernel's rows stop changing.  The
+    # kernel steps with its integer matrix M = D * transfer_matrix, so a node
+    # costs O(s^2) int multiplications and no gcd; only the root step builds a
+    # Fraction, one per rectangle, and cached free factors are reduced once.
     #
     # An unconstrained vertex other than the root with one skeleton child
     # maps its child's factor through P * diag(F_h ** (k-1)), F_h the free
     # factor at its height h.  When k == 1 or the kernel is stochastic,
     # F_h ** (k-1) is 1 at every height, so such a vertex is pass-through:
     # the walk only counts it, and the next kept vertex applies a run of
-    # length L as P ** L from the kernel's cached binary powers.  Under any
+    # length L as M ** L from the kernel's cached binary powers.  Under any
     # other kernel every skeleton vertex is kept.
 
     def _skeleton(self, rect: Rectangle) -> list[tuple[int, int]]:
@@ -537,25 +643,29 @@ class VolumeMeasure:
                 anc = tree.ancestor_at_level(site, lvl)
         return sorted(levels.items(), reverse=True)
 
+    def _unit(self) -> tuple:
+        return (1,) * len(self.form.kernel.rows), 1
+
     def _free_factor(self, height: int) -> tuple:
         """Memoized weight of one free child subtree with `height` levels below
-        the parent, as a function of the parent spin.  On a path (k = 1) it
-        is P ** height applied to 1; otherwise missing heights are built
-        upwards from the tallest one cached."""
+        the parent, as a function of the parent spin in lowest terms.  On a
+        path (k = 1) it is P ** height applied to 1; otherwise missing heights
+        are built upwards from the tallest one cached."""
         cache = self._free_cache
         if height not in cache:
             kernel = self.form.kernel
-            unit = (Fraction(1),) * len(kernel.rows)
             k = self.ctx.tree.order
             if height == 0 or kernel.is_stochastic():
-                cache[height] = unit
+                cache[height] = self._unit()
             elif k == 1:
-                cache[height] = kernel.apply_power(unit, height)
+                cache[height] = _reduced(kernel.apply_power(self._unit(), height), kernel._base)
             else:
                 h = max((x for x in cache if x < height), default=0)
-                below = cache.get(h, unit)
+                below = cache.get(h, self._unit())
                 for h in range(h + 1, height + 1):
-                    below = cache[h] = _matvec(kernel.transfer_matrix, _vec_pow(below, k))
+                    below = cache[h] = _reduced(
+                        kernel.apply_power(_power(below, k), 1), kernel._base
+                    )
         return cache[height]
 
     def _selection(self, constraint: SiteConstraint | None, w: int):
@@ -586,10 +696,31 @@ class VolumeMeasure:
             acc = value_add(acc, value_mul(g[-1], row.sum_runs(runs)))
         return acc
 
+    def _step(self, c: SiteConstraint | None, g: tuple) -> tuple:
+        """The factor a kept vertex hands its parent: the sum of P(q, r) *
+        g(r) over the spins r its constraint c allows, as a function of the
+        parent spin q.  M weighs the allowed spins below w, the others
+        zeroed; over the naturals, runs of allowed spins from w on weigh the
+        shared g[w] by the kernel's `_runs_column`."""
+        kernel = self.form.kernel
+        mat, d = kernel._scaled
+        w = kernel.uniform_from
+        head, runs = self._selection(c, w)
+        nums, den = g
+        picked = [0] * len(nums)
+        for r in head:
+            picked[r] = nums[r]
+        out = tuple(_dot(row, picked) for row in mat)
+        if runs:
+            col, scale = kernel._runs_column(tuple(runs))
+            out = tuple(_dot((x, y), (scale, nums[w])) for x, y in zip(out, col))
+            den *= scale
+        return out, den * d
+
     def _root_factor(self, rect: Rectangle) -> tuple:
-        """g with the rectangle's value = the sum of lam(q) * g(q) over the
-        root spins q its root constraint allows: one pass over the skeleton
-        below the root."""
+        """(g, den) with the rectangle's value = the sum of lam(q) * g(q)
+        over the root spins q its root constraint allows, divided by den: one
+        pass over the skeleton below the root."""
         tree = self.ctx.tree
         k = tree.order
         constraints = rect.as_dict()
@@ -611,17 +742,17 @@ class VolumeMeasure:
             nfree = 0 if height == 0 else (k + 1 if v == 0 else k) - len(kids)
             if nfree:
                 free = self._free_factor(height)
-                fns.append(free if nfree == 1 else _vec_pow(free, nfree))
-            g = _vec_product(fns) if fns else (Fraction(1),) * len(kernel.rows)
+                fns.append(free if nfree == 1 else _power(free, nfree))
+            g = _product(fns) if fns else self._unit()
             if v == 0:
                 return g
-            sel = self._selection(c, kernel.uniform_from)
-            factor = tuple(self._weighted_sum(row, sel, g) for row in kernel.rows)
-            pending.setdefault(tree.parent(v), []).append((factor, 0))
+            pending.setdefault(tree.parent(v), []).append((self._step(c, g), 0))
 
     def _rect_value_chain(self, rect: Rectangle):
-        sel = self._selection(rect.constraint_at(0), self.form.kernel.uniform_from)
-        return self._weighted_sum(self.form.lam, sel, self._root_factor(rect))
+        kernel = self.form.kernel
+        sel = self._selection(rect.constraint_at(0), kernel.uniform_from)
+        g, den = self._root_factor(rect)
+        return _divided(self._weighted_sum(self.form.lam, sel, g), den, kernel._base)
 
     def root_slice_sums(self, cyl: CylinderSet):
         """For a chain form, the function n -> value of cyl & {x0 < n}.
@@ -632,7 +763,8 @@ class VolumeMeasure:
         weights per run of allowed spins from w on, cut at n.
         """
         lam = self.form.lam
-        w = self.form.kernel.uniform_from
+        kernel = self.form.kernel
+        w = kernel.uniform_from
         parts = [
             (self._selection(rect.constraint_at(0), w), self._root_factor(rect))
             for rect in cyl.disjoint_rectangles()
@@ -640,12 +772,13 @@ class VolumeMeasure:
 
         def below(n: int):
             total = Fraction(0)
-            for (head, runs), g in parts:
+            for (head, runs), (g, den) in parts:
                 cut = (
                     [r for r in head if r < n],
                     [(lo, n if hi is None else min(hi, n)) for lo, hi in runs if lo < n],
                 )
-                total = value_add(total, self._weighted_sum(lam, cut, g))
+                part = self._weighted_sum(lam, cut, g)
+                total = value_add(total, _divided(part, den, kernel._base))
             return total
 
         return below
@@ -721,9 +854,10 @@ class VolumeMeasure:
 def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     """Marginal of mu onto the depth-i ball by summing over every base atom.
 
-    Integer-scaled arithmetic: every atom weight is a product of the same
-    number of table entries, so with all entries scaled by a common
-    denominator the leaf sums are exact integer arithmetic.
+    Integer-scaled arithmetic: every atom weight is a product of one row
+    entry per site, so with each site's rows scaled to integers over one
+    denominator the leaf sums are exact integer arithmetic over the product
+    of those denominators.
     """
     ctx = mu.ctx
     if not ctx.spins.is_finite:
@@ -747,11 +881,14 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     # product form's rows ignore p, and so do the root's, which reads its own
     # spin slot in place of a parent's.
     if isinstance(form, ProductForm):
-        rows = [[form.weight_at(v).prefix] * s for v in range(full)]
+        scaled = [_scaled_rows([form.weight_at(v).prefix]) for v in range(full)]
+        rowsI = [rows * s for rows, _ in scaled]
+        den = math.prod(d for _, d in scaled)
     else:
-        rows = [[form.lam.prefix] * s] + [form.kernel.matrix] * (full - 1)
-    scale_d = math.lcm(*{x.denominator for table in rows for row in table for x in row})
-    rowsI = [[[int(x * scale_d) for x in row] for row in table] for table in rows]
+        (lam,), d = _scaled_rows([form.lam.prefix])
+        mat, kernel_d = form.kernel._scaled
+        rowsI = [[lam] * s] + [mat] * (full - 1)
+        den = d * kernel_d ** (full - 1)
     parents = [0] + mu.parents()[1:]
     buckets = [0] * (s**t)
     cur = [0] * full
@@ -772,7 +909,6 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
             rec(v + 1, acc * row[val], idx * s + val if v < t else idx)
 
     rec(0, 1, 0)
-    den = scale_d**full
     return {_decode(idx, s, t): Fraction(b, den) for idx, b in enumerate(buckets) if b}
 
 

@@ -248,6 +248,42 @@ def test_project_routes_agree(chain_fam):
         assert closed.dense_table() == enum.dense_table()
 
 
+def test_atom_weight_on_a_table_form(ctx_k2s2):
+    table = {(0, 1, 1, 0): F(1, 3), (1, 1, 1, 1): F(2, 3)}
+    mu = table_family(ctx_k2s2, 1, table).measure(1)
+    assert mu.atom_weight((0, 1, 1, 0)) == F(1, 3)
+    assert mu.atom_weight([1, 1, 1, 1]) == F(2, 3)
+    assert mu.atom_weight((0, 0, 0, 0)) == 0
+    with pytest.raises(ValueError, match="need 4 values, got 3"):
+        mu.atom_weight((0, 1, 1))
+
+
+def test_project_to_own_depth_is_the_measure(chain_fam):
+    mu = chain_fam.measure(2)
+    for method in ("auto", "enumerate", "closed"):
+        assert mu.project(2, method=method) is mu
+    with pytest.raises(ValueError, match=r"projection depth 3 outside 0\.\.2"):
+        mu.project(3)
+
+
+def test_project_product_with_unsummable_dropped_sites_diverges(nat_ctx):
+    mu = product_family(nat_ctx, NatSeq.constant(1)).measure(1)
+    with pytest.raises(MassError, match="^marginal diverges: dropped site weights are not summable$"):
+        mu.project(0)
+
+
+def test_project_nonstochastic_chain_over_naturals_has_no_marginal(nat_ctx):
+    kernel = TransitionKernel.for_naturals(NatSeq.geometric(F(1, 4), F(1, 2)))
+    mu = markov_family(nat_ctx, NatSeq.geometric(F(1, 2), F(1, 2)), kernel).measure(2)
+    message = (
+        "^no closed-form marginal for a non-stochastic kernel over the denumerable spin set$"
+    )
+    with pytest.raises(MassError, match=message):
+        mu.project(1)
+    with pytest.raises(ValueError, match="^no closed-form marginal for a non-stochastic kernel$"):
+        mu.project(1, method="closed")
+
+
 def test_zero_scaled_table_omits_zero_atoms(ctx_k2s2):
     table = {key: F(1, 16) for key in itertools.product(range(2), repeat=4)}
     mu1 = scale(table_family(ctx_k2s2, 1, table), 0).measure(1)
@@ -725,6 +761,101 @@ def test_compressed_chain_walk_matches_level_by_level(name):
         value = fam.measure(depth).measure_of(from_constraints(ctx, rect))
         assert value == level_by_level_value(ctx, lam, kernel, depth, rect), (rect, depth)
     assert {n for n in RUN_LENGTHS if n < top} <= runs
+
+
+# The chain pass runs on ints over a common denominator.  The families below
+# are where that is hardest: INFINITE entries next to zero weights over the
+# naturals, non-stochastic geometric rows with `notin` sites, and values far
+# past machine size.
+# name: (order, spins (None: the naturals), lam, kernel, deepest site level,
+# evaluation depths added below the deepest site)
+INTEGER_WALK_FAMILIES = {
+    # spins 0 and 1 only reach spins 0 and 1; every spin from 2 on has an
+    # infinite row sum, so free factors hold INFINITE next to the rows' zeros,
+    # and the root weights reach spins past 1
+    "infinite_row_nat_k2": (
+        2, None, NatSeq((F(1, 2), F(1, 3)), "geometric", F(1, 8), F(1, 2)),
+        TransitionKernel.for_naturals(
+            NatSeq.constant(1), [NatSeq.finite([F(1, 2)]), NatSeq.finite([F(1, 3), F(1, 3)])]
+        ),
+        5, 2,
+    ),
+    # row sums 2/3, 5/12 and 3/4: every skeleton vertex is kept
+    "geometric_nonstochastic_nat_k2": (
+        2, None, G(F(1, 2), F(1, 2)),
+        TransitionKernel.for_naturals(
+            G(F(1, 4), F(2, 3)),
+            {0: G(F(1, 3), F(1, 2)), 1: NatSeq((F(0), F(1, 4)), "geometric", F(1, 6), F(1, 3))},
+        ),
+        6, 2,
+    ),
+    "substochastic_s2_k2_depth12": (
+        2, 2, [F(1, 2), F(1, 2)], [[F(1, 3), F(1, 6)], [F(1, 4), F(1, 4)]], 12, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_WALK_FAMILIES))
+def test_integer_walk_matches_level_by_level(name):
+    order, s, lam, kernel, top, below = INTEGER_WALK_FAMILIES[name]
+    spins = SpinSet.naturals() if s is None else SpinSet.finite(s)
+    ctx = Context(TreeGeometry(order, top + below), spins)
+    fam = markov_family(ctx, lam, kernel)
+    lam, kernel = fam.measure(0).form.lam, fam.measure(0).form.kernel
+    tree = ctx.tree
+    rng = random.Random(name)
+
+    def constraint():
+        if s is not None:
+            return constraint_in(rng.sample(range(s), 1))
+        values = rng.sample(range(5), rng.randint(1, 3))
+        return (constraint_in if rng.random() < 0.4 else constraint_not_in)(values)
+
+    def site_at(lvl):
+        return tree.index_of(lvl, rng.randrange(tree.sphere_size(lvl)))
+
+    values = []
+    for _ in range(30):
+        lvl = rng.randint(1, top)
+        sites = {site_at(lvl)} | {site_at(rng.randint(0, lvl)) for _ in range(rng.randint(0, 3))}
+        rect = {v: constraint() for v in sites}
+        if s is None and rng.random() < 0.5:
+            # root spins 0 and 1 keep the whole configuration below them finite
+            rect[0] = constraint_in(rng.sample([0, 1], rng.randint(1, 2)))
+        depth = top + rng.randint(0, below)
+        value = fam.measure(depth).measure_of(from_constraints(ctx, rect))
+        assert value == level_by_level_value(ctx, lam, kernel, depth, rect), (rect, depth)
+        values.append(value)
+    finite = [v for v in values if v != INFINITE]
+    if name == "infinite_row_nat_k2":
+        assert INFINITE in values and any(v > 0 for v in finite)
+    if name == "substochastic_s2_k2_depth12":
+        assert max(v.denominator.bit_length() for v in finite) > 12_000
+    if name == "geometric_nonstochastic_nat_k2":
+        assert all(v != INFINITE for v in values)
+        assert len(set(values)) > 20
+
+
+def test_divided_is_fraction_division_in_lowest_terms():
+    """The root step's x / d: d's prime factors all divide `base`, and the
+    factor it shares with x's numerator may be any power of them."""
+    rng = random.Random(16)
+    base = 12
+    cases = [(F(0), 12**5), (F(7, 5), 1), (INFINITE, 36), (F(2**40 * 3**7, 5), 6**30)]
+    for _ in range(200):
+        n = 2 ** rng.randint(0, 60) * 3 ** rng.randint(0, 40) * rng.randint(1, 10**6)
+        d = 2 ** rng.randint(0, 80) * 3 ** rng.randint(0, 50)
+        cases.append((F(n, rng.choice([1, 5, 7, 35])), d))
+    for x, d in cases:
+        got = measure_module._divided(x, d, base)
+        if x == INFINITE:
+            assert got == INFINITE
+            continue
+        want = x / d
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (x, d)
+        assert got == want and hash(got) == hash(want)
+    nums, den = measure_module._reduced(((2**9 * 3, 0, INFINITE, 2**4 * 9), 2**20 * 3**2), base)
+    assert (nums, den) == ((2**5, 0, INFINITE, 3), 2**16 * 3)
 
 
 # Sums over the naturals take maximal runs of values in closed form.  The
