@@ -11,6 +11,7 @@ from treemeasure import (
     EventAtom,
     EventNot,
     EventOr,
+    SpecError,
     SpecSemanticError,
     SpecSyntaxError,
     SpinRangeError,
@@ -443,6 +444,453 @@ def test_document_cover_errors():
     expect_error(
         NAT_DOC.replace("roots = slice x0", "roots = grid x0"),
         SpecSyntaxError, "unexpected 'grid'",
+    )
+
+
+# Every raise in _scan_lines, parse_document, _parse_weight_spec,
+# _parse_cover_spec and _parse_quoted_events, pinned by class, message,
+# position and expected list; the last cases hold two faults each and pin
+# which one is reported
+DOCUMENT_ERRORS = [
+    # _scan_lines
+    pytest.param(
+        CHAIN_DOC.replace("[tree]", "[tree"),
+        SpecSyntaxError, 2, 1, "malformed section header", (),
+        id="malformed-section",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("[spins]", "[spin]"),
+        SpecSemanticError, 6, 1, "unknown section [spin]",
+        ("[tree]", "[spins]", "[family]", "[covers]"),
+        id="unknown-section",
+    ),
+    pytest.param(
+        CHAIN_DOC + "[tree]\nk = 1\n",
+        SpecSemanticError, 17, 1, "duplicate section [tree]", (),
+        id="duplicate-section",
+    ),
+    pytest.param(
+        "k = 2\n" + CHAIN_DOC,
+        SpecSyntaxError, 1, 1, "content before any section header",
+        ("[tree]", "[spins]", "[family]", "[covers]"),
+        id="content-before-section",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("lambda = 1/2 1/2", "lambda 1/2 1/2"),
+        SpecSyntaxError, 12, 1, "expected key = value", (),
+        id="no-equals",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("k = 2", "  k 2 = 2"),
+        SpecSyntaxError, 3, 3, "malformed key 'k 2'", (),
+        id="malformed-key",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("k = 2", "k ="),
+        SpecSyntaxError, 3, 4, "key 'k' has no value", (),
+        id="no-value",
+    ),
+    # parse_document
+    pytest.param(
+        "[tree]\nk = 2\n",
+        SpecSemanticError, None, None, "missing section [spins]", (),
+        id="missing-section",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("max_depth = 6", "depth_max = 6"),
+        SpecSemanticError, 4, None, "unknown key 'depth_max' in [tree]",
+        ("k", "max_depth"),
+        id="tree-unknown-key",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("k = 2", "k = 2\nk = 3"),
+        SpecSemanticError, 4, None, "key 'k' given more than once in [tree]", (),
+        id="tree-k-twice",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("k = 2\n", ""),
+        SpecSemanticError, None, None, "[tree] is missing key 'k'", (),
+        id="tree-k-missing",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("k = 2", "k = 0"),
+        SpecSemanticError, 3, 5, "k must be >= 1", (),
+        id="tree-k-zero",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("k = 2", "k = -2"),
+        SpecSyntaxError, 3, 5, "not an integer: '-2'", (),
+        id="tree-k-not-integer",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("max_depth = 6", "max_depth = 0"),
+        SpecSemanticError, 4, 13, "max_depth must be >= 1", (),
+        id="tree-max-depth-zero",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("size = 2", "size = 2\nextra = 1"),
+        SpecSemanticError, 9, None, "unknown key 'extra' in [spins]",
+        ("kind", "size"),
+        id="spins-unknown-key",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("kind = finite\n", ""),
+        SpecSemanticError, None, None, "[spins] is missing key 'kind'", (),
+        id="spins-kind-missing",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("kind = finite", "kind = spins"),
+        SpecSemanticError, 7, 8, "unknown spin kind 'spins'",
+        ("finite", "nat"),
+        id="spins-unknown-kind",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("size = 2\n", ""),
+        SpecSemanticError, None, None, "[spins] kind finite needs size", (),
+        id="spins-needs-size",
+    ),
+    pytest.param(
+        NAT_DOC.replace("kind = nat", "kind = nat\nsize = 4"),
+        SpecSemanticError, 6, 8, "size is only for finite spins", (),
+        id="spins-size-on-nat",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("size = 2", "size = 0"),
+        SpecSemanticError, 8, 8, "size must be >= 1", (),
+        id="spins-size-zero",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("kind = markov-prob\n", ""),
+        SpecSemanticError, None, None, "[family] is missing key 'kind'", (),
+        id="family-kind-missing",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("kind = markov-prob", "kind = markov-prob\nkind = markov"),
+        SpecSemanticError, 12, None, "key 'kind' given more than once in [family]", (),
+        id="family-kind-twice",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("kind = markov-prob", "kind = gibbs"),
+        SpecSemanticError, 11, 8, "unknown family kind 'gibbs'",
+        ("markov", "markov-prob", "product", "table"),
+        id="family-unknown-kind",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("lambda =", "w = 1\nlambda ="),
+        SpecSemanticError, 12, None, "unknown key 'w' in [family]",
+        ("P", "kind", "lambda"),
+        id="markov-unknown-key",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("lambda = 1/2 1/2\n", ""),
+        SpecSemanticError, None, None, "[family] is missing key 'lambda'", (),
+        id="markov-lambda-missing",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("P = 2/3 1/3 ; 1/3 2/3\n", ""),
+        SpecSemanticError, None, None, "[family] is missing key 'P'", (),
+        id="markov-P-missing",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("P = 2/3 1/3 ; 1/3 2/3", "P = 1 1 ; 1 1\nP = 1 1 ; 1 1"),
+        SpecSemanticError, 14, None, "key 'P' given more than once in [family]", (),
+        id="markov-P-twice",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("; 1/3 2/3", "; 1/3 2/3\nP@1 = 1 1\nP@0 = 1 1"),
+        SpecSemanticError, 15, None,
+        "P@ row overrides are for the denumerable spin set",
+        (),
+        id="finite-P-at-rows",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("1/3 2/3", "1/3 2/3 ;"),
+        SpecSyntaxError, 13, None, "empty weight list", (),
+        id="finite-P-empty-row",
+    ),
+    pytest.param(
+        NAT_DOC.replace("P@0 =", "P@x ="),
+        SpecSyntaxError, 11, None, "malformed key 'P@x'", (),
+        id="nat-P-at-malformed",
+    ),
+    pytest.param(
+        NAT_DOC.replace("P = geometric 1/2 1/2", "P = 1/2 ; 1/2"),
+        SpecSyntaxError, 10, 5,
+        "over the denumerable spin set P is the default row; "
+        "give explicit rows as P@<q> lines", (),
+        id="nat-P-rows-in-P",
+    ),
+    pytest.param(
+        NAT_DOC.replace("P@0 =", "P@1 ="),
+        SpecSemanticError, 11, None,
+        "explicit rows must be consecutive from P@0; found P@1", (),
+        id="nat-P-at-gap",
+    ),
+    pytest.param(
+        NAT_DOC.replace("P@0 =", "P@0 = const 0\nP@0 ="),
+        SpecSemanticError, 12, None,
+        "explicit rows must be consecutive from P@0; found P@0", (),
+        id="nat-P-at-twice",
+    ),
+    pytest.param(
+        PRODUCT_DOC.replace("w = ", "P = 1\nw = "),
+        SpecSemanticError, 11, None, "unknown key 'P' in [family]",
+        ("kind", "w"),
+        id="product-unknown-key",
+    ),
+    pytest.param(
+        PRODUCT_DOC.replace("w = 1/3 1/3 1/3\n", ""),
+        SpecSemanticError, None, None, "[family] is missing key 'w'", (),
+        id="product-w-missing",
+    ),
+    pytest.param(
+        PRODUCT_DOC.replace("w@1", "w@1x"),
+        SpecSyntaxError, 12, None, "malformed key 'w@1x'", (),
+        id="product-w-at-malformed",
+    ),
+    pytest.param(
+        PRODUCT_DOC + "w@1 = 1 1 1\n",
+        SpecSemanticError, 13, None, "duplicate override w@1", (),
+        id="product-w-at-twice",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("depth = 0", "depth = 0\nw = 1"),
+        SpecSemanticError, 11, None, "unknown key 'w' in [family]",
+        ("depth", "entry", "kind"),
+        id="table-unknown-key",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("depth = 0\n", ""),
+        SpecSemanticError, None, None, "[family] is missing key 'depth'", (),
+        id="table-depth-missing",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("depth = 0", "depth = 1/2"),
+        SpecSyntaxError, 10, 9, "not an integer: '1/2'", (),
+        id="table-depth-not-integer",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("entry = 0 : 3/4\nentry = 1 : 1/4\n", ""),
+        SpecSemanticError, None, None, "a table family needs at least one entry", (),
+        id="table-no-entry",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("entry = 0 : 3/4", "entry = 0 3/4"),
+        SpecSyntaxError, 11, 9, "entry format is: v0 v1 ... : weight", (),
+        id="table-entry-format",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("entry = 0 : 3/4", "entry = : 3/4"),
+        SpecSyntaxError, 11, 9, "entry has no values", (),
+        id="table-entry-no-values",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("entry = 0 : 3/4", "entry = 0 x : 3/4"),
+        SpecSyntaxError, 11, 11, "not an integer: 'x'", (),
+        id="table-entry-not-integer",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("entry = 0 : 3/4", "entry = 0 : 3/4 1"),
+        SpecSyntaxError, 11, 12, "entry weight must be a single rational", (),
+        id="table-entry-two-weights",
+    ),
+    pytest.param(
+        TABLE_DOC + "entry = 1 : 1/8\n",
+        SpecSemanticError, 13, None, "duplicate entry for (1,)", (),
+        id="table-entry-twice",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("halves =", "Halves ="),
+        SpecSemanticError, 16, None, "malformed cover name 'Halves'", (),
+        id="cover-malformed-name",
+    ),
+    pytest.param(
+        CHAIN_DOC + 'halves = list "x0=0"\n',
+        SpecSemanticError, 17, None, "duplicate cover 'halves'", (),
+        id="cover-twice",
+    ),
+    # _parse_weight_spec and its rationals
+    pytest.param(
+        NAT_DOC.replace("const 1", "const 1 2"),
+        SpecSyntaxError, 9, 10, "const takes exactly one rational", (),
+        id="weights-const-arity",
+    ),
+    pytest.param(
+        NAT_DOC.replace("P = geometric 1/2 1/2", "P = geometric 1/2"),
+        SpecSyntaxError, 10, 5, "geometric takes a coefficient and a ratio", (),
+        id="weights-geometric-arity",
+    ),
+    pytest.param(
+        NAT_DOC.replace("then geometric 1/4 1/2", "geometric 1/4 1/2"),
+        SpecSyntaxError, 11, 7, "prefix form needs 'then <tail>'", (),
+        id="weights-prefix-no-then",
+    ),
+    pytest.param(
+        NAT_DOC.replace("prefix 1/4 1/4 then", "prefix then"),
+        SpecSyntaxError, 11, 7, "prefix form needs at least one value", (),
+        id="weights-prefix-no-value",
+    ),
+    pytest.param(
+        NAT_DOC.replace("then geometric 1/4 1/2", "then 1/4"),
+        SpecSyntaxError, 11, 22, "tail after 'then' must be const or geometric", (),
+        id="weights-prefix-tail",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("lambda = 1/2 1/2", "lambda = 1/2 1/0"),
+        SpecSyntaxError, 12, 14, "zero denominator", (),
+        id="weights-zero-denominator",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("lambda = 1/2 1/2", "lambda = 1/2 0.5"),
+        SpecSyntaxError, 12, 14, "decimal numbers are not allowed; use integers or p/q",
+        (),
+        id="weights-decimal",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("lambda = 1/2 1/2", "lambda = 1/2 1/2x"),
+        SpecSyntaxError, 12, 14, "not a rational: '1/2x'", (),
+        id="weights-not-rational",
+    ),
+    # _parse_cover_spec
+    pytest.param(
+        NAT_DOC.replace("slice x0\n", "slice x0 block\n"),
+        SpecSyntaxError, 14, 9, "slice cover format: slice x<site> [block <n>]", (),
+        id="slice-arity",
+    ),
+    pytest.param(
+        NAT_DOC.replace("slice x0\n", "slice x0 blok 2\n"),
+        SpecSyntaxError, 14, 18, "unexpected 'blok'",
+        ("block",),
+        id="slice-not-block",
+    ),
+    pytest.param(
+        NAT_DOC.replace("slice x0\n", "slice y0\n"),
+        SpecSyntaxError, 14, 15, "not a site: 'y0'",
+        ("x<vertex>",),
+        id="slice-not-site",
+    ),
+    pytest.param(
+        NAT_DOC.replace("slice x0\n", "slice x0 block 0\n"),
+        SpecSemanticError, 14, 24, "block must be >= 1", (),
+        id="slice-block-zero",
+    ),
+    pytest.param(
+        NAT_DOC.replace("slice x0\n", "slice x0 block two\n"),
+        SpecSyntaxError, 14, 24, "not an integer: 'two'", (),
+        id="slice-block-not-integer",
+    ),
+    pytest.param(
+        NAT_DOC.replace("roots = slice x0", "roots = grid x0"),
+        SpecSyntaxError, 14, 9, "unexpected 'grid'",
+        ("slice", "list"),
+        id="cover-unknown-form",
+    ),
+    # _parse_quoted_events
+    pytest.param(
+        CHAIN_DOC.replace('list "x0=0"', 'list ; "x0=0"'),
+        SpecSyntaxError, 16, 15, "expected a quoted event before ';'", (),
+        id="list-semicolon-first",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace('"x0=1"', '"x0=1" x'),
+        SpecSyntaxError, 16, 31, "unexpected character 'x'",
+        ('"', "';'"),
+        id="list-bad-character",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace('"x0=0" ;', '"x0=0"'),
+        SpecSyntaxError, 16, 22, "events must be separated by ';'", (),
+        id="list-no-separator",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace('"x0=1"', '"x0=1'),
+        SpecSyntaxError, 16, 24, "unterminated event quote", (),
+        id="list-unterminated",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace('"x0=1"', '"x0=1" ;'),
+        SpecSyntaxError, 16, 32, "cover list ended without an event", (),
+        id="list-trailing-semicolon",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace('"x0=1"', '"x0=1 &"'),
+        SpecSyntaxError, 16, 31, "unexpected end of input",
+        ("a site like x0", "'('", "'!'"),
+        id="list-event-error",
+    ),
+    # two faults in one document: the one reported comes first
+    pytest.param(
+        CHAIN_DOC.replace("k = 2", "k2 = 2"),
+        SpecSemanticError, 3, None, "unknown key 'k2' in [tree]",
+        ("k", "max_depth"),
+        id="two-unknown-key-and-k-missing",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("k = 2", "k = 0\nmax_depth = 1"),
+        SpecSemanticError, 3, 5, "k must be >= 1", (),
+        id="two-k-zero-and-max-depth-twice",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("1/2 1/2", "0.5 0.5").replace("P = 2/3 1/3 ; 1/3 2/3\n", ""),
+        SpecSyntaxError, 12, 10, "decimal numbers are not allowed; use integers or p/q",
+        (),
+        id="two-lambda-decimal-and-P-missing",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("kind = markov-prob", "weight = 1"),
+        SpecSemanticError, None, None, "[family] is missing key 'kind'", (),
+        id="two-family-unknown-key-and-kind-missing",
+    ),
+    pytest.param(
+        NAT_DOC.replace("kind = nat", "kind = nat\nsize = 0"),
+        SpecSemanticError, 6, 8, "size is only for finite spins", (),
+        id="two-size-zero-on-nat",
+    ),
+    pytest.param(
+        NAT_DOC.replace("P = geometric 1/2 1/2", "P = 0.5").replace("P@0 =", "P@x ="),
+        SpecSyntaxError, 11, None, "malformed key 'P@x'", (),
+        id="two-P-at-malformed-and-P-decimal",
+    ),
+    pytest.param(
+        NAT_DOC.replace("const 1", "0.5").replace("P@0 =", "P@x ="),
+        SpecSyntaxError, 9, 10, "decimal numbers are not allowed; use integers or p/q",
+        (),
+        id="two-P-at-malformed-and-lambda-decimal",
+    ),
+    pytest.param(
+        PRODUCT_DOC + "w@1 = 1 1 1\nw@x = 1 1 1\n",
+        SpecSemanticError, 13, None, "duplicate override w@1", (),
+        id="two-w-at-twice-then-malformed",
+    ),
+    pytest.param(
+        PRODUCT_DOC.replace("w@1 = 1/2", "w@1 = 0.5") + "w@x = 1 1 1\n",
+        SpecSyntaxError, 12, 7,
+        "decimal numbers are not allowed; use integers or p/q", (),
+        id="two-w-at-decimal-then-malformed",
+    ),
+    pytest.param(
+        TABLE_DOC.replace("depth = 0", "depth = x").replace(
+            "entry = 0 : 3/4\nentry = 1 : 1/4\n", ""
+        ),
+        SpecSyntaxError, 10, 9, "not an integer: 'x'", (),
+        id="two-depth-not-integer-and-no-entry",
+    ),
+    pytest.param(
+        CHAIN_DOC.replace("halves = list", "Halves = grid"),
+        SpecSemanticError, 16, None, "malformed cover name 'Halves'", (),
+        id="two-cover-name-and-bad-cover",
+    ),
+
+]
+
+
+@pytest.mark.parametrize("text, exc, line, col, message, expected", DOCUMENT_ERRORS)
+def test_document_errors_pinned(text, exc, line, col, message, expected):
+    with pytest.raises(SpecError) as err:
+        parse_document(text)
+    got = err.value
+    assert (type(got), got.message, got.line, got.col, got.expected) == (
+        exc, message, line, col, expected
     )
 
 
