@@ -1,16 +1,22 @@
 """Plain-text description format for trees, families, covers, and events.
 
-Documents are line-oriented with [section] headers and `key = value` lines.
-Events are boolean expressions over per-site constraints ("x0=1 & x4 in
-{0,2}"); their text is ASCII and nests at most MAX_EVENT_NESTING levels of
-'(' and '!'.  All numbers are integers or rationals p/q; decimals are rejected.
-Parsing reports line and column; rendering produces a canonical form whose
-re-parse equals the original parse.
+Documents are line-oriented with [section] headers and `key = value` lines;
+`_KEYS` lists each section's keys.  Events are boolean expressions over
+per-site constraints ("x0=1 & x4 in {0,2}"); their text is ASCII and nests
+at most MAX_EVENT_NESTING levels of '(' and '!'.  All numbers are integers
+or rationals p/q; decimals are rejected, as are integers past the
+interpreter's digit limit.  Parsing reports the line and mostly the column;
+a missing section or key has no position, nor do the family contents that
+the library's constructors check.  Rendering a parsed document produces a
+canonical form whose re-parse equals the original parse; `render_value`
+lifts the digit limit, so a hand-built document may render to text that the
+parser refuses.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,11 +43,26 @@ from .measure import (
 from .sigma_finite import Cover, finite_cover, slice_cover
 from .tree import DEFAULT_MAX_DEPTH, TreeGeometry
 
-SECTIONS = ("tree", "spins", "family", "covers")
-FAMILY_KINDS = ("markov", "markov-prob", "product", "table")
 # '(' and '!' an event may hold open at once; deeper text is a syntax error,
 # so neither the parser nor the walks over its trees exhaust the stack
 MAX_EVENT_NESTING = 200
+
+
+_INT_RE = re.compile(r"[0-9]+")
+
+
+def _int(text: str, line: int, col: int | None) -> int:
+    """Decimal digits -> int: the one place spec text becomes a number.  A
+    literal the interpreter refuses to convert is a syntax error too."""
+    if not _INT_RE.fullmatch(text):
+        raise SpecSyntaxError(f"not an integer: {text!r}", line, col)
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise SpecSyntaxError(
+            f"a {len(text)}-digit number is past the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits", line, col,
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +101,12 @@ class _Token:
 
 def _describe(tok: _Token) -> str:
     return "end of input" if tok.kind == "end" else f"{tok.text!r}"
+
+
+def _unexpected(tok: _Token, *expected: str) -> SpecSyntaxError:
+    return SpecSyntaxError(
+        f"unexpected {_describe(tok)}", tok.line, tok.col, expected=expected
+    )
 
 
 _EVENT_TOKEN_RE = re.compile(
@@ -131,37 +158,33 @@ class _EventParser:
             self.pos += 1
         return tok
 
-    def _is_sym(self, text: str) -> bool:
+    def accept(self, text: str) -> _Token | None:
+        """Take the next token if it is the symbol `text`."""
         tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+        if tok.kind == "sym" and tok.text == text:
+            return self.take()
+        return None
 
     def expect_sym(self, text: str) -> None:
         tok = self.take()
         if tok.kind != "sym" or tok.text != text:
-            raise SpecSyntaxError(
-                f"unexpected {_describe(tok)}", tok.line, tok.col, expected=[repr(text)]
-            )
+            raise _unexpected(tok, repr(text))
 
     def expect_int(self) -> int:
         tok = self.take()
         if tok.kind != "int":
-            raise SpecSyntaxError(
-                f"unexpected {_describe(tok)}", tok.line, tok.col,
-                expected=["an integer"],
-            )
-        return int(tok.text)
+            raise _unexpected(tok, "an integer")
+        return _int(tok.text, tok.line, tok.col)
 
     def parse_expr(self):
         parts = [self.parse_term()]
-        while self._is_sym("|"):
-            self.take()
+        while self.accept("|"):
             parts.append(self.parse_term())
         return parts[0] if len(parts) == 1 else EventOr(tuple(parts))
 
     def parse_term(self):
         parts = [self.parse_factor()]
-        while self._is_sym("&"):
-            self.take()
+        while self.accept("&"):
             parts.append(self.parse_factor())
         return parts[0] if len(parts) == 1 else EventAnd(tuple(parts))
 
@@ -187,31 +210,24 @@ class _EventParser:
     def parse_atom(self) -> EventAtom:
         tok = self.take()
         if tok.kind != "site":
-            raise SpecSyntaxError(
-                f"unexpected {_describe(tok)}", tok.line, tok.col,
-                expected=["a site like x0", "'('", "'!'"],
-            )
-        site = int(tok.text[1:])
+            raise _unexpected(tok, "a site like x0", "'('", "'!'")
+        site = _int(tok.text[1:], tok.line, tok.col + 1)
         op = self.take()
         if op.kind == "sym" and op.text == "=":
             return EventAtom(site, "in", (self.expect_int(),))
         if op.kind == "name" and op.text in ("in", "notin"):
             return EventAtom(site, op.text, self.parse_set())
-        raise SpecSyntaxError(
-            f"unexpected {_describe(op)}", op.line, op.col,
-            expected=["'='", "'in'", "'notin'"],
-        )
+        raise _unexpected(op, "'='", "'in'", "'notin'")
 
     def parse_set(self) -> tuple[int, ...]:
         self.expect_sym("{")
         values: set[int] = set()
-        if self._is_sym("}"):
-            self.take()
+        if self.accept("}"):
             return ()
         while True:
             lo = self.expect_int()
-            if self._is_sym(".."):
-                tok = self.take()
+            tok = self.accept("..")
+            if tok:
                 hi = self.expect_int()
                 if hi < lo:
                     raise SpecSyntaxError(
@@ -220,8 +236,7 @@ class _EventParser:
                 values.update(range(lo, hi + 1))
             else:
                 values.add(lo)
-            if self._is_sym(","):
-                self.take()
+            if self.accept(","):
                 continue
             self.expect_sym("}")
             return tuple(sorted(values))
@@ -249,12 +264,10 @@ def _render_event(ast, level: int) -> str:
         return render_atom(ast.site, ast.mode, ast.values)
     if isinstance(ast, EventNot):
         return "!(" + _render_event(ast.inner, 0) + ")"
-    if isinstance(ast, EventOr):
-        text = " | ".join(_render_event(p, 1) for p in ast.parts)
-        return f"({text})" if level >= 1 else text
-    if isinstance(ast, EventAnd):
-        text = " & ".join(_render_event(p, 2) for p in ast.parts)
-        return f"({text})" if level >= 2 else text
+    if isinstance(ast, (EventOr, EventAnd)):
+        sep, bind = (" | ", 1) if isinstance(ast, EventOr) else (" & ", 2)
+        text = sep.join(_render_event(p, bind) for p in ast.parts)
+        return f"({text})" if level >= bind else text
     raise TypeError(f"not an event tree: {ast!r}")
 
 
@@ -269,15 +282,11 @@ def lower_event(ctx: Context, ast) -> CylinderSet:
         return from_constraints(ctx, {ast.site: c})
     if isinstance(ast, EventNot):
         return lower_event(ctx, ast.inner).complement()
-    if isinstance(ast, EventAnd):
+    if isinstance(ast, (EventAnd, EventOr)):
         out = lower_event(ctx, ast.parts[0])
         for p in ast.parts[1:]:
-            out = out.intersect(lower_event(ctx, p))
-        return out
-    if isinstance(ast, EventOr):
-        out = lower_event(ctx, ast.parts[0])
-        for p in ast.parts[1:]:
-            out = out.union(lower_event(ctx, p))
+            part = lower_event(ctx, p)
+            out = out.intersect(part) if isinstance(ast, EventAnd) else out.union(part)
         return out
     raise TypeError(f"not an event tree: {ast!r}")
 
@@ -303,16 +312,18 @@ class WeightSpec:
     tail: tuple | None = None
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 _DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]+")
 
 
 def _parse_rational(word: str, line: int, col: int) -> Fraction:
-    if _RATIONAL_RE.fullmatch(word):
-        try:
-            return Fraction(word)
-        except ZeroDivisionError:
-            raise SpecSyntaxError("zero denominator", line, col) from None
+    m = _RATIONAL_RE.fullmatch(word)
+    if m:
+        num = _int(m[2], line, col + m.start(2))
+        den = 1 if m[3] is None else _int(m[3], line, col + m.start(3))
+        if not den:
+            raise SpecSyntaxError("zero denominator", line, col)
+        return Fraction(-num if m[1] else num, den)
     if _DECIMAL_RE.fullmatch(word):
         raise SpecSyntaxError(
             "decimal numbers are not allowed; use integers or p/q", line, col
@@ -428,6 +439,7 @@ class SpecDocument:
 class _Line:
     no: int
     key: str
+    key_col: int
     value: str
     value_col: int
 
@@ -442,25 +454,55 @@ def _strip_comment(raw: str) -> str:
 
 _SECTION_RE = re.compile(r"\[([a-z][a-z-]*)\]")
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@-]*")
-_INT_RE = re.compile(r"[0-9]+")
 
 
-def _parse_int(text: str, line: int, col: int) -> int:
-    if not _INT_RE.fullmatch(text):
-        raise SpecSyntaxError(f"not an integer: {text!r}", line, col)
-    return int(text)
-
-
-def _count(ln: _Line, what: str) -> int:
+def _count(ln: _Line) -> int:
     """The line's value as an integer >= 1."""
-    n = _parse_int(ln.value, ln.no, ln.value_col)
+    n = _int(ln.value, ln.no, ln.value_col)
     if n < 1:
-        raise SpecSemanticError(f"{what} must be >= 1", ln.no, ln.value_col)
+        raise SpecSemanticError(f"{ln.key} must be >= 1", ln.no, ln.value_col)
     return n
 
 
 def _weights(ln: _Line) -> WeightSpec:
     return _parse_weight_spec(_split_words(ln.value, ln.value_col), ln.no)
+
+
+def _one_of(what: str, choices: tuple[str, ...]):
+    def read(ln: _Line) -> str:
+        if ln.value not in choices:
+            raise SpecSemanticError(
+                f"unknown {what} {ln.value!r}", ln.no, ln.value_col,
+                expected=list(choices),
+            )
+        return ln.value
+    return read
+
+
+# The keys of each section in the order they are read: per key, whether it
+# is required, optional, indexed (key@<n>, one line per index) or repeated,
+# and the reader of its value (None leaves the lines to parse_document).
+# [family] adds the keys of its kind; [covers] takes any cover name.
+_MARKOV_KEYS = {
+    "lambda": ("required", _weights), "P": ("required", None), "P@": ("indexed", None),
+}
+_FAMILY_KEYS = {
+    "markov": _MARKOV_KEYS,
+    "markov-prob": _MARKOV_KEYS,
+    "product": {"w": ("required", _weights), "w@": ("indexed", _weights)},
+    "table": {"depth": ("required", None), "entry": ("repeated", None)},
+}
+FAMILY_KINDS = tuple(_FAMILY_KEYS)
+_KEYS = {
+    "tree": {"k": ("required", _count), "max_depth": ("optional", _count)},
+    "spins": {
+        "kind": ("required", _one_of("spin kind", ("finite", "nat"))),
+        "size": ("optional", None),
+    },
+    "family": {"kind": ("required", _one_of("family kind", FAMILY_KINDS))},
+    "covers": None,  # optional
+}
+SECTIONS = tuple(_KEYS)
 
 
 def _scan_lines(text: str) -> dict[str, list[_Line]]:
@@ -503,115 +545,89 @@ def _scan_lines(text: str) -> dict[str, list[_Line]]:
         if not value:
             raise SpecSyntaxError(f"key {key!r} has no value", no, eq + 2)
         value_col = eq + 2 + (len(rest) - len(rest.lstrip()))
-        sections[current].append(_Line(no, key, value, value_col))
+        sections[current].append(_Line(no, key, indent + 1, value, value_col))
     return sections
 
 
-def _unique(lines: list[_Line], key: str, section: str) -> _Line | None:
-    found = [ln for ln in lines if ln.key == key]
-    if len(found) > 1:
-        raise SpecSemanticError(
-            f"key {key!r} given more than once in [{section}]", found[1].no
-        )
-    return found[0] if found else None
-
-
-def _require(lines: list[_Line], key: str, section: str) -> _Line:
-    ln = _unique(lines, key, section)
-    if ln is None:
-        raise SpecSemanticError(f"[{section}] is missing key {key!r}")
-    return ln
-
-
-def _reject_unknown(lines: list[_Line], allowed, section: str) -> None:
+def _read_keys(lines: list[_Line], keys: dict, section: str) -> dict:
+    """Per key of the table `keys`, in its order: the value read, else the
+    line; for an indexed key {index: value} or [(index, line)] in line order;
+    for a repeated key its lines.  An absent optional key has no entry."""
+    found: dict[str, list[_Line]] = {}
     for ln in lines:
-        base = ln.key.split("@", 1)[0]
-        if ln.key in allowed:
-            continue
-        if "@" in ln.key and base + "@" in allowed:
-            continue
-        raise SpecSemanticError(
-            f"unknown key {ln.key!r} in [{section}]", ln.no,
-            expected=sorted({k.rstrip("@") for k in allowed}),
-        )
-
-
-def _at_index(ln: _Line, base: str) -> int:
-    suffix = ln.key[len(base) + 1:]
-    if not _INT_RE.fullmatch(suffix):
-        raise SpecSyntaxError(f"malformed key {ln.key!r}", ln.no)
-    return int(suffix)
+        base, at, _ = ln.key.partition("@")
+        name = ln.key if ln.key in keys else base + at
+        if name not in keys:
+            raise SpecSemanticError(
+                f"unknown key {ln.key!r} in [{section}]", ln.no,
+                expected=sorted({k.rstrip("@") for k in keys}),
+            )
+        found.setdefault(name, []).append(ln)
+    values = {}
+    for key, (how, read) in keys.items():
+        lns = found.get(key, [])
+        if how == "indexed":
+            values[key] = {} if read else []
+            for ln in lns:
+                suffix = ln.key[len(key):]
+                if not _INT_RE.fullmatch(suffix):
+                    raise SpecSyntaxError(f"malformed key {ln.key!r}", ln.no)
+                index = _int(suffix, ln.no, ln.key_col + len(key))
+                if read is None:
+                    values[key].append((index, ln))
+                elif index in values[key]:
+                    raise SpecSemanticError(f"duplicate override {ln.key}", ln.no)
+                else:
+                    values[key][index] = read(ln)
+        elif how == "repeated":
+            values[key] = lns
+        elif len(lns) > 1:
+            raise SpecSemanticError(
+                f"key {key!r} given more than once in [{section}]", lns[1].no
+            )
+        elif lns:
+            values[key] = read(lns[0]) if read else lns[0]
+        elif how == "required":
+            raise SpecSemanticError(f"[{section}] is missing key {key!r}")
+    return values
 
 
 def parse_document(text: str) -> SpecDocument:
     sections = _scan_lines(text)
-    for name in ("tree", "spins", "family"):
-        if name not in sections:
+    for name, keys in _KEYS.items():
+        if keys is not None and name not in sections:
             raise SpecSemanticError(f"missing section [{name}]")
-
-    tree_lines = sections["tree"]
-    _reject_unknown(tree_lines, {"k", "max_depth"}, "tree")
-    k_line = _require(tree_lines, "k", "tree")
-    order = _count(k_line, "k")
-    depth_line = _unique(tree_lines, "max_depth", "tree")
-    max_depth = DEFAULT_MAX_DEPTH if depth_line is None else _count(depth_line, "max_depth")
-
-    spin_lines = sections["spins"]
-    _reject_unknown(spin_lines, {"kind", "size"}, "spins")
-    kind_line = _require(spin_lines, "kind", "spins")
-    spins_kind = kind_line.value
-    if spins_kind not in ("finite", "nat"):
-        raise SpecSemanticError(
-            f"unknown spin kind {spins_kind!r}", kind_line.no, kind_line.value_col,
-            expected=["finite", "nat"],
-        )
-    size_line = _unique(spin_lines, "size", "spins")
-    spins_size = None
-    if spins_kind == "finite":
-        if size_line is None:
-            raise SpecSemanticError("[spins] kind finite needs size")
-        spins_size = _count(size_line, "size")
-    elif size_line is not None:
+    tree = _read_keys(sections["tree"], _KEYS["tree"], "tree")
+    spins = _read_keys(sections["spins"], _KEYS["spins"], "spins")
+    size_line = spins.get("size")
+    if spins["kind"] == "finite" and size_line is None:
+        raise SpecSemanticError("[spins] kind finite needs size")
+    if spins["kind"] == "nat" and size_line is not None:
         raise SpecSemanticError(
             "size is only for finite spins", size_line.no, size_line.value_col
         )
+    spins_size = None if size_line is None else _count(size_line)
 
+    # the kind decides the other keys, so it is read first, alone
     fam_lines = sections["family"]
-    fk_line = _require(fam_lines, "kind", "family")
-    family_kind = fk_line.value
-    if family_kind not in FAMILY_KINDS:
-        raise SpecSemanticError(
-            f"unknown family kind {family_kind!r}", fk_line.no, fk_line.value_col,
-            expected=list(FAMILY_KINDS),
-        )
-
-    lam = kernel_default = weight_default = None
-    kernel_rows: tuple[WeightSpec, ...] = ()
-    weight_overrides: tuple[tuple[int, WeightSpec], ...] = ()
-    table_depth = None
-    entries: tuple[tuple[tuple[int, ...], Fraction], ...] = ()
-
+    kind_lines = [ln for ln in fam_lines if ln.key == "kind"]
+    family_kind = _read_keys(kind_lines, _KEYS["family"], "family")["kind"]
+    keys = {**_KEYS["family"], **_FAMILY_KEYS[family_kind]}
+    fam = _read_keys(fam_lines, keys, "family")
+    fields = {}  # the SpecDocument fields of the family's kind
     if family_kind in ("markov", "markov-prob"):
-        _reject_unknown(fam_lines, {"kind", "lambda", "P", "P@"}, "family")
-        lam = _weights(_require(fam_lines, "lambda", "family"))
-        p_line = _require(fam_lines, "P", "family")
-        row_lines = sorted(
-            (ln for ln in fam_lines if ln.key.startswith("P@")),
-            key=lambda ln: _at_index(ln, "P"),
-        )
-        if spins_kind == "finite":
+        p_line = fam["P"]
+        row_lines = sorted(fam["P@"], key=lambda row: row[0])
+        rows = []
+        if spins["kind"] == "finite":
             if row_lines:
                 raise SpecSemanticError(
                     "P@ row overrides are for the denumerable spin set",
-                    row_lines[0].no,
+                    row_lines[0][1].no,
                 )
-            rows = []
-            offset = 0
-            for segment in p_line.value.split(";"):
-                words = _split_words(segment, p_line.value_col + offset)
+            for m in re.finditer(r"(?:^|;)([^;]*)", p_line.value):
+                words = _split_words(m[1], p_line.value_col + m.start(1))
                 rows.append(_parse_weight_spec(words, p_line.no))
-                offset += len(segment) + 1
-            kernel_rows = tuple(rows)
         else:
             if ";" in p_line.value:
                 raise SpecSyntaxError(
@@ -619,47 +635,35 @@ def parse_document(text: str) -> SpecDocument:
                     "give explicit rows as P@<q> lines",
                     p_line.no, p_line.value_col,
                 )
-            kernel_default = _weights(p_line)
-            rows = []
-            for want, ln in enumerate(row_lines):
-                got = _at_index(ln, "P")
+            fields["kernel_default"] = _weights(p_line)
+            for want, (got, ln) in enumerate(row_lines):
                 if got != want:
                     raise SpecSemanticError(
                         f"explicit rows must be consecutive from P@0; found P@{got}",
                         ln.no,
                     )
                 rows.append(_weights(ln))
-            kernel_rows = tuple(rows)
+        fields.update(lam=fam["lambda"], kernel_rows=tuple(rows))
     elif family_kind == "product":
-        _reject_unknown(fam_lines, {"kind", "w", "w@"}, "family")
-        weight_default = _weights(_require(fam_lines, "w", "family"))
-        overrides = {}
-        for ln in fam_lines:
-            if not ln.key.startswith("w@"):
-                continue
-            vertex = _at_index(ln, "w")
-            if vertex in overrides:
-                raise SpecSemanticError(f"duplicate override {ln.key}", ln.no)
-            overrides[vertex] = _weights(ln)
-        weight_overrides = tuple(sorted(overrides.items()))
+        fields.update(
+            weight_default=fam["w"], weight_overrides=tuple(sorted(fam["w@"].items()))
+        )
     else:  # table
-        _reject_unknown(fam_lines, {"kind", "depth", "entry"}, "family")
-        d_line = _require(fam_lines, "depth", "family")
-        table_depth = _parse_int(d_line.value, d_line.no, d_line.value_col)
-        entry_lines = [ln for ln in fam_lines if ln.key == "entry"]
-        if not entry_lines:
+        depth = fam["depth"]
+        fields["table_depth"] = _int(depth.value, depth.no, depth.value_col)
+        if not fam["entry"]:
             raise SpecSemanticError("a table family needs at least one entry")
-        seen: dict[tuple[int, ...], Fraction] = {}
-        for ln in entry_lines:
-            if ":" not in ln.value:
+        entries: dict[tuple[int, ...], Fraction] = {}
+        for ln in fam["entry"]:
+            left, colon, right = ln.value.partition(":")
+            if not colon:
                 raise SpecSyntaxError(
                     "entry format is: v0 v1 ... : weight", ln.no, ln.value_col
                 )
-            left, right = ln.value.split(":", 1)
             key_words = _split_words(left, ln.value_col)
             if not key_words:
                 raise SpecSyntaxError("entry has no values", ln.no, ln.value_col)
-            key = tuple(_parse_int(w, ln.no, c) for w, c in key_words)
+            key = tuple(_int(w, ln.no, c) for w, c in key_words)
             right_col = ln.value_col + len(left) + 1
             weight_words = _split_words(right, right_col)
             if len(weight_words) != 1:
@@ -667,34 +671,27 @@ def parse_document(text: str) -> SpecDocument:
                     "entry weight must be a single rational", ln.no, right_col
                 )
             weight = _parse_rational(weight_words[0][0], ln.no, weight_words[0][1])
-            if key in seen:
+            if key in entries:
                 raise SpecSemanticError(f"duplicate entry for {key}", ln.no)
-            seen[key] = weight
-        entries = tuple(sorted(seen.items()))
+            entries[key] = weight
+        fields["entries"] = tuple(sorted(entries.items()))
 
-    covers: list[tuple[str, object]] = []
+    covers: dict[str, object] = {}
     for ln in sections.get("covers", []):
-        name = ln.key
-        if not re.fullmatch(r"[a-z][a-z0-9_-]*", name):
-            raise SpecSemanticError(f"malformed cover name {name!r}", ln.no)
-        if any(name == existing for existing, _ in covers):
-            raise SpecSemanticError(f"duplicate cover {name!r}", ln.no)
-        covers.append((name, _parse_cover_spec(ln)))
+        if not re.fullmatch(r"[a-z][a-z0-9_-]*", ln.key):
+            raise SpecSemanticError(f"malformed cover name {ln.key!r}", ln.no)
+        if ln.key in covers:
+            raise SpecSemanticError(f"duplicate cover {ln.key!r}", ln.no)
+        covers[ln.key] = _parse_cover_spec(ln)
 
     return SpecDocument(
-        order=order,
-        max_depth=max_depth,
-        spins_kind=spins_kind,
+        order=tree["k"],
+        max_depth=tree.get("max_depth", DEFAULT_MAX_DEPTH),
+        spins_kind=spins["kind"],
         spins_size=spins_size,
         family_kind=family_kind,
-        lam=lam,
-        kernel_rows=kernel_rows,
-        kernel_default=kernel_default,
-        weight_default=weight_default,
-        weight_overrides=weight_overrides,
-        table_depth=table_depth,
-        entries=entries,
-        covers=tuple(covers),
+        covers=tuple(covers.items()),
+        **fields,
     )
 
 
@@ -712,6 +709,7 @@ def _parse_cover_spec(ln: _Line):
             raise SpecSyntaxError(
                 f"not a site: {site_word!r}", ln.no, site_col, expected=["x<vertex>"]
             )
+        site = _int(m.group(1), ln.no, site_col + 1)
         block = 1
         if len(words) == 4:
             if words[2][0] != "block":
@@ -719,10 +717,10 @@ def _parse_cover_spec(ln: _Line):
                     f"unexpected {words[2][0]!r}", ln.no, words[2][1],
                     expected=["block"],
                 )
-            block = _parse_int(words[3][0], ln.no, words[3][1])
+            block = _int(words[3][0], ln.no, words[3][1])
             if block < 1:
                 raise SpecSemanticError("block must be >= 1", ln.no, words[3][1])
-        return SliceCoverSpec(int(m.group(1)), block)
+        return SliceCoverSpec(site, block)
     if head == "list":
         return ListCoverSpec(tuple(_parse_quoted_events(ln)))
     raise SpecSyntaxError(

@@ -333,6 +333,39 @@ def test_cover_sum_finite_cover(capsys):
     assert payload["verdict"] == "PASS"
 
 
+# k = 1 with root weights (1, 0): the root is spin 0, whose row sums to 1, so
+# the depth-1 screen passes; spin 1's row sums to 1/2, which breaks the family
+# from depth 2 on, where the cover's events live
+DEEP_FAIL = """\
+[tree]
+k = 1
+
+[spins]
+kind = finite
+size = 2
+
+[family]
+kind = markov
+lambda = 1 0
+P = 1/2 1/2 ; 0 1/2
+
+[covers]
+deep = list "x3=0" ; "x3=1"
+"""
+
+
+def test_cover_sum_fail_exits_violation(capsys, tmp_path):
+    spec = tmp_path / "deep_fail.spec"
+    spec.write_text(DEEP_FAIL)
+    code, payload, err = run_cli(
+        capsys, "cover-sum", "--spec", str(spec), "--cover", "deep", "--event", "x0=0"
+    )
+    assert (code, payload["verdict"]) == (1, "FAIL")
+    [record] = payload["records"]
+    assert (record["direct"], record["summed"]["total"]) == ("1", "9/16")
+    assert err == "FAIL: 1 events against deep\n"
+
+
 def test_stdout_is_deterministic(capsys):
     args = (
         "covers-compare", "--spec", NAT, "--cover", "roots", "--cover", "pairs",
@@ -618,6 +651,35 @@ def test_event_escapes_exit_usage(capsys, event):
 def test_event_nesting_up_to_the_limit(capsys, event):
     code, payload, _ = run_cli(capsys, "eval", "--spec", CHAIN, "--event", event)
     assert (code, payload["value"]) == (0, "1/2")
+
+
+# a literal longer than int() converts by default (4,300 digits)
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("path, old, new, event, where", [
+    (CHAIN, "k = 2", f"k = {LONG}", "x0=0", (2, 5)),
+    (CHAIN, "lambda = 1/2", f"lambda = 1/{LONG}", "x0=0", (11, 12)),
+    (os.path.join(DATA, "product_overrides_k2.spec"), "w@4 =", f"w@{LONG} =", "x0=0",
+     (14, 3)),
+    (CHAIN, '"x0=1"', f'"x0={LONG}"', "x0=0", (15, 28)),
+    (CHAIN, None, None, f"x0={LONG}", (1, 4)),
+], ids=["k", "lambda-denominator", "w-index", "cover-event-value", "event-value"])
+def test_literal_past_the_digit_limit_is_a_spec_error(capsys, tmp_path, path, old, new,
+                                                      event, where):
+    # each ends in exit 2 at the literal's own position, not in a ValueError
+    with open(path) as fh:
+        text = fh.read()
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new)
+    spec = tmp_path / "long.spec"
+    spec.write_text(text)
+    code, payload, err = run_cli(capsys, "eval", "--spec", str(spec), "--event", event)
+    assert (code, payload) == (2, None)
+    assert err.startswith(
+        "spec error: line {}, col {}: a 5000-digit number is past".format(*where)
+    )
 
 
 FUZZ_WORDS = [
