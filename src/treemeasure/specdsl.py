@@ -482,7 +482,8 @@ def _one_of(what: str, choices: tuple[str, ...]):
 # The keys of each section in the order they are read: per key, whether it
 # is required, optional, indexed (key@<n>, one line per index) or repeated,
 # and the reader of its value (None leaves the lines to parse_document).
-# [family] adds the keys of its kind; [covers] takes any cover name.
+# [family] adds the keys of its kind; [covers], with no table, takes any
+# cover name and is the one section that may be left out.
 _MARKOV_KEYS = {
     "lambda": ("required", _weights), "P": ("required", None), "P@": ("indexed", None),
 }
@@ -500,7 +501,7 @@ _KEYS = {
         "size": ("optional", None),
     },
     "family": {"kind": ("required", _one_of("family kind", FAMILY_KINDS))},
-    "covers": None,  # optional
+    "covers": None,
 }
 SECTIONS = tuple(_KEYS)
 
