@@ -51,7 +51,7 @@ MAX_EVENT_NESTING = 200
 _INT_RE = re.compile(r"[0-9]+")
 
 
-def _int(text: str, line: int, col: int | None) -> int:
+def _int(text: str, line: int, col: int) -> int:
     """Decimal digits -> int: the one place spec text becomes a number.  A
     literal the interpreter refuses to convert is a syntax error too."""
     if not _INT_RE.fullmatch(text):
