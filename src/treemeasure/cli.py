@@ -50,7 +50,12 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _fraction_arg(text: str) -> Fraction:
+    # Fraction(text) builds 10 ** exponent: hold that to the int-conversion limit
+    exponent = text.lower().partition("e")[2]
+    limit = sys.get_int_max_str_digits()
     try:
+        if exponent and limit and abs(int(exponent)) > limit:
+            raise argparse.ArgumentTypeError(f"exponent past the limit of {limit}: {text!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None

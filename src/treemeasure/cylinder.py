@@ -182,11 +182,8 @@ def c_intersect(a: SiteConstraint, b: SiteConstraint) -> SiteConstraint:
     return a if len(values) == len(a.values) else SiteConstraint(a.mode, values)
 
 
-def c_complement(c: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
-    """The spins a normalized constraint excludes; None (every spin) for the
-    empty marker."""
-    if c_is_empty(c):
-        return None
+def c_complement(c: SiteConstraint, spins: SpinSet) -> SiteConstraint:
+    """The spins a normalized, non-empty constraint excludes."""
     if spins.is_finite:
         return SiteConstraint(IN, _full(spins.size) - c.values)
     # swapping the mode shares the value set, however wide, instead of copying it
@@ -281,13 +278,15 @@ class Rectangle:
         return cached
 
     def constraint_at(self, site: int) -> SiteConstraint | None:
-        for s, c in self.items:
-            if s == site:
-                return c
-        return None
+        return self.as_dict().get(site)
 
     def as_dict(self) -> dict[int, SiteConstraint]:
-        return dict(self.items)
+        """The constraints by site, memoized and shared: callers only read it."""
+        cached = getattr(self, "_map", None)
+        if cached is None:
+            cached = dict(self.items)
+            object.__setattr__(self, "_map", cached)
+        return cached
 
     def key(self):
         # memoized: keys are hot in measure-value caches
@@ -343,9 +342,9 @@ def rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
     return Rectangle(tuple(sorted(merged.items())))
 
 
-def _meets(a: Rectangle, at: dict[int, SiteConstraint]) -> bool:
-    """Whether rectangle a meets the rectangle with constraints `at` (by
-    site): at every site both constrain, they allow a common spin."""
+def _meets(a: Rectangle, b: Rectangle) -> bool:
+    """Whether a and b meet: at each site both constrain, they share a spin."""
+    at = b.as_dict()
     for site, c in a.items:
         d = at.get(site)
         if d is None:
@@ -382,18 +381,18 @@ def _carve(p: Rectangle, d: Rectangle, spins: SpinSet) -> list[Rectangle]:
     return out
 
 
-def _survivors(rects, cuts, maps, spins: SpinSet, budget: int, doing: str):
-    """The pieces of `rects` outside every rectangle of `cuts` (`maps[i]` is
-    `dict(cuts[i].items)`), pairwise disjoint.  The subtraction cascade runs
-    depth first, so each piece is yielded as soon as it passes the last cut.
-    More than `budget` pieces past any one cut raise `BudgetError`: run to
-    its end, the cascade raises exactly when one run cut by cut would."""
+def _survivors(rects, cuts, spins: SpinSet, budget: int, doing: str):
+    """The pieces of `rects` outside every rectangle of `cuts`, pairwise
+    disjoint.  The subtraction cascade runs depth first, so each piece is
+    yielded as soon as it passes the last cut.  More than `budget` pieces
+    past any one cut raise `BudgetError`: run to its end, the cascade raises
+    exactly when one run cut by cut would."""
     n = len(cuts)
     passed = [0] * n
     waiting = [(r, 0) for r in reversed(rects)]
     while waiting:
         p, i = waiting.pop()
-        while i < n and not _meets(p, maps[i]):
+        while i < n and not _meets(p, cuts[i]):
             passed[i] += 1
             if passed[i] > budget:
                 raise BudgetError(f"rectangle budget exceeded {doing}")
@@ -530,8 +529,7 @@ class CylinderSet:
     def _outside(self, other: "CylinderSet", budget: int):
         """The pieces of self outside other, one cascade over all of self."""
         _require_same_ctx(self, other)
-        maps = [dict(d.items) for d in other.rectangles]
-        return _survivors(self.rectangles, other.rectangles, maps, self.ctx.spins, budget,
+        return _survivors(self.rectangles, other.rectangles, self.ctx.spins, budget,
                           "during subtraction")
 
     def subtract(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
@@ -558,12 +556,10 @@ class CylinderSet:
         sites0 = rects[0].sites()
         if all(r.sites() == sites0 and r.all_singletons() for r in rects):
             return rects
-        maps = [dict(r.items) for r in rects]
         out: list[Rectangle] = []
         for i, r in enumerate(rects):
             # the pieces of r outside the rectangles before it
-            for p in _survivors((r,), rects[:i], maps, self.ctx.spins, budget,
-                                "while disjoining"):
+            for p in _survivors((r,), rects[:i], self.ctx.spins, budget, "while disjoining"):
                 out.append(p)
                 if len(out) > budget:
                     raise BudgetError("rectangle budget exceeded while disjoining")
@@ -608,7 +604,7 @@ class CylinderSet:
             raise BudgetError(f"atom budget {budget} exceeded at depth {n}")
         tuples = []
         for r in rects:
-            at = dict(r.items)
+            at = r.as_dict()
             choices = [at[v].key()[1] if v in at else range(s) for v in range(size)]
             tuples += itertools.product(*choices)
         return [Configuration.on_ball(self.ctx, n, t) for t in sorted(tuples)]
@@ -640,8 +636,7 @@ def omega(ctx: Context) -> CylinderSet:
 def single_site(ctx: Context, site: int, q: int) -> CylinderSet:
     """All configurations taking the value q at one vertex."""
     ctx.spins.check(q)
-    r = make_rectangle(ctx, {site: constraint_in([q])})
-    return CylinderSet.build(ctx, [r])
+    return from_constraints(ctx, {site: constraint_in([q])})
 
 
 def from_constraints(ctx: Context, mapping) -> CylinderSet:
@@ -659,8 +654,7 @@ def first_overlap(parts) -> tuple[int, int] | None:
     when the sets are pairwise disjoint."""
     for a, b in itertools.combinations(range(len(parts)), 2):
         _require_same_ctx(parts[a], parts[b])
-        maps = [dict(q.items) for q in parts[b].rectangles]
-        if any(_meets(p, at) for p in parts[a].rectangles for at in maps):
+        if any(_meets(p, q) for p in parts[a].rectangles for q in parts[b].rectangles):
             return a, b
     return None
 
@@ -682,11 +676,10 @@ def rho(ctx: Context, a: Configuration, b: Configuration, depth: int,
     """
     m = ctx.tree.ball_size(depth)
     map_a, map_b = a.as_mapping(), b.as_mapping()
+    partial = Fraction(0)
     for i in range(m):
         if i not in map_a or i not in map_b:
             raise ValueError(f"both configurations must assign every index below {m}")
-    partial = Fraction(0)
-    for i in range(m):
         if map_a[i] != map_b[i]:
             partial += Fraction(1, 2**i)
     if not eventually_equal:
@@ -741,11 +734,7 @@ def agreement_cylinder(ctx: Context, first: Rectangle, second: Rectangle) -> Cyl
     Keeps exactly the sites where both rectangles carry identical
     constraints; every other site is released.
     """
-    shared = {}
-    d2 = second.as_dict()
-    for s, c in first.items:
-        if d2.get(s) == c:
-            shared[s] = c
+    shared = {s: c for s, c in first.items if second.constraint_at(s) == c}
     return from_constraints(ctx, shared)
 
 

@@ -255,47 +255,34 @@ class NatSeq:
             return self.tail_a
         return self.tail_a * self.tail_r**d
 
-    def _tail_sum(self, d: int):
-        """Sum of the tail from tail offset d on."""
-        if self.tail_a == 0:
-            return Fraction(0)
-        if self.tail_kind == "const":
-            return INFINITE
-        return self.tail_a * self.tail_r**d / (1 - self.tail_r)
-
     def sum_from(self, q0: int):
-        if q0 <= len(self.prefix):
-            head = sum(self.prefix[q0:], Fraction(0))
-            return value_add(head, self._tail_sum(0))
-        return self._tail_sum(q0 - len(self.prefix))
+        return self.sum_range(q0)
 
     def sum_all(self):
-        return self.sum_from(0)
+        return self.sum_range(0)
 
-    def sum_range(self, lo: int, hi: int) -> Fraction:
-        """Sum over lo <= q < hi: the prefix entries, then c * length on a
-        constant tail or a * (r**d0 - r**d1) / (1 - r) on a geometric one."""
+    def sum_range(self, lo: int, hi: int | None = None):
+        """Sum over lo <= q < hi (hi None: every q from lo on): the prefix
+        entries, then c * (d1 - d0) on a constant tail or a * (r**d0 - r**d1)
+        / (1 - r) on a geometric one, over tail offsets d0 <= d < d1."""
         n = len(self.prefix)
         total = sum(self.prefix[lo:hi], Fraction(0)) if lo < n else Fraction(0)
-        d0, d1 = max(lo, n) - n, hi - n
-        if d1 <= d0 or self.tail_a == 0:
+        d0 = max(lo, n) - n
+        d1 = None if hi is None else hi - n
+        if self.tail_a == 0 or d1 is not None and d1 <= d0:
             return total
         if self.tail_kind == "const":
-            return total + self.tail_a * (d1 - d0)
+            return INFINITE if d1 is None else total + self.tail_a * (d1 - d0)
         r = self.tail_r
-        return total + self.tail_a * (r**d0 - r**d1) / (1 - r)
+        end = 0 if d1 is None else r**d1
+        return total + self.tail_a * (r**d0 - end) / (1 - r)
 
     def sum_runs(self, runs):
         """Sum over half-open runs (lo, hi) of spins, hi None for every spin
         from lo on; a run of one spin costs one `value_at`."""
         total = None
         for lo, hi in runs:
-            if hi is None:
-                part = self.sum_from(lo)
-            elif hi == lo + 1:
-                part = self.value_at(lo)
-            else:
-                part = self.sum_range(lo, hi)
+            part = self.value_at(lo) if hi == lo + 1 else self.sum_range(lo, hi)
             total = part if total is None else value_add(total, part)
         return Fraction(0) if total is None else total
 
@@ -388,14 +375,11 @@ class TransitionKernel:
             return tuple(NatSeq.finite(row) for row in self.matrix)
         return self.nat_rows + (self.nat_default,)
 
-    def row_seq(self, q: int) -> NatSeq:
-        return self.rows[min(q, self.uniform_from)]
-
     def entry(self, q: int, r: int) -> Fraction:
-        return self.row_seq(q).value_at(r)
+        return self.rows[min(q, self.uniform_from)].value_at(r)
 
     def row_sum(self, q: int):
-        return self.row_seq(q).sum_all()
+        return self.rows[min(q, self.uniform_from)].sum_all()
 
     @cached_property
     def _stochastic(self) -> bool:
@@ -405,23 +389,17 @@ class TransitionKernel:
         return self._stochastic
 
     @cached_property
-    def transfer_matrix(self) -> tuple[tuple, ...]:
-        """The kernel as a linear map on functions of the child spin, in the
-        tuple form the chain evaluator uses (see `VolumeMeasure`): over the
-        naturals, entry (q, w) is the weight row q gives to every spin from
-        w = uniform_from on."""
-        if self.matrix is not None:
-            return self.matrix
-        w = self.uniform_from
-        return tuple(
-            tuple(row.value_at(r) for r in range(w)) + (row.sum_from(w),) for row in self.rows
-        )
-
-    @cached_property
     def _scaled(self) -> tuple[tuple, int]:
-        """(M, D): transfer_matrix as the integer matrix M over D, the least
-        common denominator of its entries."""
-        return _scaled_rows(self.transfer_matrix)
+        """(M, D): the kernel as the integer matrix M over D, the least common
+        denominator of its entries, on functions of the child spin as the
+        chain evaluator keeps them (see `VolumeMeasure`): over the naturals,
+        entry (q, w) is row q's weight on every spin from w = uniform_from on."""
+        if self.matrix is not None:
+            return _scaled_rows(self.matrix)
+        w = self.uniform_from
+        return _scaled_rows(
+            [tuple(row.value_at(r) for r in range(w)) + (row.sum_from(w),) for row in self.rows]
+        )
 
     @cached_property
     def _base(self) -> int:
@@ -456,12 +434,12 @@ class TransitionKernel:
 
     @cached_property
     def _powers(self) -> list:
-        """M ** (2 ** j) at index j, grown on demand: transfer_matrix **
+        """M ** (2 ** j) at index j, grown on demand: the kernel's map **
         (2 ** j) is that over D ** (2 ** j)."""
         return [self._scaled[0]]
 
     def apply_power(self, vec: tuple, n: int) -> tuple:
-        """transfer_matrix ** n applied to vec = (nums, den): popcount(n)
+        """The kernel's map ** n applied to vec = (nums, den): popcount(n)
         integer matrix-vector products over the cached binary powers, of
         which there are never more than the bit length of the largest n asked
         for; the denominator takes D ** n."""
@@ -617,7 +595,7 @@ class VolumeMeasure:
     # per spin over finite spins; over the naturals, the values at the spins
     # 0..w-1 and then the one value shared by every spin from
     # w = kernel.uniform_from on, where the kernel's rows stop changing.  The
-    # kernel steps with its integer matrix M = D * transfer_matrix, so a node
+    # kernel steps with its integer matrix M over D (`_scaled`), so a node
     # costs O(s^2) int multiplications and no gcd; only the root step builds a
     # Fraction, one per rectangle, and cached free factors are reduced once.
     #
@@ -833,9 +811,8 @@ class VolumeMeasure:
             if scalar == INFINITE:
                 raise MassError("marginal diverges: dropped site weights are not summable")
             over = {v: w for v, w in form.overrides.items() if v < cut}
-            if scalar != 1:
-                over[0] = form.weight_at(0).scaled(scalar)
-            return VolumeMeasure(self.ctx, i, ProductForm(form.default, over))
+            marginal = VolumeMeasure(self.ctx, i, ProductForm(form.default, over))
+            return marginal if scalar == 1 else marginal.scaled(scalar)
         if form.kernel.is_stochastic():
             return VolumeMeasure(self.ctx, i, MarkovForm(form.lam, form.kernel))
         if method == "closed":

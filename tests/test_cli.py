@@ -395,6 +395,36 @@ def test_bad_rational_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, text", [("--tolerance", "1e20000000"), ("--bound", "1e-9999")])
+def test_rational_flag_exponent_past_digit_limit(capsys, flag, text):
+    # Fraction(text) alone would build 10 ** exponent, 20 million digits for the first
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma-eval", "--spec", NAT, "--cover", "roots", "--event", "x0=0", flag, text])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exponent past the limit of {sys.get_int_max_str_digits()}" in captured.err
+
+
+def test_depth_flag_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["consistency", "--spec", CHAIN, "--depth", "x"])
+    assert exc.value.code == 2
+    assert "not an integer: 'x'" in capsys.readouterr().err
+
+
+def test_eval_empty_notin_is_omega(capsys):
+    # over the naturals `notin {}` allows every spin: the event is omega
+    spec = os.path.join(os.path.dirname(os.path.dirname(DATA)), "samples", "counting_nat.spec")
+    code, payload, err = run_cli(capsys, "eval", "--spec", spec, "--event", "x0 notin {}",
+                                 "--json")
+    assert code == 0
+    assert (payload["event"], payload["value"]) == ("omega", "inf")
+    assert err == ""
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "treemeasure.cli",

@@ -232,6 +232,16 @@ def test_uniqueness_crosscheck_scaled(chain_fam):
     assert rhs == F(7, 3) * lhs
 
 
+def test_uniqueness_crosscheck_against_zero_has_no_ratio(chain_fam):
+    # every value of the zero multiple is 0, so no disagreement gives a ratio
+    zero = ExtensionHandle.issue(scale(chain_fam, 0), trusted=True, trust_reason="zero multiple")
+    report = uniqueness_crosscheck(zero, ExtensionHandle.issue(chain_fam), seed=1234, trials=60)
+    assert report.ratio is None
+    assert report.agree is False
+    event, lhs, rhs = report.witness
+    assert lhs == 0 and rhs > 0
+
+
 def test_crosscheck_rejects_context_mismatch(chain_fam, counting_fam):
     h1 = ExtensionHandle.issue(chain_fam)
     h2 = ExtensionHandle.issue(counting_fam, trusted=True, trust_reason="stochastic rows")

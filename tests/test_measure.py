@@ -902,6 +902,28 @@ def test_run_sums_match_per_value_sums(name):
     assert seq.sum_range(5, 2) == 0
 
 
+# plus the counting weights, a constant tail of 1 from spin 0 on
+OPEN_SEQS = {**RUN_SEQS, "counting": NatSeq.constant(1)}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_SEQS))
+def test_open_ended_range_sum(name):
+    """sum_range(lo, None) is sum_from(lo): the values from lo to `far`, past
+    every prefix, one at a time, plus the tail from `far` on (INFINITE for a
+    constant tail with a positive coefficient)."""
+    seq = OPEN_SEQS[name]
+    far = 60
+    for lo in range(0, 12):
+        head = sum((seq.value_at(q) for q in range(lo, far)), F(0))
+        if seq.tail_kind == "const":
+            tail = INFINITE if seq.tail_a else F(0)
+        else:
+            tail = seq.tail_a * seq.tail_r ** (far - len(seq.prefix)) / (1 - seq.tail_r)
+        expected = value_add(head, tail)
+        assert seq.sum_range(lo, None) == seq.sum_from(lo) == expected, lo
+        assert seq.sum_range(lo) == expected
+
+
 def reference_weighted_sum(row, constraint, g):
     """Sum of row(r) * g(r) over the allowed spins of the naturals, one spin
     at a time; g[-1] is shared by every spin from len(g) - 1 on."""

@@ -34,6 +34,7 @@ from treemeasure import (
     sigma_extension,
     single_site,
     slice_cover,
+    table_family,
     value_add,
     value_sub,
 )
@@ -479,6 +480,26 @@ def test_normalized_extension_zero_family(chain_fam, ctx_k2s2):
     assert norm.total == 0
     assert norm.base is None
     assert norm.mu(omega(ctx_k2s2)) == 0
+
+
+def test_normalized_extension_of_depth_one_table(ctx_k2s2):
+    # the family is defined to depth 1 only: its mass is read there and at 0
+    table = {(0, 0, 0, 1): F(1, 2), (1, 1, 0, 0): F(1, 4), (0, 1, 1, 1): F(3, 4)}
+    fam = table_family(ctx_k2s2, 1, table)
+    handle = ExtensionHandle.issue(fam, verify_depth=1)
+    asked = []
+    measure = fam.measure
+
+    def recording(n):
+        asked.append(n)
+        return measure(n)
+
+    fam.measure = recording
+    norm = normalized_extension(handle)
+    assert sorted(set(asked)) == [0, 1]
+    assert norm.total == F(3, 2)
+    for event in (single_site(ctx_k2s2, 0, 0), single_site(ctx_k2s2, 2, 1), omega(ctx_k2s2)):
+        assert norm.mu(event) == handle.mu(event)
 
 
 def test_normalized_extension_refuses_infinite(counting_fam):
