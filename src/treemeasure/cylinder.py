@@ -440,18 +440,27 @@ class Configuration:
             ctx.spins.check(mapping[s])
         return cls(sites, tuple(mapping[s] for s in sites))
 
+    def _map(self) -> dict[int, int]:
+        """The spins by site, memoized and shared: callers only read it."""
+        cached = getattr(self, "_by_site", None)
+        if cached is None:
+            cached = dict(zip(self.sites, self.values))
+            object.__setattr__(self, "_by_site", cached)
+        return cached
+
     def value_at(self, site: int) -> int:
         try:
-            return self.values[self.sites.index(site)]
-        except ValueError:
+            return self._map()[site]
+        except KeyError:
             raise KeyError(f"site {site} not assigned") from None
 
     def as_mapping(self) -> dict[int, int]:
-        return dict(zip(self.sites, self.values))
+        return dict(self._map())
 
     def restrict(self, sites) -> "Configuration":
-        keep = tuple(s for s in self.sites if s in set(sites))
-        m = self.as_mapping()
+        wanted = set(sites)
+        keep = tuple(s for s in self.sites if s in wanted)
+        m = self._map()
         return Configuration(keep, tuple(m[s] for s in keep))
 
 

@@ -10,22 +10,25 @@ marginals and masses stay exact.
 A rectangle's value never visits the whole ball.  The product form multiplies
 over the constrained sites and the overrides, and raises the default row sum
 to the number of remaining sites.  The chain forms make one bottom-up
-sum-product pass over the rectangle's skeleton: its constrained sites and
-their ancestors, O(c * d) nodes for c constrained sites at depth at most d,
-each with O(log d) index arithmetic.  The pass runs on integers: the kernel
-is kept as an integer matrix over the least common denominator of its
-entries, and a function of a spin as a tuple of ints over one shared
-denominator, so each node costs O(s^2) int multiplications over s finite
-spins (over the naturals, in the kernel's explicit rows and the values the
-constraints name) and no gcd.  The root step reduces the result to a
-Fraction once per rectangle, by gcds against the small number whose primes
-the denominator is made of.  When k = 1 or the kernel is stochastic, only
-the root, the constrained sites and their branch points (at most 2c nodes)
-do that work: an unconstrained path of L levels between two of them is the
-kernel's L-th power, applied as popcount(L) matrix-vector products through
-integer binary powers cached on the kernel.  Every free child subtree is a
-memoized factor of its height, kept in lowest terms; on a path (k = 1) it
-is itself one kernel power.
+sum-product pass over the rectangle's skeleton of kept vertices.  When k = 1
+or the kernel is stochastic, those are only the root, the constrained sites
+and their branch points (at most 2c nodes for c sites): the sites in
+depth-first order, the meets of neighbouring ones, and one stack pass that
+links each kept vertex to its nearest kept ancestor.  An unconstrained path
+of L levels between two of them is the kernel's L-th power, applied as
+popcount(L) matrix-vector products through integer binary powers cached on
+the kernel.  Under any other kernel every ancestor of a site is kept, O(c * d)
+nodes for sites at depth at most d, each linked to its parent in closed form.
+The pass runs on integers: the kernel is kept as an integer matrix over the
+least common denominator of its entries, and a function of a spin as a tuple
+of ints over one shared denominator, so each node costs O(s^2) int
+multiplications over s finite spins (over the naturals, in the kernel's
+explicit rows and the values the constraints name) and no gcd.  The root step
+multiplies in the root weights' integer form, cached on the weights, and
+reduces the result to a Fraction once per rectangle, by gcds against the
+small number whose primes the denominator is made of.  Every free child
+subtree is a memoized factor of its height, kept in lowest terms; on a path
+(k = 1) it is itself one kernel power.
 
 Over the naturals no cost grows with the width of a value range.  A
 function of a spin is shared by every spin from the kernel's uniform row
@@ -195,14 +198,17 @@ def _reduced(vec: tuple, base: int) -> tuple:
 
 
 def _divided(x, d: int, base: int):
-    """The value x / d, for an int d > 0 whose prime factors all divide
-    `base`.  Fraction's own division would pay a gcd of x's numerator with d
-    whole: 0.3 ms at 12,000 bits and 0.27 s at 393,000 bits (CPython 3.11,
-    one core of an x86-64 Xeon).  Here the common factor comes from
-    `_common_factor`, and the pair left is coprime, so it is stored as it
-    is, the way Fraction's own `__pow__` stores its results."""
-    if type(x) is float or d == 1 or not x:
+    """The value x / d as a Fraction, for an int or Fraction x and an int
+    d > 0 whose prime factors all divide `base`.  Fraction's own division
+    would pay a gcd of x's numerator with d whole: 0.3 ms at 12,000 bits and
+    0.27 s at 393,000 bits (CPython 3.11, one core of an x86-64 Xeon).  Here
+    the common factor comes from `_common_factor`, and the pair left is
+    coprime, so it is stored as it is, the way Fraction's own `__pow__`
+    stores its results."""
+    if type(x) is float:
         return x
+    if not x:
+        return Fraction(0)
     n = x.numerator
     c = _common_factor(base, d, (n,))
     out = object.__new__(Fraction)
@@ -293,6 +299,33 @@ class NatSeq:
     def sum_not_in(self, values):
         """Sum over every spin outside `values`, one closed form per gap."""
         return self.sum_runs(_gaps(sorted(set(values))))
+
+    @cached_property
+    def _base(self) -> int:
+        """A number that every prime factor of the denominators of this
+        sequence's values and run sums divides: those of the prefix, and for
+        a geometric tail a * r ** d, those of a, of r and of the numerator
+        of 1 - r."""
+        return math.lcm(
+            *(x.denominator for x in self.prefix),
+            self.tail_a.denominator, self.tail_r.denominator, (1 - self.tail_r).numerator,
+        )
+
+    @cached_property
+    def _heads(self) -> dict:
+        return {}
+
+    def _head(self, w: int) -> tuple[tuple, int]:
+        """(ints, d): the values at 0..w-1 and then the sum of every value
+        from w on (INFINITE when it diverges), as ints over their least
+        common denominator d; the layout of a kernel row in
+        `TransitionKernel._scaled`.  Memoized per w on the sequence, which
+        a chain family's measures share at every depth."""
+        cache = self._heads
+        if w not in cache:
+            (ints,), d = _scaled_rows([[self.value_at(r) for r in range(w)] + [self.sum_from(w)]])
+            cache[w] = ints, d
+        return cache[w]
 
     def scaled(self, c) -> "NatSeq":
         c = Fraction(c)
@@ -404,14 +437,8 @@ class TransitionKernel:
     @cached_property
     def _base(self) -> int:
         """A number that every prime factor of the pass's denominators
-        divides: D and the denominators of the rows' run sums, whose primes
-        are those of the entries and, for a geometric tail a * r ** d, of a,
-        of r and of the numerator of 1 - r."""
-        parts = [self._scaled[1]]
-        for row in self.rows:
-            parts += [x.denominator for x in row.prefix]
-            parts += [row.tail_a.denominator, row.tail_r.denominator, (1 - row.tail_r).numerator]
-        return math.lcm(*parts)
+        divides: D and the denominators of the rows' run sums."""
+        return math.lcm(self._scaled[1], *(row._base for row in self.rows))
 
     @cached_property
     def _run_columns(self) -> dict:
@@ -589,37 +616,75 @@ class VolumeMeasure:
         return value_mul(acc, free)
 
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
-    # the rectangle.  Breadth-first indexing puts children after parents, so
-    # the skeleton in descending index order is a valid bottom-up schedule.
-    # A function of a vertex's spin is a pair (nums, den) of ints: one entry
-    # per spin over finite spins; over the naturals, the values at the spins
-    # 0..w-1 and then the one value shared by every spin from
-    # w = kernel.uniform_from on, where the kernel's rows stop changing.  The
-    # kernel steps with its integer matrix M over D (`_scaled`), so a node
-    # costs O(s^2) int multiplications and no gcd; only the root step builds a
-    # Fraction, one per rectangle, and cached free factors are reduced once.
+    # the rectangle, each kept vertex handed to its nearest kept ancestor
+    # after its descendants.  A function of a vertex's spin is a pair
+    # (nums, den) of ints: one entry per spin over finite spins; over the
+    # naturals, the values at the spins 0..w-1 and then the one value shared
+    # by every spin from w = kernel.uniform_from on, where the kernel's rows
+    # stop changing.  The kernel steps with its integer matrix M over D
+    # (`_scaled`), so a node costs O(s^2) int multiplications and no gcd;
+    # only the root step builds a Fraction, one per rectangle, and cached
+    # free factors are reduced once.
     #
     # An unconstrained vertex other than the root with one skeleton child
     # maps its child's factor through P * diag(F_h ** (k-1)), F_h the free
     # factor at its height h.  When k == 1 or the kernel is stochastic,
     # F_h ** (k-1) is 1 at every height, so such a vertex is pass-through:
-    # the walk only counts it, and the next kept vertex applies a run of
-    # length L as M ** L from the kernel's cached binary powers.  Under any
-    # other kernel every skeleton vertex is kept.
+    # only the root, the sites and their branch points are kept, and a kept
+    # vertex L + 1 levels below its kept parent applies the run of L
+    # pass-through vertices as M ** L from the kernel's cached binary powers.
+    # Under any other kernel every ancestor of a site is kept.
 
-    def _skeleton(self, rect: Rectangle) -> list[tuple[int, int]]:
-        """(vertex, level) for the constrained sites and all their ancestors,
-        root included, in descending index order."""
+    def _skeleton(self, rect: Rectangle) -> list[tuple[int, int, int | None, int]]:
+        """(vertex, level, kept parent, run) for every kept vertex, children
+        before parents, the root (kept parent None) last; run counts the
+        pass-through vertices between a vertex and its kept parent."""
         tree = self.ctx.tree
-        levels = {0: 0}
+        k = tree.order
+        if not (k == 1 or self.form.kernel.is_stochastic()):
+            # each site climbs to the first vertex kept already, or past the
+            # root, whose parent is None
+            kept = {}
+            for site in rect.sites():
+                lvl, v = tree.level(site), site
+                while v is not None and v not in kept:
+                    kept[v] = lvl, tree.parent(v)
+                    lvl, v = lvl - 1, kept[v][1]
+            kept.setdefault(0, (0, None))
+            return [(v, lvl, p, 0) for v, (lvl, p) in sorted(kept.items(), reverse=True)]
+        # the virtual tree of the sites.  In depth-first order a vertex at
+        # level l and position p sorts by p * k ** (deepest - l), the position
+        # of its leftmost descendant at the deepest level, then by l.  A
+        # stack holds the kept vertices on the path to the last site; each
+        # next site meets that site at a kept vertex, the stack above which
+        # is linked and popped (the classic virtual-tree construction).
+        where = {0: (0, 0)}
         for site in rect.sites():
-            lvl = tree.level(site)
-            anc = site
-            while anc not in levels:
-                levels[anc] = lvl
-                lvl -= 1
-                anc = tree.ancestor_at_level(site, lvl)
-        return sorted(levels.items(), reverse=True)
+            where[site] = tree.level_and_position(site)
+        deepest = max(lvl for lvl, _ in where.values())
+        out, stack = [], [0]
+
+        def link(v, up):
+            lvl = where[v][0]
+            out.append((v, lvl, up, lvl - where[up][0] - 1))
+
+        dfs = sorted(where, key=lambda v: (where[v][1] * k ** (deepest - where[v][0]),
+                                           where[v][0]))
+        for v in dfs[1:]:  # the root sorts first
+            m = tree.meet(stack[-1], v) if stack[-1] else 0
+            if m != stack[-1]:
+                if m not in where:
+                    where[m] = tree.level_and_position(m)
+                while len(stack) > 1 and where[stack[-2]][0] >= where[m][0]:
+                    link(stack.pop(), stack[-1])
+                if stack[-1] != m:
+                    link(stack.pop(), m)
+                    stack.append(m)
+            stack.append(v)
+        while len(stack) > 1:
+            link(stack.pop(), stack[-1])
+        out.append((0, 0, None, 0))
+        return out
 
     def _unit(self) -> tuple:
         return (1,) * len(self.form.kernel.rows), 1
@@ -660,19 +725,28 @@ class VolumeMeasure:
                 runs.append((lo, hi))
         return head, runs
 
-    def _weighted_sum(self, row: NatSeq, sel, g: tuple):
-        """Sum of row(r) * g(r) over the child spins r of the selection.  A
-        function of a spin shares g[w] = g[-1] among the spins from w on, so
-        the runs there cost one closed-form row sum each and one product."""
+    def _weighted_sum(self, row: NatSeq, sel, g: tuple, den: int = 1):
+        """Sum of row(r) * g(r) / den over the spins r of the selection, as
+        one Fraction.  The row comes as ints over its denominator d
+        (`NatSeq._head`), and a function of a spin shares g[w] = g[-1] among
+        the spins from w on.  So every spin from w on is the head's last
+        entry, and other runs there cost one closed-form row sum a / b and
+        one product: the sum is (sum of ints[r] * g[r] over the head, times
+        b, plus g[-1] * a * d) over d * b * den."""
         head, runs = sel
-        if self.ctx.spins.is_finite:
-            return sum((row.prefix[r] * g[r] for r in head), Fraction(0))
-        acc = Fraction(0)
-        for r in head:
-            acc = value_add(acc, value_mul(row.value_at(r), g[r]))
+        w = self.form.kernel.uniform_from
+        ints, d = row._head(w)
+        if runs == [(w, None)]:
+            head, runs = [*head, w], None
+        total = _dot([ints[r] for r in head], [g[r] for r in head])
         if runs:
-            acc = value_add(acc, value_mul(g[-1], row.sum_runs(runs)))
-        return acc
+            part = row.sum_runs(runs)
+            if type(part) is float:
+                total = _dot((total, part), (1, g[-1]))
+            else:
+                total = _dot((total, g[-1]), (part.denominator, part.numerator * d))
+                d *= part.denominator
+        return _divided(total, d * den, math.lcm(row._base, self.form.kernel._base))
 
     def _step(self, c: SiteConstraint | None, g: tuple) -> tuple:
         """The factor a kept vertex hands its parent: the sum of P(q, r) *
@@ -699,50 +773,45 @@ class VolumeMeasure:
         """(g, den) with the rectangle's value = the sum of lam(q) * g(q)
         over the root spins q its root constraint allows, divided by den: one
         pass over the skeleton below the root."""
-        tree = self.ctx.tree
-        k = tree.order
+        k = self.ctx.tree.order
         constraints = rect.as_dict()
         kernel = self.form.kernel
-        flat = k == 1 or kernel.is_stochastic()
-        # pending[v]: (factor, run) per skeleton child of v; the factor is a
-        # function of the spin `run` levels below v, run counting the
-        # pass-through vertices it has not been carried through yet
+        # pending[v]: the factors v's kept children hand it, each a function
+        # of v's spin
         pending: dict[int, list] = {}
-        for v, lvl in self._skeleton(rect):
-            kids = pending.pop(v, [])
-            c = constraints.get(v)
-            if flat and v and c is None and len(kids) == 1:
-                vec, run = kids[0]
-                pending.setdefault(tree.parent(v), []).append((vec, run + 1))
-                continue
+        for v, lvl, up, run in self._skeleton(rect):
+            fns = pending.pop(v, [])
             height = self.depth - lvl
-            fns = [kernel.apply_power(vec, run) for vec, run in kids]
-            nfree = 0 if height == 0 else (k + 1 if v == 0 else k) - len(kids)
+            nfree = 0 if height == 0 else (k + 1 if v == 0 else k) - len(fns)
             if nfree:
                 free = self._free_factor(height)
                 fns.append(free if nfree == 1 else _power(free, nfree))
             g = _product(fns) if fns else self._unit()
-            if v == 0:
+            if up is None:
                 return g
-            pending.setdefault(tree.parent(v), []).append((self._step(c, g), 0))
+            # an unconstrained vertex's step is one more kernel power
+            c = constraints.get(v)
+            if c is None:
+                vec, run = g, run + 1
+            else:
+                vec = self._step(c, g)
+            pending.setdefault(up, []).append(kernel.apply_power(vec, run) if run else vec)
 
     def _rect_value_chain(self, rect: Rectangle):
-        kernel = self.form.kernel
-        sel = self._selection(rect.constraint_at(0), kernel.uniform_from)
-        g, den = self._root_factor(rect)
-        return _divided(self._weighted_sum(self.form.lam, sel, g), den, kernel._base)
+        sel = self._selection(rect.constraint_at(0), self.form.kernel.uniform_from)
+        return self._weighted_sum(self.form.lam, sel, *self._root_factor(rect))
 
     def root_slice_sums(self, cyl: CylinderSet):
         """For a chain form, the function n -> value of cyl & {x0 < n}.
 
         One skeleton pass per disjoint rectangle finds its root factor; each
-        call then costs, per rectangle, the allowed root spins below
-        w = kernel.uniform_from one by one and one closed-form sum of the root
-        weights per run of allowed spins from w on, cut at n.
+        call then costs, per rectangle, the root step of `_weighted_sum` over
+        the allowed root spins cut at n: the spins below
+        w = kernel.uniform_from one by one and one closed-form sum of the
+        root weights per run of allowed spins from w on.
         """
         lam = self.form.lam
-        kernel = self.form.kernel
-        w = kernel.uniform_from
+        w = self.form.kernel.uniform_from
         parts = [
             (self._selection(rect.constraint_at(0), w), self._root_factor(rect))
             for rect in cyl.disjoint_rectangles()
@@ -755,8 +824,7 @@ class VolumeMeasure:
                     [r for r in head if r < n],
                     [(lo, n if hi is None else min(hi, n)) for lo, hi in runs if lo < n],
                 )
-                part = self._weighted_sum(lam, cut, g)
-                total = value_add(total, _divided(part, den, kernel._base))
+                total = value_add(total, self._weighted_sum(lam, cut, g, den))
             return total
 
         return below

@@ -79,15 +79,20 @@ class TreeGeometry:
         O(1) on a path (order 1), else a binary search over the cached sphere
         boundaries: O(log level(v)).
         """
-        self.check_vertex(v)
         if self.order == 1:
+            self.check_vertex(v)
             return (v + 1) // 2
+        if not 0 <= v < self._bounds[-1]:  # a v the cache covers is in range
+            self.check_vertex(v)
         return bisect_right(self._bounds, v)
 
     def level_and_position(self, v: int) -> tuple[int, int]:
         """(level, position within that level), the inverse of index_of."""
         n = self.level(v)
-        return n, v - (0 if n == 0 else self._boundary(n - 1))
+        if n == 0:
+            return 0, 0
+        # level(v) has grown the boundary cache past v
+        return n, v - (2 * n - 1 if self.order == 1 else self._bounds[n - 1])
 
     def index_of(self, level: int, position: int) -> int:
         self.check_depth(level)
@@ -95,25 +100,24 @@ class TreeGeometry:
             raise ValueError(f"position {position} out of range at level {level}")
         return (0 if level == 0 else self._boundary(level - 1)) + position
 
+    # Breadth-first indexing puts the children of a vertex v >= 1 at
+    # k*v + 2 .. k*v + k + 1 and those of the root at 1 .. k + 1, so parent
+    # and children need no level lookup.
+
     def parent(self, v: int) -> int | None:
-        lvl, pos = self.level_and_position(v)
-        if lvl == 0:
+        self.check_vertex(v)
+        if v == 0:
             return None
-        if lvl == 1:
-            return 0
-        return self._boundary(lvl - 2) + pos // self.order
+        return 0 if v <= self.order + 1 else (v - 2) // self.order
 
     def children(self, v: int) -> range:
-        lvl = self.level(v)
-        if lvl + 1 > self.max_depth:
-            raise DepthLimitError(
-                f"children of vertex {v} lie at depth {lvl + 1} > max_depth {self.max_depth}"
-            )
-        if v == 0:
-            return range(1, self.order + 2)
-        pos = v - self._boundary(lvl - 1)
-        first = self._boundary(lvl) + pos * self.order
-        return range(first, first + self.order)
+        self.check_vertex(v)
+        k = self.order
+        first = k * v + 2 if v else 1
+        if self._beyond(first):
+            raise DepthLimitError(f"children of vertex {v} lie at depth "
+                                  f"{self.level(v) + 1} > max_depth {self.max_depth}")
+        return range(first, first + (k if v else k + 1))
 
     def path_to_root(self, v: int) -> list[int]:
         """Vertices from v up to and including the root."""
@@ -134,23 +138,28 @@ class TreeGeometry:
             return 0
         return self._boundary(lvl - 1) + pos // self.order ** (cur_lvl - lvl)
 
+    def meet(self, u: int, v: int) -> int:
+        """The deepest common ancestor of u and v (either one, when it is an
+        ancestor of the other).  The deeper position is cut to the shallower
+        level, and both are divided by the order until they agree: the level
+        where they do is the meet's, read off u by one ancestor_at_level."""
+        lu, pu = self.level_and_position(u)
+        lv, pv = self.level_and_position(v)
+        k = self.order
+        lvl = min(lu, lv)
+        pu //= k ** (lu - lvl)
+        pv //= k ** (lv - lvl)
+        if k == 1 and pu != pv:
+            return 0  # the two halves of a path meet only at the root
+        while lvl and pu != pv:
+            pu //= k
+            pv //= k
+            lvl -= 1
+        return self.ancestor_at_level(u, lvl)
+
     def distance(self, u: int, v: int) -> int:
-        """Graph distance, via the lowest common ancestor."""
-        lu, lv = self.level(u), self.level(v)
-        d = 0
-        while lu > lv:
-            u = self.parent(u)
-            lu -= 1
-            d += 1
-        while lv > lu:
-            v = self.parent(v)
-            lv -= 1
-            d += 1
-        while u != v:
-            u = self.parent(u)
-            v = self.parent(v)
-            d += 2
-        return d
+        """Graph distance, via the deepest common ancestor."""
+        return self.level(u) + self.level(v) - 2 * self.level(self.meet(u, v))
 
     def parents_list(self, n: int) -> list[int | None]:
         """parents_list(n)[v] is the parent of v, for every v in the depth-n ball."""
@@ -179,14 +188,16 @@ class TreeGeometry:
     def check_vertex(self, v: int) -> None:
         if v < 0:
             raise ValueError(f"vertex index must be non-negative, got {v}")
-        if self.order == 1:
-            beyond = v > 2 * self.max_depth
-        else:
-            # grow the cache, doubling its depth, until it covers v or max_depth
-            while self._bounds[-1] <= v and len(self._bounds) <= self.max_depth:
-                self._boundary(min(self.max_depth, 2 * len(self._bounds)))
-            beyond = self._bounds[-1] <= v
-        if beyond:
+        if self._beyond(v):
             raise DepthLimitError(
                 f"vertex {v} lies beyond depth max_depth {self.max_depth}"
             )
+
+    def _beyond(self, v: int) -> bool:
+        """Whether index v >= 0 lies past the depth-max_depth ball."""
+        if self.order == 1:
+            return v > 2 * self.max_depth
+        # grow the cache, doubling its depth, until it covers v or max_depth
+        while self._bounds[-1] <= v and len(self._bounds) <= self.max_depth:
+            self._boundary(min(self.max_depth, 2 * len(self._bounds)))
+        return self._bounds[-1] <= v

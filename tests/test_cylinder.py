@@ -540,3 +540,22 @@ def test_random_cylinder_over_the_naturals(nat_ctx):
     constraints = [c for e in events for r in e.rectangles for _, c in r.items]
     assert {c.mode for c in constraints} == {"in", "notin"}
     assert all(max(c.values) < 8 for c in constraints)
+
+
+def test_configuration_restrict_and_value_at_on_many_sites():
+    """restrict and value_at on 4,000 sites against a dict oracle (both were
+    quadratic: restrict built the wanted set again for every site)."""
+    rng = random.Random(4000)
+    sites = sorted(rng.sample(range(100_000), 4000))
+    oracle = {v: rng.randrange(5) for v in sites}
+    config = Configuration(tuple(sites), tuple(oracle[v] for v in sites))
+    for v in sites:
+        assert config.value_at(v) == oracle[v]
+    with pytest.raises(KeyError):
+        config.value_at(100_000)
+    assert config.restrict(sites) == config
+    wanted = rng.sample(sites, 1500) + [100_001, 100_002]
+    kept = config.restrict(reversed(wanted))
+    assert kept.as_mapping() == {v: oracle[v] for v in wanted if v in oracle}
+    assert list(kept.sites) == sorted(kept.sites)
+    assert config.restrict(iter(sites[:3])).values == tuple(oracle[v] for v in sites[:3])

@@ -969,3 +969,101 @@ def test_weighted_sums_match_per_value_sums(w):
                 got = mu._weighted_sum(row, mu._selection(c, w), g)
                 assert got == reference_weighted_sum(row, c, g), (row, g, c)
 
+
+
+# The chain pass keeps, under a flat kernel (k = 1 or stochastic), only the
+# root, the sites and the meets of sites in different child subtrees, and
+# carries a factor across the levels between two of them as one kernel
+# power; under any other kernel it keeps every ancestor of a site.  The
+# shapes below are the skeleton's edge cases, each valued against the
+# level-by-level oracle above.
+# name: (order, spins (None: the naturals), lam, kernel)
+SKELETON_FAMILIES = {
+    name: RUN_FAMILIES[name][:4]
+    for name in ("stochastic_s2_k2", "substochastic_s2_k2", "geometric_nat_k2",
+                 "stochastic_s2_k1", "substochastic_s2_k1", "infinite_row_nat_k1")
+}
+# two of the same kernels on the order-3 tree
+SKELETON_FAMILIES["stochastic_s3_k3"] = (3,) + RUN_FAMILIES["stochastic_s3_k2"][1:4]
+SKELETON_FAMILIES["substochastic_s2_k3"] = (3,) + RUN_FAMILIES["substochastic_s2_k2"][1:4]
+
+
+def skeleton_shapes(tree):
+    """{shape: sites} for the skeleton's edge cases on `tree`."""
+    k = tree.order
+    if k == 1:
+        # branch 0 holds the odd indices, branch 1 the even ones
+        left = [tree.index_of(lvl, 0) for lvl in range(8)]
+        right = [tree.index_of(lvl, 1) for lvl in range(1, 8)]
+        return {
+            "both_sides": {left[5], right[2]},
+            "both_sides_and_root": {0, left[7], right[6]},
+            "root_as_site": {0, left[6]},
+            "ancestor_site": {left[2], left[6], right[3]},
+        }
+    b = tree.index_of(2, 1)  # unconstrained, its first and last child subtrees hold sites
+    first, last = tree.children(b)[0], tree.children(b)[-1]
+    x = tree.children(tree.children(first)[-1])[0]
+    y = tree.children(last)[0]
+    other = tree.index_of(3, tree.sphere_size(3) - 1)
+    a = tree.index_of(1, 0)
+    below_a = tree.children(tree.children(a)[0])[-1]
+    return {
+        "branch_point": {x, y},
+        "branch_point_and_other": {x, y, other},
+        "root_as_site": {0, x},
+        "root_and_branch_point": {0, x, y, other},
+        "ancestor_site": {a, below_a, other},
+        "ancestor_chain": {a, below_a, tree.children(below_a)[0]},
+    }
+
+
+def expected_kept(tree, sites):
+    """The root, the sites, and every vertex with sites below two or more
+    of its children."""
+    below = {}
+    for site in sites:
+        path = tree.path_to_root(site)
+        for child, parent in zip(path, path[1:]):
+            below.setdefault(parent, set()).add(child)
+    return {0} | set(sites) | {v for v, kids in below.items() if len(kids) > 1}
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_FAMILIES))
+def test_skeleton_edge_shapes_match_level_by_level(name):
+    order, s, lam, kernel = SKELETON_FAMILIES[name]
+    spins = SpinSet.naturals() if s is None else SpinSet.finite(s)
+    ctx = Context(TreeGeometry(order, 9 if order == 1 else 6), spins)
+    fam = markov_family(ctx, lam, kernel)
+    lam, kernel = fam.measure(0).form.lam, fam.measure(0).form.kernel
+    flat = order == 1 or kernel.is_stochastic()
+    tree = ctx.tree
+    rng = random.Random(name)
+
+    def constraint():
+        if s is not None:
+            return constraint_in(rng.sample(range(s), rng.randint(1, s - 1)))
+        values = rng.sample(range(4), rng.randint(1, 2))
+        return (constraint_in if rng.random() < 0.6 else constraint_not_in)(values)
+
+    for shape, sites in skeleton_shapes(tree).items():
+        base = max(tree.level(v) for v in sites)
+        for depth in range(base, min(base + 2, tree.max_depth) + 1):
+            rect = {v: constraint() for v in sites}
+            mu = fam.measure(depth)
+            event = from_constraints(ctx, rect)
+            assert mu.measure_of(event) == level_by_level_value(ctx, lam, kernel, depth, rect), (
+                shape, depth)
+            (piece,) = event.rectangles
+            skeleton = mu._skeleton(piece)
+            kept = {v for v, _, _, _ in skeleton}
+            if flat:
+                assert kept == expected_kept(tree, sites), shape
+            else:
+                assert kept == {u for v in sites for u in tree.path_to_root(v)} | {0}, shape
+            for v, lvl, up, run in skeleton:
+                assert lvl == tree.level(v)
+                if up is not None:
+                    assert tree.ancestor_at_level(v, tree.level(up)) == up
+                    assert run == lvl - tree.level(up) - 1
+                    assert not kept & set(tree.path_to_root(v)[1:run + 1]), shape

@@ -149,3 +149,42 @@ def test_edges_within_count():
             assert len(edges) == tree.ball_size(n) - 1
             for parent, child in edges:
                 assert tree.parent(child) == parent
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_closed_form_parent_children_meet_against_bfs_oracle(k):
+    """parent and children without a level lookup, and meet and distance,
+    against the oracle's parents for every pair of the depth-4 ball."""
+    tree = TreeGeometry(k, max_depth=4)
+    levels, parents, children = bfs_oracle(k, 4)
+    paths = []  # paths[v]: the vertices from the root down to v
+    for v in range(len(levels)):
+        paths.append([v] if parents[v] is None else paths[parents[v]] + [v])
+    for u, path_u in enumerate(paths):
+        assert tree.parent(u) == parents[u]
+        if levels[u] < 4:
+            assert list(tree.children(u)) == children[u]
+        else:
+            with pytest.raises(DepthLimitError):
+                tree.children(u)
+        for v in range(u, len(paths)):
+            path_v = paths[v]
+            common = 0
+            while common < min(len(path_u), len(path_v)) and path_u[common] == path_v[common]:
+                common += 1
+            # distance(v, u) meets the pair in the other order
+            assert tree.meet(u, v) == path_u[common - 1], (u, v)
+            assert tree.distance(v, u) == len(path_u) + len(path_v) - 2 * common, (u, v)
+
+
+def test_parent_refuses_a_vertex_past_max_depth():
+    for k in (1, 2, 3, 5):
+        tree = TreeGeometry(k, max_depth=3)
+        last = tree.ball_size(3) - 1
+        assert tree.parent(last) == tree.ancestor_at_level(last, 2)
+        with pytest.raises(DepthLimitError):
+            TreeGeometry(k, max_depth=3).parent(last + 1)
+        with pytest.raises(DepthLimitError):
+            tree.parent(last + 1)
+        with pytest.raises(ValueError):
+            tree.parent(-1)
