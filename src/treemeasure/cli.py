@@ -205,10 +205,14 @@ def _cover_of(built, name: str):
 def _handle(built) -> ExtensionHandle:
     # cheap depth-1 screen; the consistency command is the thorough check.
     # The library's message points API callers at `trusted=True`, which no
-    # flag of this command offers.
+    # flag of this command offers.  Only that atom-budget refusal is
+    # relabelled; any other budget, such as a power too large to build,
+    # keeps its own message.
     try:
         return ExtensionHandle.issue(built.family, verify_depth=1)
-    except BudgetError:
+    except BudgetError as exc:
+        if "atom budget" not in str(exc):
+            raise
         raise BudgetError(
             "the depth-1 consistency screen is inconclusive within the atom "
             f"budget {DEFAULT_ATOM_BUDGET}"

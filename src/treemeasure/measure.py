@@ -44,6 +44,7 @@ Values are Fraction or the float infinity for a diverging mass.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -53,6 +54,7 @@ from functools import cached_property, reduce
 
 from .cylinder import (
     DEFAULT_ATOM_BUDGET,
+    Configuration,
     Context,
     CylinderSet,
     Rectangle,
@@ -63,6 +65,7 @@ from .cylinder import (
     c_runs,
     constraint_in,
     exceeds_budget,
+    from_configuration,
     from_constraints,
     omega,
 )
@@ -75,6 +78,19 @@ from .errors import (
 )
 
 INFINITE = math.inf
+
+# the largest power, in bits, that `value_pow` and `_power` build
+_POWER_BITS_LIMIT = 2**22
+
+
+def _check_power(largest: int, e: int) -> None:
+    """Refuse a power of operands up to `largest` to the e-th before it is
+    built: it has at least e * (bit length - 1) bits."""
+    bits = e * (largest.bit_length() - 1)
+    if bits > _POWER_BITS_LIMIT:
+        raise BudgetError(
+            f"a power of about {bits} bits exceeds the limit of {_POWER_BITS_LIMIT} bits"
+        )
 
 
 # The value algebra tests for infinity by type: INFINITE is the only float a
@@ -98,6 +114,7 @@ def value_pow(v, e: int):
         return Fraction(1)
     if type(v) is float:
         return INFINITE
+    _check_power(max(v.numerator, v.denominator), e)
     return v**e
 
 
@@ -160,6 +177,7 @@ def _dot(row, vec):
 
 def _power(vec: tuple, e: int) -> tuple:
     nums, den = vec
+    _check_power(max([den, *(x for x in nums if type(x) is int)]), e)
     return tuple(x**e for x in nums), den**e
 
 
@@ -534,14 +552,8 @@ class VolumeMeasure:
         self.form = form
         self._rect_cache: dict = {}
         self._free_cache: dict = {}
-        self._parents = None
 
     # -- plumbing -----------------------------------------------------------
-
-    def parents(self):
-        if self._parents is None:
-            self._parents = self.ctx.tree.parents_list(self.depth)
-        return self._parents
 
     def _ball(self) -> int:
         return self.ctx.tree.ball_size(self.depth)
@@ -562,7 +574,7 @@ class VolumeMeasure:
                 acc *= form.weight_at(v).value_at(q)
             return acc
         acc = form.lam.value_at(values[0])
-        parents = self.parents()
+        parents = self.ctx.tree.parents_list(self.depth)
         for child in range(1, len(values)):
             acc *= form.kernel.entry(values[parents[child]], values[child])
         return acc
@@ -833,8 +845,6 @@ class VolumeMeasure:
 
     def dense_table(self, budget: int = DEFAULT_ATOM_BUDGET) -> dict:
         """Materialize {value tuple: weight}, zero atoms omitted (finite spins)."""
-        if isinstance(self.form, DenseTableForm):
-            return dict(self.form.table)
         return _enumerate_marginal(self, self.depth, budget)
 
     def scaled(self, c) -> "VolumeMeasure":
@@ -864,14 +874,7 @@ class VolumeMeasure:
         if i == self.depth:
             return self
         form = self.form
-        if method == "enumerate":
-            return VolumeMeasure(self.ctx, i, DenseTableForm(_enumerate_marginal(self, i, budget)))
-        if isinstance(form, DenseTableForm):
-            cut = self.ctx.tree.ball_size(i)
-            return VolumeMeasure(
-                self.ctx, i, DenseTableForm(_regroup(form.table, lambda key: key[:cut]))
-            )
-        if isinstance(form, ProductForm):
+        if method != "enumerate" and isinstance(form, ProductForm):
             cut, ball = self.ctx.tree.ball_size(i), self._ball()
             dropped = [w.sum_all() for v, w in form.overrides.items() if cut <= v < ball]
             free = value_pow(form.default.sum_all(), ball - cut - len(dropped))
@@ -881,14 +884,14 @@ class VolumeMeasure:
             over = {v: w for v, w in form.overrides.items() if v < cut}
             marginal = VolumeMeasure(self.ctx, i, ProductForm(form.default, over))
             return marginal if scalar == 1 else marginal.scaled(scalar)
-        if form.kernel.is_stochastic():
-            return VolumeMeasure(self.ctx, i, MarkovForm(form.lam, form.kernel))
-        if method == "closed":
-            raise ValueError("no closed-form marginal for a non-stochastic kernel")
-        if not self.ctx.spins.is_finite:
-            raise MassError(
-                "no closed-form marginal for a non-stochastic kernel over the denumerable spin set"
-            )
+        if method != "enumerate" and isinstance(form, MarkovForm):
+            if form.kernel.is_stochastic():
+                return VolumeMeasure(self.ctx, i, form)
+            if method == "closed":
+                raise ValueError("no closed-form marginal for a non-stochastic kernel")
+            if not self.ctx.spins.is_finite:
+                raise MassError("no closed-form marginal for a non-stochastic kernel "
+                                "over the denumerable spin set")
         return VolumeMeasure(self.ctx, i, DenseTableForm(_enumerate_marginal(self, i, budget)))
 
 
@@ -897,24 +900,26 @@ class VolumeMeasure:
 
 
 def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
-    """Marginal of mu onto the depth-i ball by summing over every base atom.
+    """Marginal of mu onto the depth-i ball: a table's entries regrouped by
+    their depth-i head, any other form summed over every base atom.
 
     Integer-scaled arithmetic: every atom weight is a product of one row
     entry per site, so with each site's rows scaled to integers over one
     denominator the leaf sums are exact integer arithmetic over the product
-    of those denominators.
+    of those denominators.  The marginal's atoms come in `itertools.product`
+    order, the order of `CylinderSet.atoms`.
     """
     ctx = mu.ctx
+    t = ctx.tree.ball_size(i)
+    form = mu.form
+    if isinstance(form, DenseTableForm):
+        return _regroup(form.table, lambda key: key[:t])
     if not ctx.spins.is_finite:
         raise SpinRangeError("enumeration requires a finite spin set")
     s = ctx.spins.size
     full = ctx.tree.ball_size(mu.depth)
-    t = ctx.tree.ball_size(i)
     if full > budget or exceeds_budget(s, full, budget):
         raise BudgetError(f"enumeration of {s}**{full} atoms exceeds budget {budget}")
-    form = mu.form
-    if isinstance(form, DenseTableForm):
-        return _regroup(form.table, lambda key: key[:t])
     if s == 1:  # one atom, spin 0 at every site: its rows' spin-0 entries multiplied
         if isinstance(form, ProductForm):
             over = [w.prefix[0] for v, w in form.overrides.items() if v < full]
@@ -922,19 +927,20 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
         else:
             weight = form.lam.prefix[0] * form.kernel.matrix[0][0] ** (full - 1)
         return {(0,) * t: weight} if weight else {}
-    # rows[v][p]: the weights of v's spins given its parent's spin p.  A
-    # product form's rows ignore p, and so do the root's, which reads its own
-    # spin slot in place of a parent's.
+    # rows[v][p]: the weights of v's spins given its parent's spin p, as ints
+    # (`NatSeq._head`, whose entry s is the zero tail).  A product form's rows
+    # ignore p, and so do the root's, which reads its own spin slot in place
+    # of a parent's.
     if isinstance(form, ProductForm):
-        scaled = [_scaled_rows([form.weight_at(v).prefix]) for v in range(full)]
-        rowsI = [rows * s for rows, _ in scaled]
+        scaled = [form.weight_at(v)._head(s) for v in range(full)]
+        rowsI = [(ints,) * s for ints, _ in scaled]
         den = math.prod(d for _, d in scaled)
     else:
-        (lam,), d = _scaled_rows([form.lam.prefix])
+        lam, d = form.lam._head(s)
         mat, kernel_d = form.kernel._scaled
         rowsI = [[lam] * s] + [mat] * (full - 1)
         den = d * kernel_d ** (full - 1)
-    parents = [0] + mu.parents()[1:]
+    parents = [0] + ctx.tree.parents_list(mu.depth)[1:]
     buckets = [0] * (s**t)
     cur = [0] * full
 
@@ -954,7 +960,8 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
             rec(v + 1, acc * row[val], idx * s + val if v < t else idx)
 
     rec(0, 1, 0)
-    return {_decode(idx, s, t): Fraction(b, den) for idx, b in enumerate(buckets) if b}
+    atoms = itertools.product(range(s), repeat=t)
+    return {atom: Fraction(b, den) for atom, b in zip(atoms, buckets) if b}
 
 
 def _regroup(table: dict, key) -> dict:
@@ -964,13 +971,6 @@ def _regroup(table: dict, key) -> dict:
         head = key(atom)
         out[head] = out.get(head, Fraction(0)) + w
     return {k: v for k, v in out.items() if v}
-
-
-def _decode(idx: int, s: int, t: int) -> tuple[int, ...]:
-    digits = [0] * t
-    for pos in range(t - 1, -1, -1):
-        idx, digits[pos] = divmod(idx, s)
-    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,11 +1061,9 @@ def markov_family(ctx: Context, lam, kernel, kind: str | None = None,
     if kind is None:
         total = lam.sum_all()
         kind = family_kind(total == 1 and kernel.is_stochastic(), total)
+    form = MarkovForm(lam, kernel)
     return MeasureFamily(
-        ctx,
-        lambda n: VolumeMeasure(ctx, n, MarkovForm(lam, kernel)),
-        kind,
-        label=label or "chain",
+        ctx, lambda n: VolumeMeasure(ctx, n, form), kind, label=label or "chain"
     )
 
 
@@ -1073,11 +1071,11 @@ def product_family(ctx: Context, weight, overrides=None, label: str = "") -> Mea
     """Family of product measures with a default site weight and overrides."""
     weight = as_weights(ctx.spins, weight)
     overrides = {v: as_weights(ctx.spins, w) for v, w in (overrides or {}).items()}
-    form_of = lambda n: ProductForm(weight, overrides)  # noqa: E731
+    form = ProductForm(weight, overrides)
     sums = [weight.sum_all()] + [w.sum_all() for w in overrides.values()]
     kind = family_kind(all(x == 1 for x in sums), overrides.get(0, weight).sum_all())
     return MeasureFamily(
-        ctx, lambda n: VolumeMeasure(ctx, n, form_of(n)), kind, label=label or "product"
+        ctx, lambda n: VolumeMeasure(ctx, n, form), kind, label=label or "product"
     )
 
 
@@ -1186,9 +1184,7 @@ def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyRepor
             lhs = projected.get(key, Fraction(0))
             rhs = reference.get(key, Fraction(0))
             if lhs != rhs:
-                witness = from_constraints(
-                    ctx, {v: constraint_in([key[v]]) for v in range(len(key))}
-                )
+                witness = from_configuration(ctx, Configuration.on_ball(ctx, j - 1, key))
                 return ConsistencyReport(
                     requested, achieved, Violation(j - 1, j, witness, lhs, rhs),
                     "enumeration",

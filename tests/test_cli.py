@@ -810,3 +810,44 @@ def test_spec_document_fuzz_ends_in_exit_codes(capsys, tmp_path):
     assert set(codes) <= {0, 1, 2, 3}
     assert sum(code != 2 for code in codes) >= len(codes) / 4
     assert time.perf_counter() - started < 5
+
+
+HUGE_POWER_SPECS = {
+    "product": "[tree]\nk = 10000000000\n[spins]\nkind = finite\nsize = 3\n"
+               "[family]\nkind = product\nw = 1/6 3/2 1/2\n",
+    "chain": "[tree]\nk = 10000000000\n[spins]\nkind = nat\n"
+             "[family]\nkind = markov\nlambda = geometric 1/2 1/2\nP = geometric 1/2 0\n",
+}
+
+
+@pytest.mark.parametrize("family, argv, bits", [
+    ("product", ["eval", "--event", "x0=0 | x1 notin {1}"], 30000000003),
+    ("chain", ["eval", "--event", "x0=0", "--depth", "1"], 10000000001),
+    ("chain", ["probe-empty", "--maxdepth", "2"], 10000000001),
+], ids=["product-eval", "chain-eval", "chain-probe-empty"])
+def test_power_past_the_bit_limit_exits_inconclusive(capsys, tmp_path, family, argv, bits):
+    # with k = 10**10 a free site's row sum (product) or a root's free
+    # factor (chain) is raised to about k; the size is refused before the
+    # power is built, and the probe-empty screen keeps that message instead
+    # of the atom-budget one
+    spec = tmp_path / f"{family}.spec"
+    spec.write_text(HUGE_POWER_SPECS[family])
+    start = time.perf_counter()
+    code, payload, err = run_cli(capsys, *argv, "--spec", str(spec))
+    assert time.perf_counter() - start < 1
+    assert (code, payload) == (3, None)
+    assert err == (f"budget exceeded: a power of about {bits} bits exceeds the limit "
+                   f"of {2**22} bits\n")
+
+
+def test_table_family_checks_past_the_atom_budget(capsys, tmp_path):
+    # 2**46 atoms on the depth-4 ball of k = 2, but only two entries to
+    # regroup: a table's marginal passes no atom gate
+    zeros, ones = " ".join("0" * 46), " ".join("1" * 46)
+    spec = tmp_path / "table_depth4.spec"
+    spec.write_text("[tree]\nk = 2\n[spins]\nkind = finite\nsize = 2\n"
+                    f"[family]\nkind = table\ndepth = 4\n"
+                    f"entry = {zeros} : 1/2\nentry = {ones} : 1/2\n")
+    code, payload, _ = run_cli(capsys, "consistency", "--spec", str(spec), "--depth", "4")
+    assert code == 0
+    assert (payload["verified_depth"], payload["budget_limited"]) == (4, False)

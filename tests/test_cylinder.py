@@ -8,6 +8,7 @@ from treemeasure import (
     BudgetError,
     Configuration,
     Context,
+    ContextMismatchError,
     CylinderSet,
     SpinRangeError,
     SpinSet,
@@ -559,3 +560,27 @@ def test_configuration_restrict_and_value_at_on_many_sites():
     assert kept.as_mapping() == {v: oracle[v] for v in wanted if v in oracle}
     assert list(kept.sites) == sorted(kept.sites)
     assert config.restrict(iter(sites[:3])).values == tuple(oracle[v] for v in sites[:3])
+
+
+K2S2 = Context(TreeGeometry(2), SpinSet.finite(2))
+K3S2 = Context(TreeGeometry(3), SpinSet.finite(2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SpinSet.finite(0), ValueError, "finite spin set needs size >= 1, got 0"),
+    (lambda: single_site(K2S2, 0, 0).union(single_site(K3S2, 0, 0)), ContextMismatchError,
+     "operands live over different contexts"),
+    (lambda: Configuration((0, 1), (0,)), ValueError, "sites and values must have equal length"),
+    (lambda: Configuration.on_ball(K2S2, 1, (0,)), ValueError,
+     "need 4 values for the depth-1 ball, got 1"),
+    (lambda: single_site(K2S2, 4, 0).atom_count(1), ValueError,
+     "enumeration depth below base depth"),
+    (lambda: single_site(K2S2, 4, 0).atoms(1), ValueError, "enumeration depth below base depth"),
+    (lambda: generator_decomposition(K2S2, 4, 0, 1), ValueError,
+     "vertex 4 lies outside the depth-1 ball"),
+], ids=["spinset-size", "union-ctx", "configuration-lengths", "on_ball-length",
+        "atom_count-depth", "atoms-depth", "generator-depth"])
+def test_public_guards_raise_their_documented_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -247,3 +247,15 @@ def test_crosscheck_rejects_context_mismatch(chain_fam, counting_fam):
     h2 = ExtensionHandle.issue(counting_fam, trusted=True, trust_reason="stochastic rows")
     with pytest.raises(ContextMismatchError):
         uniqueness_crosscheck(h1, h2, seed=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda handle: continuity_probe(handle, []), "need at least one set in the chain"),
+    (lambda handle: inner_compact_approx(handle, omega(handle.ctx), 0),
+     "epsilon must be positive"),
+], ids=["continuity-empty-chain", "inner-epsilon"])
+def test_public_guards_raise_their_documented_error(chain_fam, call, message):
+    handle = ExtensionHandle.issue(chain_fam, verify_depth=1)
+    with pytest.raises(ValueError) as err:
+        call(handle)
+    assert str(err.value) == message

@@ -9,10 +9,13 @@ import pytest
 from treemeasure import measure as measure_module
 from treemeasure import (
     BudgetError,
+    Configuration,
     Context,
+    ContextMismatchError,
     FamilyDepthError,
     INFINITE,
     MassError,
+    MeasureFamily,
     NatSeq,
     SpinRangeError,
     SpinSet,
@@ -21,6 +24,7 @@ from treemeasure import (
     check_consistency,
     constraint_in,
     constraint_not_in,
+    from_configuration,
     from_constraints,
     markov_family,
     marginal_table,
@@ -1067,3 +1071,78 @@ def test_skeleton_edge_shapes_match_level_by_level(name):
                     assert tree.ancestor_at_level(v, tree.level(up)) == up
                     assert run == lvl - tree.level(up) - 1
                     assert not kept & set(tree.path_to_root(v)[1:run + 1]), shape
+
+
+def test_table_marginal_is_a_regroup_past_the_atom_budget(ctx_k2s2):
+    # 2**46 atoms on the depth-4 ball, two entries to regroup
+    size = ctx_k2s2.tree.ball_size(4)
+    fam = table_family(ctx_k2s2, 4, {(0,) * size: F(1, 2), (1,) * size: F(1, 2)})
+    report = check_consistency(fam, 4)
+    assert (report.ok, report.verified_depth, report.budget_limited) == (True, 4, False)
+    cut = ctx_k2s2.tree.ball_size(3)
+    expected = {(0,) * cut: F(1, 2), (1,) * cut: F(1, 2)}
+    assert fam.measure(4).project(3, method="enumerate").form.table == expected
+    assert fam.measure(4).project(3).form.table == expected
+    assert fam.measure(3).dense_table(budget=1) == expected
+
+
+def test_enumerated_marginal_follows_the_atom_order(chain_fam, ctx_k2s2):
+    # the enumerator's keys come in the order CylinderSet.atoms lists them
+    table = chain_fam.measure(2).project(1, method="enumerate").form.table
+    assert list(table) == [a.values for a in omega(ctx_k2s2).atoms(1)]
+
+
+def test_violation_witness_is_the_atom_cylinder(chain_fam, ctx_k2s2):
+    # depth 1 doubles the chain's weights, so its projection misses depth 0
+    # first at the atom x0 = 0
+    fam = MeasureFamily(ctx_k2s2, lambda n: chain_fam.measure(n).scaled(1 + (n > 0)), "finite")
+    report = check_consistency(fam, 1)
+    assert report.violation.witness == from_configuration(
+        ctx_k2s2, Configuration.on_ball(ctx_k2s2, 0, (0,)))
+    assert report.violation.render() == "project(depth 1 -> 0) on x0=0: 1 != 1/2"
+
+
+OTHER_CTX = Context(TreeGeometry(3), SpinSet.finite(2))
+NAT_CTX = Context(TreeGeometry(2), SpinSet.naturals())
+K2S2 = Context(TreeGeometry(2), SpinSet.finite(2))
+HALVES = markov_family(K2S2, [F(1, 2), F(1, 2)], [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: value_pow(F(3), 10**10), BudgetError,
+     "a power of about 10000000000 bits exceeds the limit of 4194304 bits"),
+    (lambda: value_sub(F(1), INFINITE), ValueError, "cannot subtract an infinite value"),
+    (lambda: NatSeq((), "const", F(-1)), ValueError, "tail coefficient must be non-negative"),
+    (lambda: NatSeq((), "cubic"), ValueError, "unknown tail kind 'cubic'"),
+    (lambda: NatSeq.constant(1).scaled(-1), ValueError, "scale factor must be non-negative"),
+    (lambda: TransitionKernel.from_matrix(SpinSet.naturals(), [[1]]), SpinRangeError,
+     "matrix kernels need a finite spin set"),
+    (lambda: TransitionKernel.from_matrix(SpinSet.finite(2), [[1, 0], [1]]), ValueError,
+     "kernel row 1 needs 2 entries, got 1"),
+    (lambda: TransitionKernel.from_matrix(SpinSet.finite(2), [[1, 0], [-1, 2]]), ValueError,
+     "kernel row 1: entries must be non-negative"),
+    (lambda: TransitionKernel.for_naturals(NatSeq.constant(0), {-1: NatSeq.constant(0)}),
+     ValueError, "row index must be non-negative, got -1"),
+    (lambda: HALVES.measure(1).measure_of(omega(OTHER_CTX)), ContextMismatchError,
+     "cylinder built over a different context"),
+    (lambda: HALVES.measure(0).measure_of(single_site(K2S2, 1, 0)), ValueError,
+     "cylinder base depth 1 exceeds measure depth 0"),
+    (lambda: HALVES.measure(1).scaled(-1), ValueError, "scale factor must be non-negative"),
+    (lambda: MeasureFamily(K2S2, HALVES.measure, "weird"), ValueError,
+     "unknown family kind 'weird'"),
+    (lambda: MeasureFamily(K2S2, lambda n: HALVES.measure(0), "finite").measure(1), ValueError,
+     "family generator returned a mismatched measure"),
+    (lambda: markov_family(K2S2, [1, 0], TransitionKernel.from_matrix(SpinSet.finite(3),
+                                                                     [[1] * 3] * 3)),
+     ContextMismatchError, "kernel spin set differs from the context"),
+    (lambda: table_family(NAT_CTX, 0, {}), SpinRangeError, "dense tables need a finite spin set"),
+    (lambda: table_family(K2S2, 0, {(0,): -1}), ValueError,
+     "entry (0,): weights must be non-negative"),
+], ids=["value_pow-bits", "value_sub-inf", "natseq-tail", "natseq-kind", "natseq-scale",
+        "matrix-nat", "matrix-row-length", "matrix-negative", "nat-row-index",
+        "measure_of-ctx", "measure_of-depth", "measure-scale", "family-kind",
+        "family-generator-depth", "markov-kernel-spins", "table-nat", "table-negative"])
+def test_public_guards_raise_their_documented_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

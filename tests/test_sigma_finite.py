@@ -692,3 +692,37 @@ def test_root_slice_sums_match_the_running_totals(counting_fam, nat_ctx):
                     piece = event.intersect(cover.part(i))
                     total = value_add(total, F(0) if piece.is_empty() else handle.mu(piece))
                     assert below((i + 1) * block) == total, (event.render(), block, i)
+
+
+OTHER_NAT = Context(TreeGeometry(3), SpinSet.naturals())
+
+
+def _nat_product_handle(nat_ctx):
+    fam = product_family(nat_ctx, NatSeq.geometric(F(1, 2), F(1, 2)))
+    return ExtensionHandle.issue(fam, verify_depth=1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda nat, fin: conditional_family(nat, single_site(OTHER_NAT, 0, 0)),
+     ContextMismatchError, "conditioning event built over a different context"),
+    (lambda nat, fin: conditional_family(_nat_product_handle(nat.ctx),
+                                         single_site(nat.ctx, 0, 0)).as_family(),
+     SpinRangeError, "closed-form restriction needs a chain family over the denumerable spins"),
+    (lambda nat, fin: slice_cover(nat.ctx).part(-1), IndexError,
+     "part index must be non-negative"),
+    (lambda nat, fin: sigma_extension(nat, slice_cover(OTHER_NAT)), ContextMismatchError,
+     "cover built over a different context"),
+    (lambda nat, fin: sigma_extension(nat, slice_cover(nat.ctx)).value(omega(OTHER_NAT)),
+     ContextMismatchError, "event built over a different context"),
+    (lambda nat, fin: fixed_level_cover(fin, finite_cover(
+        [single_site(fin.ctx, 4, 0), single_site(fin.ctx, 4, 1)]), level=1),
+     CoverError, "part 0 is based at depth 2, beyond level 1"),
+], ids=["conditional-ctx", "restriction-product", "slice-part-index", "sigma-cover-ctx",
+        "sigma-event-ctx", "fixed-level-part-depth"])
+def test_public_guards_raise_their_documented_error(counting_fam, chain_fam, call, error,
+                                                    message):
+    nat = counting_handle(counting_fam)
+    fin = ExtensionHandle.issue(chain_fam, verify_depth=1)
+    with pytest.raises(error) as err:
+        call(nat, fin)
+    assert str(err.value) == message

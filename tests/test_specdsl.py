@@ -949,3 +949,12 @@ def test_family_errors_carry_the_library_message(ctx_k2s2):
     with pytest.raises(SpecSemanticError) as err:
         load_spec(TABLE_DOC.replace("entry = 1 : 1/4", "entry = 3 : 1/4"))
     assert err.value.message == f"table: {lib.value}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: render_event(object()),
+    lambda ctx: lower_event(ctx, object()),
+], ids=["render", "lower"])
+def test_public_guards_raise_their_documented_error(ctx_k2s2, call):
+    with pytest.raises(TypeError, match=r"^not an event tree: <object object at 0x"):
+        call(ctx_k2s2)

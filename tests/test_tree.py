@@ -188,3 +188,14 @@ def test_parent_refuses_a_vertex_past_max_depth():
             tree.parent(last + 1)
         with pytest.raises(ValueError):
             tree.parent(-1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TreeGeometry(2, max_depth=0), "max_depth must be >= 1, got 0"),
+    (lambda: TreeGeometry(2).index_of(1, 3), "position 3 out of range at level 1"),
+    (lambda: TreeGeometry(2).ball_size(-1), "depth must be non-negative, got -1"),
+], ids=["max-depth", "index_of-position", "negative-depth"])
+def test_public_guards_raise_their_documented_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
