@@ -50,7 +50,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .cylinder import (
     DEFAULT_ATOM_BUDGET,
@@ -60,10 +60,9 @@ from .cylinder import (
     Rectangle,
     SiteConstraint,
     SpinSet,
-    _gaps,
-    _runs,
     c_runs,
     constraint_in,
+    constraint_not_in,
     exceeds_budget,
     from_configuration,
     from_constraints,
@@ -79,7 +78,7 @@ from .errors import (
 
 INFINITE = math.inf
 
-# the largest power, in bits, that `value_pow` and `_power` build
+# the largest power, in bits, that `_check_power` admits
 _POWER_BITS_LIMIT = 2**22
 
 
@@ -277,7 +276,7 @@ class NatSeq:
         d = q - len(self.prefix)
         if self.tail_kind == "const":
             return self.tail_a
-        return self.tail_a * self.tail_r**d
+        return self.tail_a * value_pow(self.tail_r, d)
 
     def sum_from(self, q0: int):
         return self.sum_range(q0)
@@ -298,8 +297,8 @@ class NatSeq:
         if self.tail_kind == "const":
             return INFINITE if d1 is None else total + self.tail_a * (d1 - d0)
         r = self.tail_r
-        end = 0 if d1 is None else r**d1
-        return total + self.tail_a * (r**d0 - end) / (1 - r)
+        end = 0 if d1 is None else value_pow(r, d1)
+        return total + self.tail_a * (value_pow(r, d0) - end) / (1 - r)
 
     def sum_runs(self, runs):
         """Sum over half-open runs (lo, hi) of spins, hi None for every spin
@@ -312,11 +311,11 @@ class NatSeq:
 
     def sum_in(self, values) -> Fraction:
         """Sum over the distinct spins in `values`, one closed form per run."""
-        return self.sum_runs(_runs(sorted(set(values))))
+        return self.sum_runs(c_runs(constraint_in(values), SpinSet.naturals()))
 
     def sum_not_in(self, values):
         """Sum over every spin outside `values`, one closed form per gap."""
-        return self.sum_runs(_gaps(sorted(set(values))))
+        return self.sum_runs(c_runs(constraint_not_in(values), SpinSet.naturals()))
 
     @cached_property
     def _base(self) -> int:
@@ -465,16 +464,13 @@ class TransitionKernel:
     def _runs_column(self, runs: tuple) -> tuple:
         """(col, L) for half-open runs (lo, hi) of child spins from w =
         uniform_from on (hi None: unbounded): row q's sum over the runs is
-        col[q] / (D * L).  When the runs are every spin from w on, col is
-        M's last column and L = 1.  Memoized per runs."""
+        col[q] / (D * L), whatever the runs, every spin from w on included.
+        Memoized per runs."""
         cache = self._run_columns
         if runs not in cache:
-            mat, d = self._scaled
-            if runs == ((self.uniform_from, None),):
-                cache[runs] = tuple(row[-1] for row in mat), 1
-            else:
-                (sums,), scale = _scaled_rows([[row.sum_runs(runs) for row in self.rows]])
-                cache[runs] = tuple(_mul(x, d) for x in sums), scale
+            d = self._scaled[1]
+            (sums,), scale = _scaled_rows([[row.sum_runs(runs) for row in self.rows]])
+            cache[runs] = tuple(_mul(x, d) for x in sums), scale
         return cache[runs]
 
     @cached_property
@@ -489,6 +485,7 @@ class TransitionKernel:
         which there are never more than the bit length of the largest n asked
         for; the denominator takes D ** n."""
         nums, den = vec
+        _check_power(self._scaled[1], n)
         den *= self._scaled[1] ** n
         powers = self._powers
         j = 0
@@ -607,24 +604,24 @@ class VolumeMeasure:
                 (w for key, w in form.table.items() if rect.matches(key)), Fraction(0)
             )
         if isinstance(form, ProductForm):
-            return self._rect_value_product(rect)
+            return self._product_value(rect.as_dict(), 0, self._ball())
         return self._rect_value_chain(rect)
 
-    def _rect_value_product(self, rect: Rectangle):
-        """Product over the constrained sites and the overrides in the ball;
-        the remaining free sites all carry the default row sum."""
+    def _product_value(self, constraints: dict, lo: int, hi: int):
+        """Product over the sites lo..hi-1, where every constrained site
+        lies, of each one's weight on the spins its constraint allows: one
+        factor per constrained or overridden site, and the default row sum
+        to the power of the others."""
         form = self.form
-        ball = self._ball()
-        constraints = rect.as_dict()
         special = set(constraints)
-        special.update(v for v in form.overrides if v < ball)
+        special.update(v for v in form.overrides if lo <= v < hi)
         spins = self.ctx.spins
         acc = Fraction(1)
         for v in special:
             acc = value_mul(acc, form.weight_at(v).sum_runs(c_runs(constraints.get(v), spins)))
             if acc == 0:
                 return Fraction(0)
-        free = value_pow(form.default.sum_all(), ball - len(special))
+        free = value_pow(form.default.sum_all(), hi - lo - len(special))
         return value_mul(acc, free)
 
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
@@ -875,10 +872,8 @@ class VolumeMeasure:
             return self
         form = self.form
         if method != "enumerate" and isinstance(form, ProductForm):
-            cut, ball = self.ctx.tree.ball_size(i), self._ball()
-            dropped = [w.sum_all() for v, w in form.overrides.items() if cut <= v < ball]
-            free = value_pow(form.default.sum_all(), ball - cut - len(dropped))
-            scalar = reduce(value_mul, dropped, free)
+            cut = self.ctx.tree.ball_size(i)
+            scalar = self._product_value({}, cut, self._ball())
             if scalar == INFINITE:
                 raise MassError("marginal diverges: dropped site weights are not summable")
             over = {v: w for v, w in form.overrides.items() if v < cut}
@@ -901,13 +896,13 @@ class VolumeMeasure:
 
 def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     """Marginal of mu onto the depth-i ball: a table's entries regrouped by
-    their depth-i head, any other form summed over every base atom.
+    their depth-i head, the one atom of a one-spin ball weighing mu's mass,
+    any other form summed over every base atom.
 
     Integer-scaled arithmetic: every atom weight is a product of one row
     entry per site, so with each site's rows scaled to integers over one
     denominator the leaf sums are exact integer arithmetic over the product
-    of those denominators.  The marginal's atoms come in `itertools.product`
-    order, the order of `CylinderSet.atoms`.
+    of those denominators.  The atoms come in `CylinderSet.atoms` order.
     """
     ctx = mu.ctx
     t = ctx.tree.ball_size(i)
@@ -920,12 +915,8 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     full = ctx.tree.ball_size(mu.depth)
     if full > budget or exceeds_budget(s, full, budget):
         raise BudgetError(f"enumeration of {s}**{full} atoms exceeds budget {budget}")
-    if s == 1:  # one atom, spin 0 at every site: its rows' spin-0 entries multiplied
-        if isinstance(form, ProductForm):
-            over = [w.prefix[0] for v, w in form.overrides.items() if v < full]
-            weight = form.default.prefix[0] ** (full - len(over)) * math.prod(over)
-        else:
-            weight = form.lam.prefix[0] * form.kernel.matrix[0][0] ** (full - 1)
+    if s == 1:  # one atom, spin 0 at every site, carrying the whole mass
+        weight = mu.mass()
         return {(0,) * t: weight} if weight else {}
     # rows[v][p]: the weights of v's spins given its parent's spin p, as ints
     # (`NatSeq._head`, whose entry s is the zero tail).  A product form's rows
@@ -1080,9 +1071,9 @@ def product_family(ctx: Context, weight, overrides=None, label: str = "") -> Mea
 
 
 def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFamily:
-    """Family determined by one dense table at `depth`; lower depths are its
-    marginals, so the family is consistent by construction.  Depths beyond
-    `depth` are not defined."""
+    """Family determined by one dense table at `depth`; a lower depth is
+    that table's `project`, its regroup, so the family is consistent by
+    construction.  Depths beyond `depth` are not defined."""
     if not ctx.spins.is_finite:
         raise SpinRangeError("dense tables need a finite spin set")
     size = ctx.tree.ball_size(depth)
@@ -1098,14 +1089,10 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
             raise ValueError(f"entry {key}: weights must be non-negative")
         if w:
             clean[key] = clean.get(key, Fraction(0)) + w
-    tables = {depth: clean}
-    for i in range(depth - 1, -1, -1):
-        cut = ctx.tree.ball_size(i)
-        tables[i] = _regroup(tables[i + 1], lambda key: key[:cut])
     mass = sum(clean.values(), Fraction(0))
     return MeasureFamily(
         ctx,
-        lambda n: VolumeMeasure(ctx, n, DenseTableForm(tables[n])),
+        VolumeMeasure(ctx, depth, DenseTableForm(clean)).project,
         family_kind(mass == 1, mass),
         label=label or "table",
         declared_consistent_to=depth,

@@ -851,3 +851,44 @@ def test_table_family_checks_past_the_atom_budget(capsys, tmp_path):
     code, payload, _ = run_cli(capsys, "consistency", "--spec", str(spec), "--depth", "4")
     assert code == 0
     assert (payload["verified_depth"], payload["budget_limited"]) == (4, False)
+
+
+# a path whose kernel entries share the least common denominator D = 6
+DEEP_RUN_SPEC = (
+    "[tree]\nk = 1\nmax_depth = 100000000\n[spins]\nkind = finite\nsize = 2\n"
+    "[family]\nkind = markov\nlambda = 1/2 1/2\nP = 1/3 1/2 ; 1/2 1/3\n"
+)
+
+
+@pytest.mark.parametrize("spec, event, bits", [
+    ("nat_geometric_mass.spec", "x0=10000000000", 10000000000),
+    ("nat_geometric_mass.spec", "x0 notin {10000000000}", 10000000000),
+    (DEEP_RUN_SPEC, "x20000001=0", 20000000),
+], ids=["geometric-tail-value", "geometric-tail-gap", "kernel-run"])
+def test_tail_and_kernel_powers_exit_inconclusive(capsys, tmp_path, spec, event, bits):
+    # a geometric tail's ratio is raised to the spin offset, and the run of
+    # 10**7 levels above x20000001 takes D ** (10**7): both sizes are refused
+    # before the power is built
+    if spec == DEEP_RUN_SPEC:
+        spec = tmp_path / "deep_run.spec"
+        spec.write_text(DEEP_RUN_SPEC)
+    else:
+        spec = os.path.join(DATA, spec)
+    start = time.perf_counter()
+    code, payload, err = run_cli(capsys, "eval", "--spec", str(spec), "--event", event)
+    assert time.perf_counter() - start < 1
+    assert (code, payload) == (3, None)
+    assert err == (f"budget exceeded: a power of about {bits} bits exceeds the limit "
+                   f"of {2**22} bits\n")
+
+
+def test_guarded_powers_under_the_limit_keep_their_values(capsys, tmp_path):
+    # the same specs, with powers under the limit: values as an oracle gives them
+    geometric = os.path.join(DATA, "nat_geometric_mass.spec")
+    code, payload, _ = run_cli(capsys, "eval", "--spec", geometric, "--event", "x0=1000", "--json")
+    assert (code, Fraction(payload["value"])) == (0, F(1, 2**1001))
+    spec = tmp_path / "deep_run.spec"
+    spec.write_text(DEEP_RUN_SPEC)
+    code, payload, _ = run_cli(capsys, "eval", "--spec", str(spec), "--event", "x2001=0", "--json")
+    lam, P = [F(1, 2)] * 2, [[F(1, 3), F(1, 2)], [F(1, 2), F(1, 3)]]
+    assert (code, Fraction(payload["value"])) == (0, path_value_finite(lam, P, 1001))

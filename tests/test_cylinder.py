@@ -106,6 +106,20 @@ def test_atoms_list_each_atom_once(ctx_k2s2):
             assert len(a.atoms(2)) == a.atom_count(2)
 
 
+def test_atom_count_over_three_spins():
+    # over three spins a normalized constraint may allow two spins that are
+    # not one run, as {0, 2} does: 5 sites at depth 2 on a path, 243 atoms
+    ctx = Context(TreeGeometry(1), SpinSet.finite(3))
+    size = ctx.tree.ball_size(2)
+    rng = random.Random(733)
+    for _ in range(40):
+        mappings = random_mappings(ctx, rng, 2, rng.randint(1, 3))
+        a = build_from(ctx, mappings)
+        expected = len(oracle_atoms(mappings, size, 3))
+        assert a.atom_count(2) == len(a.atoms(2)) == expected
+    assert from_constraints(ctx, {0: constraint_in([0, 2])}).atom_count(1) == 18
+
+
 def test_disjoint_rectangles_partition(ctx_k2s2):
     ctx = ctx_k2s2
     rng = random.Random(97)
