@@ -140,13 +140,16 @@ def _full(size: int) -> frozenset[int]:
 
 
 def c_normalize(c: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
-    """Canonical form; None means the constraint allows every spin."""
+    """Canonical form within the spin set; None means it allows every spin."""
     if spins.is_finite:
         full = _full(spins.size)
         allowed = (c.values & full) if c.mode == IN else (full - c.values)
         if allowed == full:
             return None
         return SiteConstraint(IN, allowed)
+    # the smallest value, from the memoized sorted key
+    if c.values and c.key()[1][0] < 0:
+        c = SiteConstraint(c.mode, frozenset(q for q in c.values if q >= 0))
     if c.mode == NOT_IN and not c.values:
         return None
     return c
@@ -221,7 +224,7 @@ def _gaps(excluded) -> list:
     """The spins outside sorted distinct `excluded`, as half-open runs; the
     last one is (lo, None), open-ended."""
     gaps, start = [], 0
-    for lo, hi in _runs([q for q in excluded if q >= 0]):
+    for lo, hi in _runs(excluded):
         if lo > start:
             gaps.append((start, lo))
         start = hi
@@ -271,11 +274,7 @@ class Rectangle:
     items: tuple[tuple[int, SiteConstraint], ...]
 
     def sites(self) -> tuple[int, ...]:
-        cached = getattr(self, "_sites", None)
-        if cached is None:
-            cached = tuple(site for site, _ in self.items)
-            object.__setattr__(self, "_sites", cached)
-        return cached
+        return tuple(site for site, _ in self.items)
 
     def constraint_at(self, site: int) -> SiteConstraint | None:
         return self.as_dict().get(site)
@@ -300,11 +299,7 @@ class Rectangle:
         return not self.items
 
     def all_singletons(self) -> bool:
-        cached = getattr(self, "_single", None)
-        if cached is None:
-            cached = all(c.mode == IN and len(c.values) == 1 for _, c in self.items)
-            object.__setattr__(self, "_single", cached)
-        return cached
+        return all(c.mode == IN and len(c.values) == 1 for _, c in self.items)
 
     def matches(self, values) -> bool:
         """values: indexable by vertex (an atom on a ball containing all sites)."""
@@ -440,27 +435,19 @@ class Configuration:
             ctx.spins.check(mapping[s])
         return cls(sites, tuple(mapping[s] for s in sites))
 
-    def _map(self) -> dict[int, int]:
-        """The spins by site, memoized and shared: callers only read it."""
-        cached = getattr(self, "_by_site", None)
-        if cached is None:
-            cached = dict(zip(self.sites, self.values))
-            object.__setattr__(self, "_by_site", cached)
-        return cached
-
     def value_at(self, site: int) -> int:
         try:
-            return self._map()[site]
+            return self.as_mapping()[site]
         except KeyError:
             raise KeyError(f"site {site} not assigned") from None
 
     def as_mapping(self) -> dict[int, int]:
-        return dict(self._map())
+        return dict(zip(self.sites, self.values))
 
     def restrict(self, sites) -> "Configuration":
         wanted = set(sites)
         keep = tuple(s for s in self.sites if s in wanted)
-        m = self._map()
+        m = self.as_mapping()
         return Configuration(keep, tuple(m[s] for s in keep))
 
 

@@ -26,9 +26,10 @@ multiplications over s finite spins (over the naturals, in the kernel's
 explicit rows and the values the constraints name) and no gcd.  The root step
 multiplies in the root weights' integer form, cached on the weights, and
 reduces the result to a Fraction once per rectangle, by gcds against the
-small number whose primes the denominator is made of.  Every free child
-subtree is a memoized factor of its height, kept in lowest terms; on a path
-(k = 1) it is itself one kernel power.
+small number whose primes the denominator is made of.  Under a stochastic
+kernel a free child subtree weighs 1 and is not built; under any other it is
+a memoized factor of its height, kept in lowest terms, and on a path (k = 1)
+it is itself one kernel power.
 
 Over the naturals no cost grows with the width of a value range.  A
 function of a spin is shared by every spin from the kernel's uniform row
@@ -60,6 +61,7 @@ from .cylinder import (
     Rectangle,
     SiteConstraint,
     SpinSet,
+    c_normalize,
     c_runs,
     constraint_in,
     constraint_not_in,
@@ -311,11 +313,13 @@ class NatSeq:
 
     def sum_in(self, values) -> Fraction:
         """Sum over the distinct spins in `values`, one closed form per run."""
-        return self.sum_runs(c_runs(constraint_in(values), SpinSet.naturals()))
+        nat = SpinSet.naturals()
+        return self.sum_runs(c_runs(c_normalize(constraint_in(values), nat), nat))
 
     def sum_not_in(self, values):
         """Sum over every spin outside `values`, one closed form per gap."""
-        return self.sum_runs(c_runs(constraint_not_in(values), SpinSet.naturals()))
+        nat = SpinSet.naturals()
+        return self.sum_runs(c_runs(c_normalize(constraint_not_in(values), nat), nat))
 
     @cached_property
     def _base(self) -> int:
@@ -479,13 +483,20 @@ class TransitionKernel:
         (2 ** j) is that over D ** (2 ** j)."""
         return [self._scaled[0]]
 
+    @cached_property
+    def _growth(self) -> int:
+        """The larger of D and M's least row sum, INFINITE entries left out."""
+        mat, d = self._scaled
+        return max(d, min(sum(x for x in row if type(x) is int) for row in mat))
+
     def apply_power(self, vec: tuple, n: int) -> tuple:
         """The kernel's map ** n applied to vec = (nums, den): popcount(n)
         integer matrix-vector products over the cached binary powers, of
         which there are never more than the bit length of the largest n asked
-        for; the denominator takes D ** n."""
+        for; the denominator takes D ** n, and every row of M ** n sums to at
+        least M's least row sum to the n-th, so both are checked first."""
         nums, den = vec
-        _check_power(self._scaled[1], n)
+        _check_power(self._growth, n)
         den *= self._scaled[1] ** n
         powers = self._powers
         j = 0
@@ -699,17 +710,15 @@ class VolumeMeasure:
         return (1,) * len(self.form.kernel.rows), 1
 
     def _free_factor(self, height: int) -> tuple:
-        """Memoized weight of one free child subtree with `height` levels below
-        the parent, as a function of the parent spin in lowest terms.  On a
-        path (k = 1) it is P ** height applied to 1; otherwise missing heights
-        are built upwards from the tallest one cached."""
+        """Memoized weight of one free child subtree, `height` levels tall,
+        under a non-stochastic kernel, as a function of the parent spin in
+        lowest terms.  On a path (k = 1) it is P ** height applied to 1;
+        otherwise missing heights are built upwards from the tallest one cached."""
         cache = self._free_cache
         if height not in cache:
             kernel = self.form.kernel
             k = self.ctx.tree.order
-            if height == 0 or kernel.is_stochastic():
-                cache[height] = self._unit()
-            elif k == 1:
+            if k == 1:
                 cache[height] = _reduced(kernel.apply_power(self._unit(), height), kernel._base)
             else:
                 h = max((x for x in cache if x < height), default=0)
@@ -785,13 +794,15 @@ class VolumeMeasure:
         k = self.ctx.tree.order
         constraints = rect.as_dict()
         kernel = self.form.kernel
+        # a free subtree weighs 1 under a stochastic kernel, so none is built
+        stochastic = kernel.is_stochastic()
         # pending[v]: the factors v's kept children hand it, each a function
         # of v's spin
         pending: dict[int, list] = {}
         for v, lvl, up, run in self._skeleton(rect):
             fns = pending.pop(v, [])
             height = self.depth - lvl
-            nfree = 0 if height == 0 else (k + 1 if v == 0 else k) - len(fns)
+            nfree = 0 if height == 0 or stochastic else (k + 1 if v == 0 else k) - len(fns)
             if nfree:
                 free = self._free_factor(height)
                 fns.append(free if nfree == 1 else _power(free, nfree))
@@ -1119,7 +1130,7 @@ def scale(fam: MeasureFamily, c, kind: str | None = None) -> MeasureFamily:
         fam.ctx,
         lambda n: fam.measure(n).scaled(c),
         kind,
-        label=f"{fam.label}*{c}",
+        label=f"{fam.label}*{render_value(c)}",
         declared_consistent_to=fam.declared_consistent_to,
         max_defined_depth=fam.max_defined_depth,
     )

@@ -882,6 +882,24 @@ def test_tail_and_kernel_powers_exit_inconclusive(capsys, tmp_path, spec, event,
                    f"of {2**22} bits\n")
 
 
+def test_kernel_rows_summing_past_one_exit_inconclusive(capsys, tmp_path):
+    # integer entries give D = 1, but each row sums to 3, so the powers of M
+    # grow by log2(3) bits a level: the run of 10**7 levels is refused first
+    spec = tmp_path / "integer_run.spec"
+    spec.write_text("[tree]\nk = 1\nmax_depth = 100000000\n[spins]\nkind = finite\nsize = 2\n"
+                    "[family]\nkind = markov\nlambda = 1 1\nP = 2 1 ; 1 2\n")
+    start = time.perf_counter()
+    code, payload, err = run_cli(capsys, "eval", "--spec", str(spec), "--event", "x20000001=0",
+                                 "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, payload) == (3, None)
+    assert err == (f"budget exceeded: a power of about 10000000 bits exceeds the limit "
+                   f"of {2**22} bits\n")
+    code, payload, _ = run_cli(capsys, "eval", "--spec", str(spec), "--event", "x2001=0", "--json")
+    lam, P = [F(1)] * 2, [[F(2), F(1)], [F(1), F(2)]]
+    assert (code, Fraction(payload["value"])) == (0, path_value_finite(lam, P, 1001))
+
+
 def test_guarded_powers_under_the_limit_keep_their_values(capsys, tmp_path):
     # the same specs, with powers under the limit: values as an oracle gives them
     geometric = os.path.join(DATA, "nat_geometric_mass.spec")

@@ -767,6 +767,49 @@ def test_compressed_chain_walk_matches_level_by_level(name):
     assert {n for n in RUN_LENGTHS if n < top} <= runs
 
 
+# Under a stochastic kernel every free subtree weighs 1, so the chain pass
+# builds no free factor; under any other kernel it caches one per height.
+# (RUN_FAMILIES name, tree order): the stochastic naturals kernel also runs
+# on a path.
+FREE_FACTOR_CASES = [
+    ("stochastic_s2_k1", 1), ("stochastic_s3_k2", 2), ("geometric_nat_k2", 1),
+    ("geometric_nat_k2", 2), ("substochastic_s2_k1", 1), ("substochastic_s2_k2", 2),
+    ("substochastic_nat_k2", 2),
+]
+
+
+@pytest.mark.parametrize("name, order", FREE_FACTOR_CASES,
+                         ids=[f"{name}-order{order}" for name, order in FREE_FACTOR_CASES])
+def test_chain_pass_builds_free_factors_only_off_stochastic_kernels(name, order):
+    _, s, lam, kernel, _ = RUN_FAMILIES[name]
+    spins = SpinSet.naturals() if s is None else SpinSet.finite(s)
+    ctx = Context(TreeGeometry(order, 10), spins)
+    fam = markov_family(ctx, lam, kernel)
+    lam, kernel = fam.measure(0).form.lam, fam.measure(0).form.kernel
+    tree = ctx.tree
+    rng = random.Random(f"{name}-{order}")
+
+    def constraint():
+        if s is not None:
+            return constraint_in(rng.sample(range(s), rng.randint(1, s - 1)))
+        values = rng.sample(range(4), rng.randint(1, 2))
+        return (constraint_in if rng.random() < 0.6 else constraint_not_in)(values)
+
+    def site_at(lvl):
+        return tree.index_of(lvl, rng.randrange(tree.sphere_size(lvl)))
+
+    for _ in range(12):
+        base = rng.randint(0, 6)
+        sites = {site_at(base)} | {site_at(rng.randint(0, base)) for _ in range(rng.randint(0, 2))}
+        rect = {v: constraint() for v in sites}
+        # valued 0-4 levels below the rectangle's base
+        for depth in range(base, base + 5):
+            value = fam.measure(depth).measure_of(from_constraints(ctx, rect))
+            assert value == level_by_level_value(ctx, lam, kernel, depth, rect), (rect, depth)
+    cached = [h for depth in range(11) for h in fam.measure(depth)._free_cache]
+    assert (not cached) == kernel.is_stochastic()
+
+
 # The chain pass runs on ints over a common denominator.  The families below
 # are where that is hardest: INFINITE entries next to zero weights over the
 # naturals, non-stochastic geometric rows with `notin` sites, and values far
@@ -838,6 +881,20 @@ def test_integer_walk_matches_level_by_level(name):
     if name == "geometric_nonstochastic_nat_k2":
         assert all(v != INFINITE for v in values)
         assert len(set(values)) > 20
+
+
+def test_negative_spins_over_the_naturals_are_clipped(nat_ctx, ctx_k2s2):
+    # normalization clips a constraint to its spin set, so a negative spin is
+    # allowed nowhere: over the naturals as over finite spins
+    fam = product_family(nat_ctx, NatSeq((F(1, 3), F(1, 6)), "geometric", F(1, 4), F(1, 2)))
+    minus_one = from_constraints(nat_ctx, {0: constraint_in([-1])})
+    assert (minus_one.render(), fam.measure(0).measure_of(minus_one)) == ("empty", 0)
+    assert from_constraints(nat_ctx, {0: constraint_not_in([-1])}).render() == "omega"
+    assert from_constraints(nat_ctx, {0: constraint_not_in([-1, 2])}).render() == "x0 notin {2}"
+    seq = NatSeq.finite([1, 2, 3])
+    assert (seq.sum_in([-1]), seq.sum_in([-1, 0]), seq.sum_not_in([-1, 0])) == (0, 1, 5)
+    for c, kept in ((constraint_in([-1, 1]), 1), (constraint_not_in([-1, 1]), 0)):
+        assert from_constraints(ctx_k2s2, {0: c}).render() == f"x0={kept}"
 
 
 def test_divided_is_fraction_division_in_lowest_terms():

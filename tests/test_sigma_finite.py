@@ -473,6 +473,15 @@ def test_normalized_extension_scaled(chain_fam, ctx_k2s2):
         assert norm.mu(event) == F(7, 3) * norm.base.mu(event)
 
 
+def test_normalized_extension_of_a_weight_past_the_digit_limit(ctx_k2s2):
+    # the rescaled family's label renders 1 / (3**10000 + 1), past the
+    # interpreter's 4,300-digit int-to-str limit
+    fam = table_family(ctx_k2s2, 0, {(0,): 3**10000, (1,): 1})
+    norm = normalized_extension(ExtensionHandle.issue(fam))
+    assert norm.total == 3**10000 + 1
+    assert norm.base.mass() == 1
+
+
 def test_normalized_extension_zero_family(chain_fam, ctx_k2s2):
     zero = scale(chain_fam, 0)
     handle = ExtensionHandle.issue(zero, verify_depth=1)
