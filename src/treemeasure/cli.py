@@ -1,7 +1,9 @@
 """Command-line front end: evaluate, check, and sum measures from spec files.
 
-Every command reads a spec document, prints one deterministic JSON object to
-stdout, and (unless --json is given) a short human summary to stderr.  Exit
+Every command reads a spec document and returns its JSON payload, the lines
+of a short human summary and an exit code.  `main` alone prints them: one
+deterministic JSON object naming the command to stdout, the summary to stderr
+unless --json is given.  It maps results and library errors alike to the exit
 codes: 0 computed or PASS, 1 verified violation, 2 usage or parse problem,
 3 inconclusive within the configured budgets.
 """
@@ -117,22 +119,22 @@ def build_parser() -> argparse.ArgumentParser:
             cmd_covers_compare)
     p.add_argument("--cover", action="append", required=True,
                    help="cover name (give exactly twice)")
-    p.add_argument("--event", action="append", default=None,
-                   help="event expression (repeatable)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for generated events when --event is absent")
-    _add_sigma_flags(p)
+    _add_event_list_flags(p)
 
     p = add("cover-sum", "cover sums must reproduce direct values",
             cmd_cover_sum)
     p.add_argument("--cover", required=True, help="cover name from the spec")
+    _add_event_list_flags(p)
+
+    return parser
+
+
+def _add_event_list_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--event", action="append", default=None,
                    help="event expression (repeatable)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for generated events when --event is absent")
     _add_sigma_flags(p)
-
-    return parser
 
 
 def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
@@ -172,11 +174,10 @@ def _sigma_json(sv: SigmaValue) -> dict:
     }
 
 
-def _emit(args, payload: dict, summary: list[str]) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    if not args.json:
-        for line in summary:
-            sys.stderr.write(line + "\n")
+def _exit_code(violation: bool, inconclusive: bool) -> int:
+    if violation:
+        return EXIT_VIOLATION
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 def _events_from_args(args, built):
@@ -223,29 +224,26 @@ def _handle(built) -> ExtensionHandle:
 # commands
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, list[str], int]:
     built = _load(args)
     doc = built.doc
-    spins = f"finite({doc.spins_size})" if doc.spins_kind == "finite" else "nat"
     payload = {
-        "command": "validate",
         "ok": True,
         "order": doc.order,
         "max_depth": doc.max_depth,
-        "spins": spins,
+        "spins": str(built.ctx.spins),
         "family_kind": doc.family_kind,
         "family_class": built.family.kind,
         "covers": sorted(built.covers),
     }
     summary = [
-        f"ok: k={doc.order} spins={spins} family={doc.family_kind} "
+        f"ok: k={doc.order} spins={built.ctx.spins} family={doc.family_kind} "
         f"({built.family.kind}), covers: {', '.join(sorted(built.covers)) or 'none'}"
     ]
-    _emit(args, payload, summary)
-    return EXIT_OK
+    return payload, summary, EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[dict, list[str], int]:
     built = _load(args)
     event = compile_event(built.ctx, args.event)
     depth = args.depth if args.depth is not None else event.base_depth
@@ -255,16 +253,14 @@ def cmd_eval(args) -> int:
         )
     value = built.family.measure(depth).measure_of(event)
     payload = {
-        "command": "eval",
         "event": event.render(),
         "depth": depth,
         "value": _value_json(value),
     }
-    _emit(args, payload, [f"value at depth {depth}: {_value_json(value)}"])
-    return EXIT_OK
+    return payload, [f"value at depth {depth}: {_value_json(value)}"], EXIT_OK
 
 
-def cmd_consistency(args) -> int:
+def cmd_consistency(args) -> tuple[dict, list[str], int]:
     built = _load(args)
     report = check_consistency(built.family, args.depth)
     violation = None
@@ -277,7 +273,6 @@ def cmd_consistency(args) -> int:
             "rhs": _value_json(report.violation.rhs),
         }
     payload = {
-        "command": "consistency",
         "requested_depth": report.requested_depth,
         "verified_depth": report.verified_depth,
         "ok": report.ok,
@@ -297,13 +292,10 @@ def cmd_consistency(args) -> int:
             )
     else:
         summary = [f"violation: {report.violation.render()}"]
-    _emit(args, payload, summary)
-    if not report.ok:
-        return EXIT_VIOLATION
-    return EXIT_INCONCLUSIVE if report.budget_limited else EXIT_OK
+    return payload, summary, _exit_code(not report.ok, report.budget_limited)
 
 
-def cmd_probe_empty(args) -> int:
+def cmd_probe_empty(args) -> tuple[dict, list[str], int]:
     built = _load(args)
     ctx = built.ctx
     handle = _handle(built)
@@ -319,8 +311,9 @@ def cmd_probe_empty(args) -> int:
         # building the chain costs about the square of its pinned sites
         size = ctx.tree.ball_size(args.maxdepth)
         if size > DEFAULT_RECTANGLE_BUDGET:
-            raise BudgetError(f"the default chain pins {size} sites at depth {args.maxdepth}, "
-                              f"more than the rectangle budget {DEFAULT_RECTANGLE_BUDGET}")
+            raise BudgetError(f"the default chain pins {render_value(size)} sites at depth "
+                              f"{args.maxdepth}, more than the rectangle budget "
+                              f"{DEFAULT_RECTANGLE_BUDGET}")
         chain = [
             from_constraints(
                 ctx,
@@ -330,17 +323,15 @@ def cmd_probe_empty(args) -> int:
         ]
     report = continuity_probe(handle, chain)
     payload = {
-        "command": "probe-empty",
         "chain": [e.render() for e in chain],
         "values": [_value_json(v) for v in report.values],
         "verdict": report.verdict,
     }
     values = " -> ".join(_value_json(v) for v in report.values)
-    _emit(args, payload, [f"{report.verdict}: {values}"])
-    return EXIT_OK
+    return payload, [f"{report.verdict}: {values}"], EXIT_OK
 
 
-def cmd_sigma_eval(args) -> int:
+def cmd_sigma_eval(args) -> tuple[dict, list[str], int]:
     built = _load(args)
     cover = _cover_of(built, args.cover)
     event = compile_event(built.ctx, args.event)
@@ -348,16 +339,14 @@ def cmd_sigma_eval(args) -> int:
     ext = sigma_extension(handle, cover, **_sigma_options(args))
     sv = ext.value(event)
     payload = {
-        "command": "sigma-eval",
         "cover": args.cover,
         "event": event.render(),
         **_sigma_json(sv),
     }
-    _emit(args, payload, [f"{args.cover}: {sv.render()}"])
-    return EXIT_INCONCLUSIVE if sv.kind == "inconclusive" else EXIT_OK
+    return payload, [f"{args.cover}: {sv.render()}"], _exit_code(False, sv.kind == "inconclusive")
 
 
-def cmd_covers_compare(args) -> int:
+def cmd_covers_compare(args) -> tuple[dict, list[str], int]:
     if len(args.cover) != 2:
         raise SpecError("give --cover exactly twice")
     built = _load(args)
@@ -366,19 +355,16 @@ def cmd_covers_compare(args) -> int:
     handle = _handle(built)
     events = _events_from_args(args, built)
     report = cover_independence(handle, first, second, events, **_sigma_options(args))
-    records = []
-    inconclusive = False
-    for rec in report.records:
-        records.append({
+    records = [
+        {
             "event": rec.event.render(),
             "first": _sigma_json(rec.first),
             "second": _sigma_json(rec.second),
             "agree": rec.agree,
-        })
-        if rec.agree is None:
-            inconclusive = True
+        }
+        for rec in report.records
+    ]
     payload = {
-        "command": "covers-compare",
         "covers": list(args.cover),
         "records": records,
         "ok": report.ok,
@@ -388,13 +374,11 @@ def cmd_covers_compare(args) -> int:
         f"{'ok' if report.ok else 'MISMATCH'}: {agreeing}/{len(records)} "
         f"events agree between {args.cover[0]} and {args.cover[1]}"
     ]
-    _emit(args, payload, summary)
-    if not report.ok:
-        return EXIT_VIOLATION
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    inconclusive = any(rec.agree is None for rec in report.records)
+    return payload, summary, _exit_code(not report.ok, inconclusive)
 
 
-def cmd_cover_sum(args) -> int:
+def cmd_cover_sum(args) -> tuple[dict, list[str], int]:
     built = _load(args)
     cover = _cover_of(built, args.cover)
     handle = _handle(built)
@@ -410,15 +394,12 @@ def cmd_cover_sum(args) -> int:
         for rec in report.records
     ]
     payload = {
-        "command": "cover-sum",
         "cover": args.cover,
         "records": records,
         "verdict": report.verdict,
     }
-    _emit(args, payload, [f"{report.verdict}: {len(records)} events against {args.cover}"])
-    if report.verdict == "FAIL":
-        return EXIT_VIOLATION
-    return EXIT_INCONCLUSIVE if report.verdict == "INCONCLUSIVE" else EXIT_OK
+    summary = [f"{report.verdict}: {len(records)} events against {args.cover}"]
+    return payload, summary, _exit_code(report.verdict == "FAIL", report.verdict == "INCONCLUSIVE")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +409,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, summary, code = args.func(args)
+        sys.stdout.write(json.dumps({"command": args.command, **payload}, sort_keys=True) + "\n")
+        if not args.json:
+            for line in summary:
+                sys.stderr.write(line + "\n")
+        return code
     except SpecError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return EXIT_USAGE

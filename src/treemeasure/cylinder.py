@@ -238,13 +238,8 @@ def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
     spin from lo on."""
     if c is None:
         return [(0, spins.size)]
-    # kept on the constraint, which is immutable; callers only read the list
-    runs = getattr(c, "_runs", None)
-    if runs is None:
-        values = c.key()[1]
-        runs = _runs(values) if c.mode == IN else _gaps(values)
-        object.__setattr__(c, "_runs", runs)
-    return runs
+    values = c.key()[1]
+    return _runs(values) if c.mode == IN else _gaps(values)
 
 
 def render_atom(site: int, mode: str, values) -> str:

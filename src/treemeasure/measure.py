@@ -90,7 +90,8 @@ def _check_power(largest: int, e: int) -> None:
     bits = e * (largest.bit_length() - 1)
     if bits > _POWER_BITS_LIMIT:
         raise BudgetError(
-            f"a power of about {bits} bits exceeds the limit of {_POWER_BITS_LIMIT} bits"
+            f"a power of about {render_value(bits)} bits exceeds the limit of "
+            f"{_POWER_BITS_LIMIT} bits"
         )
 
 
@@ -925,7 +926,7 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     s = ctx.spins.size
     full = ctx.tree.ball_size(mu.depth)
     if full > budget or exceeds_budget(s, full, budget):
-        raise BudgetError(f"enumeration of {s}**{full} atoms exceeds budget {budget}")
+        raise BudgetError(f"enumeration of {s}**{render_value(full)} atoms exceeds budget {budget}")
     if s == 1:  # one atom, spin 0 at every site, carrying the whole mass
         weight = mu.mass()
         return {(0,) * t: weight} if weight else {}
@@ -1092,7 +1093,7 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
     for key, w in dict(table).items():
         key = tuple(key)
         if len(key) != size:
-            raise ValueError(f"entry {key} needs {size} values for depth {depth}")
+            raise ValueError(f"entry {key} needs {render_value(size)} values for depth {depth}")
         if not all(ctx.spins.contains(q) for q in key):
             raise SpinRangeError(f"entry {key}: spins must lie in {ctx.spins}")
         w = Fraction(w)

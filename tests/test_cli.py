@@ -11,7 +11,9 @@ import pytest
 
 from treemeasure import compile_event, load_spec
 from treemeasure.cli import build_parser, entrypoint, main
+from treemeasure.measure import render_value
 from treemeasure.sigma_finite import Cover, CoverReport
+from treemeasure.tree import TreeGeometry
 
 F = Fraction
 
@@ -910,3 +912,78 @@ def test_guarded_powers_under_the_limit_keep_their_values(capsys, tmp_path):
     code, payload, _ = run_cli(capsys, "eval", "--spec", str(spec), "--event", "x2001=0", "--json")
     lam, P = [F(1, 2)] * 2, [[F(1, 3), F(1, 2)], [F(1, 2), F(1, 3)]]
     assert (code, Fraction(payload["value"])) == (0, path_value_finite(lam, P, 1001))
+
+
+# k is 4,300 nines, the longest literal the parser reads: ball sizes and
+# power sizes computed from it have more digits than `str` converts by default
+NINES = "9" * 4300
+DIGIT_LIMIT_SPECS = {
+    "geometric": "[tree]\nk = 2\n[spins]\nkind = nat\n"
+                 "[family]\nkind = product\nw = geometric 1/2 1/4\n",
+    "stochastic": f"[tree]\nk = {NINES}\nmax_depth = 4\n[spins]\nkind = finite\nsize = 2\n"
+                  "[family]\nkind = markov\nlambda = 1/2 1/2\nP = 1/2 1/2 ; 1/2 1/2\n",
+    "substochastic": f"[tree]\nk = {NINES}\nmax_depth = 4\n[spins]\nkind = finite\nsize = 2\n"
+                     "[family]\nkind = markov\nlambda = 1/2 1/2\nP = 1/2 1/4 ; 1/4 1/2\n",
+    "nat": f"[tree]\nk = {NINES}\n[spins]\nkind = nat\n"
+           "[family]\nkind = markov\nlambda = geometric 1/2 1/2\nP = geometric 1/2 1/2\n",
+}
+
+
+@pytest.mark.parametrize("family, argv, message", [
+    ("geometric", ["eval", "--event", f"x0={NINES}"],
+     f"a power of about {render_value(2 * int(NINES))} bits exceeds the limit of {2**22} bits"),
+    ("stochastic", ["consistency", "--depth", "2"], None),
+    ("substochastic", ["probe-empty", "--maxdepth", "2"],
+     "the depth-1 consistency screen is inconclusive within the atom budget 16777216"),
+    ("substochastic", ["eval", "--event", "x1=0", "--depth", "2"], "a power of about "),
+    ("nat", ["probe-empty", "--maxdepth", "1"],
+     f"the default chain pins {render_value(TreeGeometry(int(NINES)).ball_size(1))} sites "
+     "at depth 1, more than the rectangle budget 50000"),
+], ids=["tail-power", "consistency", "screen", "chain-power", "default-chain"])
+def test_sizes_past_the_digit_limit_exit_inconclusive(capsys, tmp_path, family, argv, message):
+    # each guard renders the size it refuses, past the digit limit too
+    spec = tmp_path / f"{family}.spec"
+    spec.write_text(DIGIT_LIMIT_SPECS[family])
+    start = time.perf_counter()
+    code, payload, err = run_cli(capsys, *argv, "--spec", str(spec), "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    if message is None:
+        # the enumeration's refusal is a budget-limited report
+        assert (payload["budget_limited"], payload["verified_depth"]) == (True, 0)
+    else:
+        assert payload is None and err.startswith(f"budget exceeded: {message}")
+
+
+def test_table_entry_length_past_the_digit_limit_names_the_entry(capsys, tmp_path):
+    spec = tmp_path / "table.spec"
+    spec.write_text(f"[tree]\nk = {NINES}\n[spins]\nkind = finite\nsize = 2\n"
+                    "[family]\nkind = table\ndepth = 2\nentry = 0 0 : 1\n")
+    code, payload, err = run_cli(capsys, "validate", "--spec", str(spec))
+    size = TreeGeometry(int(NINES)).ball_size(2)
+    assert (code, payload) == (2, None)
+    assert err == (f"spec error: table: entry (0, 0) needs {render_value(size)} values "
+                   "for depth 2\n")
+
+
+SUBCOMMAND_ARGV = {
+    "validate": ["--spec", CHAIN],
+    "eval": ["--spec", CHAIN, "--event", "x0=0 & x1=1", "--depth", "2"],
+    "consistency": ["--spec", CHAIN, "--depth", "1"],
+    "probe-empty": ["--spec", CHAIN, "--maxdepth", "2"],
+    "sigma-eval": ["--spec", NAT, "--cover", "roots", "--event", "x0 in {0..3}"],
+    "covers-compare": ["--spec", NAT, "--cover", "roots", "--cover", "pairs"],
+    "cover-sum": ["--spec", NAT, "--cover", "roots"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_every_command_writes_one_json_line_naming_it(capsys, command):
+    for flags in ([], ["--json"]):
+        code = main([command, *SUBCOMMAND_ARGV[command], *flags])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert json.loads(out)["command"] == command
+        # the summary goes to stderr unless --json
+        assert (err == "") == bool(flags)
