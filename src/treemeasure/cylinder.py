@@ -21,6 +21,7 @@ from .errors import (
     BudgetError,
     ContextMismatchError,
     SpinRangeError,
+    render_value,
 )
 from .tree import TreeGeometry
 
@@ -57,7 +58,7 @@ class SpinSet:
 
     def __post_init__(self):
         if self.size is not None and self.size < 1:
-            raise ValueError(f"finite spin set needs size >= 1, got {self.size}")
+            raise ValueError(f"finite spin set needs size >= 1, got {render_value(self.size)}")
 
     @classmethod
     def finite(cls, size: int) -> "SpinSet":
@@ -76,10 +77,10 @@ class SpinSet:
 
     def check(self, q: int) -> None:
         if not self.contains(q):
-            raise SpinRangeError(f"spin {q} out of range for {self}")
+            raise SpinRangeError(f"spin {render_value(q)} out of range for {self}")
 
     def __str__(self):
-        return "nat" if self.size is None else f"finite({self.size})"
+        return "nat" if self.size is None else f"finite({render_value(self.size)})"
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,12 @@ def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
 def render_atom(site: int, mode: str, values) -> str:
     """The text of one site constraint over sorted `values`: `x3=1` for a
     single allowed value, else `x3 in {0,2}` or `x3 notin {0,2}`."""
-    if mode == IN and len(values) == 1:
-        return f"x{site}={values[0]}"
-    return f"x{site} {mode} {{{','.join(str(v) for v in values)}}}"
+    try:
+        if mode == IN and len(values) == 1:
+            return f"x{site}={values[0]}"
+        return f"x{site} {mode} {{{','.join(str(v) for v in values)}}}"
+    except ValueError:  # a number past the int-to-str digit limit: render them all
+        return render_atom(render_value(site), mode, [render_value(v) for v in values])
 
 
 def c_render(c: SiteConstraint, site: int) -> str:
@@ -417,7 +421,8 @@ class Configuration:
         values = tuple(values)
         size = ctx.tree.ball_size(n)
         if len(values) != size:
-            raise ValueError(f"need {size} values for the depth-{n} ball, got {len(values)}")
+            raise ValueError(f"need {render_value(size)} values for the depth-{n} ball, "
+                             f"got {len(values)}")
         for q in values:
             ctx.spins.check(q)
         return cls(tuple(range(size)), values)
@@ -708,10 +713,6 @@ def generator_decomposition(ctx: Context, site: int, q: int, n: int) -> tuple[Re
     if ctx.tree.level(site) > n:
         raise ValueError(f"vertex {site} lies outside the depth-{n} ball")
     size = ctx.tree.ball_size(n)
-    if ctx.spins.is_finite and ctx.spins.size == 1:
-        fill = {s: constraint_in([0]) for s in range(size)}
-        r = make_rectangle(ctx, fill)
-        return r, r
     a = q
     b = q + 1 if ctx.spins.contains(q + 1) else (q + 1) % ctx.spins.size
     first = {s: constraint_in([a if s != site else q]) for s in range(size)}

@@ -1,4 +1,24 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one number renderer."""
+
+import sys
+from fractions import Fraction
+
+
+def render_value(v) -> str:
+    """"inf", an integer, "p/q", or a tuple of integers, exact at any size."""
+    if type(v) is float:
+        return "inf" if v == float("inf") else str(v)
+    v = v if type(v) is tuple else Fraction(v)
+    try:
+        return str(v)
+    except ValueError:
+        # past the interpreter's int-to-str digit limit: lift it for this call
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(v)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TreeMeasureError(Exception):

@@ -22,6 +22,7 @@ from .cylinder import (
     empty_set,
     first_overlap,
     from_constraints,
+    omega,
     random_cylinder,
 )
 from .errors import (
@@ -121,8 +122,6 @@ class ExtensionHandle:
         return value
 
     def mass(self):
-        from .cylinder import omega
-
         return self.mu(omega(self.ctx))
 
 
@@ -275,14 +274,11 @@ def uniqueness_crosscheck(first: ExtensionHandle, second: ExtensionHandle,
         rhs = second.mu(event)
         if lhs == rhs:
             agreements += 1
-            if lhs != 0 and lhs != INFINITE:
-                ratios.add(Fraction(1))
-        else:
-            if witness is None:
-                witness = (event, lhs, rhs)
-            if lhs != 0 and lhs != INFINITE and rhs != INFINITE:
-                ratios.add(Fraction(rhs) / Fraction(lhs))
-            else:
-                comparable = False
+        elif witness is None:
+            witness = (event, lhs, rhs)
+        if lhs != 0 and lhs != INFINITE and rhs != INFINITE:
+            ratios.add(Fraction(rhs) / Fraction(lhs))
+        elif lhs != rhs:
+            comparable = False
     ratio = ratios.pop() if comparable and len(ratios) == 1 else None
     return CrosscheckReport(trials, agreements, witness, ratio)

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -76,6 +75,7 @@ from .errors import (
     FamilyDepthError,
     MassError,
     SpinRangeError,
+    render_value,
 )
 
 INFINITE = math.inf
@@ -127,22 +127,6 @@ def value_sub(a, b):
     if type(a) is float:
         return INFINITE
     return a - b
-
-
-def render_value(v) -> str:
-    """"inf", an integer, or "p/q", exact at any size."""
-    if type(v) is float:
-        return "inf"
-    try:
-        return str(Fraction(v))
-    except ValueError:
-        # past the interpreter's int-to-str digit limit: lift it for this call
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(Fraction(v))
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -1093,12 +1077,13 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
     for key, w in dict(table).items():
         key = tuple(key)
         if len(key) != size:
-            raise ValueError(f"entry {key} needs {render_value(size)} values for depth {depth}")
+            raise ValueError(f"entry {render_value(key)} needs {render_value(size)} values "
+                             f"for depth {depth}")
         if not all(ctx.spins.contains(q) for q in key):
-            raise SpinRangeError(f"entry {key}: spins must lie in {ctx.spins}")
+            raise SpinRangeError(f"entry {render_value(key)}: spins must lie in {ctx.spins}")
         w = Fraction(w)
         if w < 0:
-            raise ValueError(f"entry {key}: weights must be non-negative")
+            raise ValueError(f"entry {render_value(key)}: weights must be non-negative")
         if w:
             clean[key] = clean.get(key, Fraction(0)) + w
     mass = sum(clean.values(), Fraction(0))
@@ -1155,8 +1140,8 @@ def check_consistency(fam: MeasureFamily, depth: int,
     ball and compared against the family's own measure there; projections
     compose, so these matches give every shallower one.  Over the
     denumerable spin set, stochastic closed forms are checked exactly via
-    row sums; otherwise a finite probe battery is compared (reported as
-    non-exhaustive).
+    row sums when depths 1..depth share depth 0's form by value; otherwise a
+    finite probe battery is compared (reported as non-exhaustive).
     """
     requested = depth
     if fam.max_defined_depth is not None:
@@ -1210,11 +1195,12 @@ def _probe_bases(ctx: Context, i: int) -> list[CylinderSet]:
 
 
 def _check_consistency_nat(fam, requested, depth) -> ConsistencyReport:
-    mu0 = fam.measure(0)
-    form = mu0.form
-    if isinstance(form, MarkovForm) and form.kernel.is_stochastic():
+    form = fam.measure(0).form
+    shared = all(type(mu.form) is type(form) and vars(mu.form) == vars(form)
+                 for mu in map(fam.measure, range(1, depth + 1)))
+    if shared and isinstance(form, MarkovForm) and form.kernel.is_stochastic():
         return ConsistencyReport(requested, depth, None, "closed-row")
-    if isinstance(form, ProductForm):
+    if shared and isinstance(form, ProductForm):
         sums_ok = form.default.sum_all() == 1 and all(
             w.sum_all() == 1 for v, w in form.overrides.items() if v != 0
         )

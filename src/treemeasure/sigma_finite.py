@@ -349,8 +349,8 @@ class SigmaFiniteExtension:
         self.bound = Fraction(bound)
         self.cover_report = cover_report
 
-    def _term(self, event: CylinderSet, i: int):
-        piece = event.intersect(self.cover.part(i))
+    def _term(self, event: CylinderSet, part: CylinderSet):
+        piece = event.intersect(part)
         if piece.is_empty():
             return Fraction(0)
         return self.handle.mu(piece)
@@ -427,11 +427,12 @@ class SigmaFiniteExtension:
         remaining = mass if mass != INFINITE else None
         total = Fraction(0)
         for i in range(terms):
-            total = value_add(total, self._term(event, i))
+            part = self.cover.part(i)
+            total = value_add(total, self._term(event, part))
             if top is not None:
                 continue
             if remaining is not None:
-                remaining = value_sub(remaining, self.handle.mu(self.cover.part(i)))
+                remaining = value_sub(remaining, self.handle.mu(part))
             verdict = self._stop(i, total, remaining)
             if verdict is not None:
                 return verdict
@@ -537,6 +538,14 @@ def _cover_sum_verdict(direct, summed: SigmaValue) -> str:
     return {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[agree]
 
 
+def _audit(handle: ExtensionHandle, engine: SigmaFiniteExtension, events):
+    """Direct value against cover sum, one record per event as it is reached."""
+    for event in events:
+        direct = handle.mu(event)
+        summed = engine.value(event)
+        yield CoverSumRecord(event, direct, summed, _cover_sum_verdict(direct, summed))
+
+
 def cover_sum_check(handle: ExtensionHandle, cover: Cover, events,
                     **kwargs) -> CoverSumReport:
     """For each event, the cover sum must reproduce the direct value.
@@ -545,54 +554,34 @@ def cover_sum_check(handle: ExtensionHandle, cover: Cover, events,
     value; a certified-divergent sum is only compatible with an infinite
     direct value.
     """
-    ext = sigma_extension(handle, cover, **kwargs)
-    records = []
-    for event in events:
-        direct = handle.mu(event)
-        summed = ext.value(event)
-        records.append(
-            CoverSumRecord(event, direct, summed, _cover_sum_verdict(direct, summed))
-        )
-    return CoverSumReport(tuple(records))
+    engine = sigma_extension(handle, cover, **kwargs)
+    return CoverSumReport(tuple(_audit(handle, engine, events)))
 
 
 def fixed_level_cover(handle: ExtensionHandle, cover: Cover,
                       level: int | None = None, **kwargs) -> SigmaFiniteExtension:
-    """Accept a cover only if it is a disjoint partition by finite-mass
-    cylinder sets based within one fixed level, with cover sums that
-    reproduce direct values on the root values below 8; return the
-    summation engine.
+    """Accept a cover only if it is a disjoint partition whose parts (all of
+    a finite cover, the first 8 slices) have finite mass and are based within
+    `level` (default: their deepest base depth), and whose sums reproduce the
+    direct values of the root values below 8; return the summation engine.
     """
     engine = sigma_extension(handle, cover, **kwargs)
-    if level is None:
-        if cover.kind == "finite":
-            level = max(p.base_depth for p in cover._parts)
-        else:
-            level = handle.ctx.tree.level(cover.site)
-    if cover.kind == "finite":
-        for idx, p in enumerate(cover._parts):
-            if p.base_depth > level:
-                raise CoverError(
-                    f"part {idx} is based at depth {p.base_depth}, beyond level {level}"
-                )
-    elif handle.ctx.tree.level(cover.site) > level:
-        raise CoverError(
-            f"slice site x{cover.site} lies beyond level {level}"
-        )
-    check_count = cover.count if cover.count is not None else 8
-    for i in range(check_count):
-        part_mass = handle.mu(cover.part(i))
-        if part_mass == INFINITE:
-            raise CoverError(f"part {i} has infinite value")
-    width = min(8, handle.ctx.spins.size) if handle.ctx.spins.is_finite else 8
-    for q in range(width):
-        event = single_site(handle.ctx, 0, q)
-        direct = handle.mu(event)
-        summed = engine.value(event)
-        if _cover_sum_verdict(direct, summed) == "FAIL":
+    parts = [cover.part(i) for i in range(8 if cover.count is None else cover.count)]
+    level = max(p.base_depth for p in parts) if level is None else level
+    for i, p in enumerate(parts):
+        if p.base_depth > level:
             raise CoverError(
-                f"cover sum mismatch on {event.render()}: direct "
-                f"{render_value(direct)} vs {summed.render()}"
+                f"part {i} is based at depth {p.base_depth}, beyond level {level}"
+            )
+    for i, p in enumerate(parts):
+        if handle.mu(p) == INFINITE:
+            raise CoverError(f"part {i} has infinite value")
+    events = (single_site(handle.ctx, 0, q) for q in range(8) if handle.ctx.spins.contains(q))
+    for record in _audit(handle, engine, events):
+        if record.verdict == "FAIL":
+            raise CoverError(
+                f"cover sum mismatch on {record.event.render()}: direct "
+                f"{render_value(record.direct)} vs {record.summed.render()}"
             )
     return engine
 

@@ -769,11 +769,12 @@ def _parse_quoted_events(ln: _Line):
 
 
 def render_document(doc: SpecDocument) -> str:
-    out = ["[tree]", f"k = {doc.order}", f"max_depth = {doc.max_depth}", ""]
+    out = ["[tree]", f"k = {render_value(doc.order)}",
+           f"max_depth = {render_value(doc.max_depth)}", ""]
     out.append("[spins]")
     out.append(f"kind = {doc.spins_kind}")
     if doc.spins_kind == "finite":
-        out.append(f"size = {doc.spins_size}")
+        out.append(f"size = {render_value(doc.spins_size)}")
     out.append("")
     out.append("[family]")
     out.append(f"kind = {doc.family_kind}")
@@ -789,19 +790,19 @@ def render_document(doc: SpecDocument) -> str:
     elif doc.family_kind == "product":
         out.append(f"w = {_render_weight_spec(doc.weight_default)}")
         for vertex, ws in doc.weight_overrides:
-            out.append(f"w@{vertex} = {_render_weight_spec(ws)}")
+            out.append(f"w@{render_value(vertex)} = {_render_weight_spec(ws)}")
     else:
-        out.append(f"depth = {doc.table_depth}")
+        out.append(f"depth = {render_value(doc.table_depth)}")
         for key, weight in doc.entries:
-            values = " ".join(str(v) for v in key)
+            values = " ".join(map(render_value, key))
             out.append(f"entry = {values} : {render_value(weight)}")
     if doc.covers:
         out.append("")
         out.append("[covers]")
         for name, spec in doc.covers:
             if isinstance(spec, SliceCoverSpec):
-                block = f" block {spec.block}" if spec.block != 1 else ""
-                out.append(f"{name} = slice x{spec.site}{block}")
+                block = f" block {render_value(spec.block)}" if spec.block != 1 else ""
+                out.append(f"{name} = slice x{render_value(spec.site)}{block}")
             else:
                 rendered = " ; ".join(f'"{render_event(e)}"' for e in spec.events)
                 out.append(f"{name} = list {rendered}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import DepthLimitError
+from .errors import DepthLimitError, render_value
 
 DEFAULT_MAX_DEPTH = 16
 
@@ -25,9 +25,9 @@ class TreeGeometry:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError(f"tree order must be >= 1, got {self.order}")
+            raise ValueError(f"tree order must be >= 1, got {render_value(self.order)}")
         if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+            raise ValueError(f"max_depth must be >= 1, got {render_value(self.max_depth)}")
         # _bounds[n] is ball_size(n), so sphere n holds the indices from
         # _bounds[n-1] up to _bounds[n] - 1.  Filled only as deep as the
         # vertices asked about, since max_depth itself may be very large.
@@ -97,7 +97,7 @@ class TreeGeometry:
     def index_of(self, level: int, position: int) -> int:
         self.check_depth(level)
         if not 0 <= position < self.sphere_size(level):
-            raise ValueError(f"position {position} out of range at level {level}")
+            raise ValueError(f"position {render_value(position)} out of range at level {level}")
         return (0 if level == 0 else self._boundary(level - 1)) + position
 
     # Breadth-first indexing puts the children of a vertex v >= 1 at
@@ -115,7 +115,7 @@ class TreeGeometry:
         k = self.order
         first = k * v + 2 if v else 1
         if self._beyond(first):
-            raise DepthLimitError(f"children of vertex {v} lie at depth "
+            raise DepthLimitError(f"children of vertex {render_value(v)} lie at depth "
                                   f"{self.level(v) + 1} > max_depth {self.max_depth}")
         return range(first, first + (k if v else k + 1))
 
@@ -131,7 +131,8 @@ class TreeGeometry:
         root, in closed form: each level up divides the position by order."""
         cur_lvl, pos = self.level_and_position(v)
         if not 0 <= lvl <= cur_lvl:
-            raise ValueError(f"vertex {v} sits at level {cur_lvl}, no ancestor at level {lvl}")
+            raise ValueError(f"vertex {render_value(v)} sits at level {render_value(cur_lvl)}, "
+                             f"no ancestor at level {render_value(lvl)}")
         if lvl == cur_lvl:
             return v
         if lvl == 0:
@@ -181,16 +182,17 @@ class TreeGeometry:
 
     def check_depth(self, n: int) -> None:
         if n < 0:
-            raise ValueError(f"depth must be non-negative, got {n}")
+            raise ValueError(f"depth must be non-negative, got {render_value(n)}")
         if n > self.max_depth:
-            raise DepthLimitError(f"depth {n} exceeds max_depth {self.max_depth}")
+            raise DepthLimitError(f"depth {render_value(n)} exceeds max_depth "
+                                  f"{render_value(self.max_depth)}")
 
     def check_vertex(self, v: int) -> None:
         if v < 0:
-            raise ValueError(f"vertex index must be non-negative, got {v}")
+            raise ValueError(f"vertex index must be non-negative, got {render_value(v)}")
         if self._beyond(v):
             raise DepthLimitError(
-                f"vertex {v} lies beyond depth max_depth {self.max_depth}"
+                f"vertex {render_value(v)} lies beyond depth max_depth {self.max_depth}"
             )
 
     def _beyond(self, v: int) -> bool:

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from treemeasure import (
     Context,
     ContextMismatchError,
     CylinderSet,
+    DepthLimitError,
     SpinRangeError,
     SpinSet,
     TreeGeometry,
@@ -22,9 +25,13 @@ from treemeasure import (
     generator_decomposition,
     make_rectangle,
     omega,
+    parse_document,
     random_cylinder,
+    render_document,
+    render_value,
     rho,
     single_site,
+    table_family,
 )
 from treemeasure.cylinder import c_complement, c_contains, c_normalize, c_runs, exceeds_budget
 
@@ -598,3 +605,43 @@ def test_public_guards_raise_their_documented_error(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+# past the interpreter's 4,300-digit int-to-str limit; NINES is the longest
+# tree order a spec may name
+HUGE = 10**5000
+DIGITS = render_value(HUGE)
+NINES = int("9" * 4300)
+NAT = Context(TreeGeometry(2), SpinSet.naturals())
+TREE_DOC = "[tree]\nk = 2\n[spins]\nkind = nat\n[family]\nkind = product\nw = const 1\n"
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: single_site(NAT, 0, HUGE).render(), None, f"x0={DIGITS}"),
+    (lambda: from_constraints(NAT, {0: constraint_not_in([HUGE])}).render(), None,
+     f"x0 notin {{{DIGITS}}}"),
+    (lambda: SpinSet.naturals().check(-HUGE), SpinRangeError, f"spin -{DIGITS} out of range for nat"),
+    (lambda: str(SpinSet.finite(HUGE)), None, f"finite({DIGITS})"),
+    (lambda: TreeGeometry(2).check_vertex(HUGE), DepthLimitError,
+     f"vertex {DIGITS} lies beyond depth max_depth 16"),
+    (lambda: TreeGeometry(2).check_depth(HUGE), DepthLimitError,
+     f"depth {DIGITS} exceeds max_depth 16"),
+    (lambda: Configuration.on_ball(Context(TreeGeometry(NINES), SpinSet.finite(2)), 1, (0,)),
+     ValueError, f"need {render_value(NINES + 2)} values for the depth-1 ball, got 1"),
+    (lambda: table_family(K2S2, 0, {(HUGE,): 1}), SpinRangeError,
+     f"entry ({DIGITS},): spins must lie in finite(2)"),
+    (lambda: render_document(dataclasses.replace(parse_document(TREE_DOC), order=HUGE)),
+     None, f"[tree]\nk = {DIGITS}\nmax_depth = 16\n"),
+], ids=["single_site", "notin", "spin-check", "spin-set-str", "check_vertex", "check_depth",
+        "on_ball", "table-entry", "render_document"])
+def test_numbers_past_the_digit_limit_render_exactly(call, error, text):
+    # each ends in its own value or documented error, never the
+    # interpreter's digit-limit ValueError
+    start = time.perf_counter()
+    if error is None:
+        assert call().startswith(text)
+    else:
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == text
+    assert time.perf_counter() - start < 1

@@ -12,6 +12,7 @@ from treemeasure import (
     Configuration,
     Context,
     ContextMismatchError,
+    ExtensionHandle,
     FamilyDepthError,
     INFINITE,
     MassError,
@@ -21,6 +22,7 @@ from treemeasure import (
     SpinSet,
     TransitionKernel,
     TreeGeometry,
+    VerificationError,
     check_consistency,
     constraint_in,
     constraint_not_in,
@@ -453,6 +455,26 @@ def test_consistency_nat_probes_at_depth_two(nat_ctx):
     v = report.violation
     assert (v.i, v.j, v.witness.render(), v.lhs, v.rhs) == (0, 2, "x0=0", F(1, 4), F(1, 2))
     assert (report.verified_depth, report.method) == (1, "probes")
+
+
+def test_consistency_nat_closed_row_needs_one_form_at_every_depth(nat_ctx):
+    # each family doubles its weights from depth 1 on: x0=0 weighs 1/2 at
+    # depth 0 and 1 at depth 1, which depth 0's row sums cannot tell
+    half = NatSeq.geometric(F(1, 2), F(1, 2))
+    chain = markov_family(nat_ctx, half, TransitionKernel.for_naturals(half))
+    for fam in (chain, product_family(nat_ctx, half)):
+        doubled = MeasureFamily(
+            nat_ctx, lambda n, fam=fam: fam.measure(n).scaled(1 + (n > 0)), "finite"
+        )
+        report = check_consistency(doubled, 2)
+        v = report.violation
+        assert (report.method, report.exhaustive, report.verified_depth) == ("probes", False, 0)
+        assert (v.i, v.j, v.witness.render(), v.lhs, v.rhs) == (0, 1, "x0=0", 1, F(1, 2))
+        with pytest.raises(VerificationError, match="family is not consistent"):
+            ExtensionHandle.issue(doubled, verify_depth=2)
+        # scaled alike at every depth, a family keeps the exact route
+        report = check_consistency(scale(fam, 3), 2)
+        assert (report.method, report.exhaustive, report.verified_depth) == ("closed-row", True, 2)
 
 
 def test_nat_chain_hand_values():

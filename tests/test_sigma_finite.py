@@ -42,6 +42,7 @@ from treemeasure.sigma_finite import (
     DEFAULT_DIVERGENCE_BOUND,
     DEFAULT_TERM_BUDGET,
     DEFAULT_TOLERANCE,
+    SigmaFiniteExtension,
     _cover_sum_verdict,
     _values_agree,
 )
@@ -445,6 +446,29 @@ def test_fixed_level_cover_rejects_deep_site(counting_fam, nat_ctx):
     handle = counting_handle(counting_fam)
     with pytest.raises(CoverError):
         fixed_level_cover(handle, slice_cover(nat_ctx, site=1), level=0)
+
+
+def test_fixed_level_cover_reads_slices_as_parts(counting_fam, nat_ctx, ctx_k2s2, monkeypatch):
+    # a slice based too deep is named as a part, as a finite cover's part is
+    handle = counting_handle(counting_fam)
+    with pytest.raises(CoverError, match=r"^part 0 is based at depth 1, beyond level 0$"):
+        fixed_level_cover(handle, slice_cover(nat_ctx, site=1), level=0)
+    # the audit stops at the first mismatched root value: x0=1 is never summed
+    broken = markov_family(
+        ctx_k2s2, [F(1, 2), F(1, 2)], [[F(2, 3), F(1, 2)], [F(1, 3), F(2, 3)]]
+    )
+    handle = ExtensionHandle.issue(broken, trusted=True, trust_reason="adversarial probe")
+    summed = []
+    value = SigmaFiniteExtension.value
+    monkeypatch.setattr(SigmaFiniteExtension, "value",
+                        lambda self, event: summed.append(event.render()) or value(self, event))
+    cover = finite_cover([
+        from_constraints(ctx_k2s2, {0: constraint_in([0]), 1: constraint_in([q])})
+        for q in (0, 1)
+    ] + [single_site(ctx_k2s2, 0, 1)])
+    with pytest.raises(CoverError, match="cover sum mismatch on x0=0"):
+        fixed_level_cover(handle, cover)
+    assert summed == ["x0=0"]
 
 
 def test_fixed_level_cover_rejects_mismatched_sums(ctx_k2s2):
