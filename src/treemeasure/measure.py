@@ -7,9 +7,11 @@ plus a one-step transition kernel).  Over the denumerable spin set the chain
 and product forms carry closed-form tail descriptors, so cylinder values,
 marginals and masses stay exact.
 
-A rectangle's value never visits the whole ball.  The product form multiplies
-over the constrained sites and the overrides, and raises the default row sum
-to the number of remaining sites.  The chain forms make one bottom-up
+A table event selects its entries by bitmask operations on an entry index
+(`DenseTableForm`) and is never disjoined.  A product or chain value never
+visits the whole ball.  The product form multiplies, in ints, over the
+constrained sites and the overrides, and raises the default row sum to the
+number of remaining sites.  The chain forms make one bottom-up
 sum-product pass over the rectangle's skeleton of kept vertices.  When k = 1
 or the kernel is stochastic, those are only the root, the constrained sites
 and their branch points (at most 2c nodes for c sites): the sites in
@@ -500,13 +502,69 @@ class TransitionKernel:
 # measure forms
 
 
+# '0' and '1' digits as the bytes 0 and 1, selectors for `itertools.compress`
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class DenseTableForm:
-    """Explicit atom table on the depth-n ball; missing atoms weigh zero."""
+    """Explicit atom table on the depth-n ball; missing atoms weigh zero.
+
+    Events select entries by set operations on an entry index, built on
+    first use in one pass over the entries and kept, since the form does not
+    change: the weights as ints over their least common denominator, and for
+    each (site, spin) an int bitmask of the entries with that spin there.  A
+    rectangle's entries are the AND, over its sites, of the OR of its
+    allowed spins' masks, so it costs its sites times its allowed spins in
+    mask operations, and a union's entries are the OR of its rectangles'
+    masks, with no disjoining.  Its value is then one pass over the selected
+    entries' ints and one Fraction.
+    """
 
     def __init__(self, table):
         self.table = dict(table)
 
     kind = "table"
+
+    @cached_property
+    def _index(self) -> tuple[list, int, dict]:
+        """(ints, d, masks): weight i is ints[i] / d, in the table's order,
+        and masks[site, q] has bit i set when entry i has spin q at site."""
+        d = math.lcm(*(w.denominator for w in self.table.values()))
+        ints = [w.numerator * (d // w.denominator) for w in self.table.values()]
+        # one bytearray per (site, spin) while the pass runs: or-ing bits
+        # into a growing int would copy it once per entry
+        width = (len(ints) + 7) // 8
+        bufs: dict = {}
+        for i, key in enumerate(self.table):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for site, q in enumerate(key):
+                buf = bufs.get((site, q))
+                if buf is None:
+                    buf = bufs[site, q] = bytearray(width)
+                buf[byte] |= bit
+        return ints, d, {sq: int.from_bytes(buf, "little") for sq, buf in bufs.items()}
+
+    def selector(self, cyl: CylinderSet) -> bytes:
+        """One byte per entry, in the table's order: 1 for an entry inside
+        `cyl`, else 0 (trailing zeros cut), for `itertools.compress`."""
+        ints, _, masks = self._index
+        spins = cyl.ctx.spins
+        full = (1 << len(ints)) - 1
+        inside = 0
+        for rect in cyl.rectangles:
+            picked = full
+            for site, c in rect.items:
+                allowed = 0
+                for lo, hi in c_runs(c, spins):
+                    for q in range(lo, hi):
+                        allowed |= masks.get((site, q), 0)
+                picked &= allowed
+            inside |= picked
+        return bin(inside)[:1:-1].encode().translate(_BITS)
+
+    def value(self, cyl: CylinderSet) -> Fraction:
+        ints, d, _ = self._index
+        return Fraction(sum(itertools.compress(ints, self.selector(cyl))), d)
 
 
 class ProductForm:
@@ -575,13 +633,21 @@ class VolumeMeasure:
     # -- cylinder values -------------------------------------------------------
 
     def measure_of(self, cyl: CylinderSet):
-        """Exact value of a cylinder set whose constraints live in this ball."""
+        """Exact value of a cylinder set whose constraints live in this ball.
+
+        A table form sums the entries its index selects inside the union
+        (`DenseTableForm`): per rectangle, its sites times its allowed
+        spins, then one pass over the selected entries, and no disjoining,
+        so the rectangle budget does not apply.  Other forms sum the values
+        of the union's disjoint rectangles, each memoized on the measure."""
         if cyl.ctx != self.ctx:
             raise ContextMismatchError("cylinder built over a different context")
         if cyl.base_depth > self.depth:
             raise ValueError(
                 f"cylinder base depth {cyl.base_depth} exceeds measure depth {self.depth}"
             )
+        if isinstance(self.form, DenseTableForm):
+            return self.form.value(cyl)
         total = Fraction(0)
         for rect in cyl.disjoint_rectangles():
             key = rect.key()
@@ -594,12 +660,7 @@ class VolumeMeasure:
         return self.measure_of(omega(self.ctx))
 
     def _rect_value(self, rect: Rectangle):
-        form = self.form
-        if isinstance(form, DenseTableForm):
-            return sum(
-                (w for key, w in form.table.items() if rect.matches(key)), Fraction(0)
-            )
-        if isinstance(form, ProductForm):
+        if isinstance(self.form, ProductForm):
             return self._product_value(rect.as_dict(), 0, self._ball())
         return self._rect_value_chain(rect)
 
@@ -607,18 +668,43 @@ class VolumeMeasure:
         """Product over the sites lo..hi-1, where every constrained site
         lies, of each one's weight on the spins its constraint allows: one
         factor per constrained or overridden site, and the default row sum
-        to the power of the others."""
+        to the power of the others.  The factors multiply as ints: over
+        finite spins a factor is the sum of the weights' ints
+        (`NatSeq._head`) at the allowed spins over their denominator, over
+        the naturals one `sum_runs`, its numerator and denominator taken
+        apart.  One Fraction is built, then the default row sum, read from
+        its integer form too, is raised to the free power and multiplied in.
+        A zero factor gives 0, even beside an infinite one; otherwise an
+        infinite factor gives INFINITE."""
         form = self.form
         special = set(constraints)
         special.update(v for v in form.overrides if lo <= v < hi)
         spins = self.ctx.spins
-        acc = Fraction(1)
+        # the width of the weights' integer form: the s finite spins, or
+        # over the naturals none, so the head is the one sum of every value
+        w = spins.size if spins.is_finite else 0
+        num = den = 1
+        infinite = False
         for v in special:
-            acc = value_mul(acc, form.weight_at(v).sum_runs(c_runs(constraints.get(v), spins)))
-            if acc == 0:
+            runs = c_runs(constraints.get(v), spins)
+            if w:
+                ints, d = form.weight_at(v)._head(w)
+                n = sum(sum(ints[a:b]) for a, b in runs)
+            else:
+                part = form.weight_at(v).sum_runs(runs)
+                if type(part) is float:
+                    infinite = True
+                    continue
+                n, d = part.numerator, part.denominator
+            if not n:
                 return Fraction(0)
-        free = value_pow(form.default.sum_all(), hi - lo - len(special))
-        return value_mul(acc, free)
+            num *= n
+            den *= d
+        acc = INFINITE if infinite else Fraction(num, den)
+        ints, d = form.default._head(w)
+        free = sum(ints)
+        free = free if type(free) is float else Fraction(free, d)
+        return value_mul(acc, value_pow(free, hi - lo - len(special)))
 
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
     # the rectangle, each kept vertex handed to its nearest kept ancestor

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .cylinder import (
     Context,
@@ -35,6 +36,7 @@ from .extension import ExtensionHandle
 from .measure import (
     DEFAULT_ATOM_BUDGET,
     INFINITE,
+    DenseTableForm,
     MarkovForm,
     MeasureFamily,
     NatSeq,
@@ -94,7 +96,9 @@ class ConditionalExtension:
         """The restriction as a family in its own right.
 
         Finite spin sets materialize a table at `depth` (default: the
-        conditioning event's base depth).  Over the denumerable spin set the
+        conditioning event's base depth) and keep the entries that the
+        table's entry index selects inside the event
+        (`DenseTableForm.selector`).  Over the denumerable spin set the
         restriction stays in closed form when the family is a chain and the
         event constrains only the root.
         """
@@ -103,8 +107,8 @@ class ConditionalExtension:
             d = self.event.base_depth if depth is None else depth
             if d < self.event.base_depth:
                 raise ValueError("materialization depth below the event's base depth")
-            dense = self.handle.family.measure(d).dense_table(budget)
-            kept = {key: w for key, w in dense.items() if self.event.contains(key)}
+            dense = DenseTableForm(self.handle.family.measure(d).dense_table(budget))
+            kept = dict(compress(dense.table.items(), dense.selector(self.event)))
             return table_family(ctx, d, kept, label=f"restricted({self.event.render()})")
         form = self.handle.family.measure(0).form
         if not isinstance(form, MarkovForm):

@@ -1,0 +1,258 @@
+"""Table and product values against the routes they replaced.
+
+A table event is valued through the table's entry index (bitmasks of
+entries per site and spin), with no disjoining; a product rectangle folds its
+site sums in ints.  The slow routes stay here as oracles: the per-entry
+`Rectangle.matches` sum over the union's disjoint rectangles, and the
+per-site `value_mul` fold of `sum_runs` Fractions.
+"""
+
+import glob
+import os
+import random
+from fractions import Fraction
+
+import pytest
+
+from treemeasure import (
+    INFINITE,
+    BudgetError,
+    Context,
+    CylinderSet,
+    ExtensionHandle,
+    NatSeq,
+    SpinSet,
+    TreeGeometry,
+    conditional_family,
+    constraint_in,
+    constraint_not_in,
+    product_family,
+    random_consistent_family,
+    table_family,
+    value_mul,
+    value_pow,
+)
+from treemeasure.cylinder import c_runs, make_rectangle
+from treemeasure.specdsl import load_spec
+
+F = Fraction
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def old_table_value(mu, cyl):
+    """The per-entry sum over the union's disjoint rectangles."""
+    total = F(0)
+    for rect in cyl.disjoint_rectangles():
+        total += sum((w for key, w in mu.form.table.items() if rect.matches(key)), F(0))
+    return total
+
+
+def old_product_value(mu, constraints, lo, hi):
+    """The per-site fold: one `sum_runs` Fraction per special site, multiplied
+    in by `value_mul`, stopping at the first zero."""
+    form = mu.form
+    special = set(constraints) | {v for v in form.overrides if lo <= v < hi}
+    acc = F(1)
+    for v in special:
+        acc = value_mul(acc, form.weight_at(v).sum_runs(c_runs(constraints.get(v), mu.ctx.spins)))
+        if acc == 0:
+            return F(0)
+    return value_mul(acc, value_pow(form.default.sum_all(), hi - lo - len(special)))
+
+
+def seeded_union(ctx, rng, depth, n_rects, max_sites=3):
+    """A union of n_rects rectangles on the depth-`depth` ball, drawn from a
+    few sites so that they overlap."""
+    size = ctx.tree.ball_size(depth)
+    pool = rng.sample(range(size), min(size, max_sites + 1))
+    rects = []
+    for _ in range(n_rects):
+        mapping = {}
+        for site in rng.sample(pool, rng.randint(1, min(max_sites, len(pool)))):
+            if ctx.spins.is_finite:
+                s = ctx.spins.size
+                mapping[site] = constraint_in(rng.sample(range(s), rng.randint(1, s)))
+            elif rng.random() < 0.5:
+                mapping[site] = constraint_not_in(rng.sample(range(6), rng.randint(1, 3)))
+            else:
+                mapping[site] = constraint_in(rng.sample(range(6), rng.randint(1, 3)))
+        rects.append(make_rectangle(ctx, mapping))
+    return CylinderSet.build(ctx, rects)
+
+
+def table_spec_measures():
+    for path in sorted(glob.glob(os.path.join(DATA, "table_*.spec"))):
+        with open(path, encoding="utf-8") as fh:
+            built = load_spec(fh.read())
+        for depth in range(built.family.max_defined_depth + 1):
+            yield f"{os.path.basename(path)}@{depth}", built.family.measure(depth)
+
+
+# (k, s, depth): every such random table but k = 2, s = 3, depth 2, whose
+# 3**13 entries would take the per-entry oracle minutes
+RANDOM_TABLES = [(k, s, depth) for k in (1, 2) for s in (2, 3) for depth in (1, 2)
+                 if (k, s, depth) != (2, 3, 2)]
+
+
+def random_table_measures():
+    for k, s, depth in RANDOM_TABLES:
+        ctx = Context(TreeGeometry(k), SpinSet.finite(s))
+        fam = random_consistent_family(ctx, 1000 * k + 10 * s + depth, depth)
+        for d in range(depth + 1):
+            yield f"random_k{k}_s{s}_depth{depth}@{d}", fam.measure(d)
+
+
+def sparse_table_measures():
+    """No entry has spin 2 anywhere, and no entry has spin 0 at site 3."""
+    ctx = Context(TreeGeometry(2), SpinSet.finite(3))
+    entries = {(0, 0, 1, 1): F(1, 2), (1, 1, 0, 1): F(1, 4), (0, 1, 1, 1): F(1, 8)}
+    fam = table_family(ctx, 1, entries)
+    for d in (0, 1):
+        yield f"sparse_k2_s3@{d}", fam.measure(d)
+
+
+TABLE_MEASURES = dict([*table_spec_measures(), *random_table_measures(),
+                       *sparse_table_measures()])
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MEASURES))
+def test_table_index_matches_the_per_entry_sum(name):
+    mu = TABLE_MEASURES[name]
+    rng = random.Random(name)
+    for n_rects in (1, 1, 2, 3, 5, 8):
+        cyl = seeded_union(mu.ctx, rng, mu.depth, n_rects)
+        assert mu.measure_of(cyl) == old_table_value(mu, cyl), cyl.render()
+    assert mu.measure_of(CylinderSet.build(mu.ctx, [])) == 0
+    assert mu.mass() == sum(mu.form.table.values(), F(0))
+
+
+def test_spins_no_entry_has_select_nothing():
+    ctx = Context(TreeGeometry(2), SpinSet.finite(3))
+    for name in ("sparse_k2_s3@0", "sparse_k2_s3@1"):
+        mu = TABLE_MEASURES[name]
+        for mapping, value in (({0: [2]}, 0), ({0: [1, 2]}, F(1, 4)), ({0: [0, 2]}, F(5, 8))):
+            assert mu.measure_of(CylinderSet.build(ctx, [make_rectangle(
+                ctx, {v: constraint_in(qs) for v, qs in mapping.items()})])) == value
+    mu = TABLE_MEASURES["sparse_k2_s3@1"]
+    assert mu.measure_of(CylinderSet.build(ctx, [make_rectangle(
+        ctx, {3: constraint_in([0, 2])})])) == 0
+
+
+NAT = SpinSet.naturals()
+GEO = NatSeq.geometric(F(1, 2), F(1, 2))
+PRODUCT_FAMILIES = {
+    "k2_s2_overrides": lambda: product_family(
+        Context(TreeGeometry(2), SpinSet.finite(2)),
+        [F(1, 3), F(1, 2)], {0: [F(1, 4), F(3, 4)], 5: [F(0), F(2)], 11: [F(1), F(1)]},
+    ),
+    # spin 1 weighs zero everywhere, and site 2 weighs zero on every spin
+    "k1_s3_zero_weights": lambda: product_family(
+        Context(TreeGeometry(1), SpinSet.finite(3)),
+        [F(1, 2), F(0), F(1, 2)], {2: [F(0), F(0), F(0)]},
+    ),
+    # a constant tail: the free sites' sum is INFINITE, site 4 weighs zero
+    # below spin 2, and site 5 has a zero prefix before a geometric tail
+    "nat_counting_beside_zero": lambda: product_family(
+        Context(TreeGeometry(2), NAT),
+        NatSeq.constant(1), {0: GEO, 4: NatSeq.finite([0, 0]),
+                             5: NatSeq((F(0), F(0)), "geometric", F(1, 3), F(1, 2))},
+    ),
+    "nat_geometric_notin": lambda: product_family(
+        Context(TreeGeometry(2), NAT),
+        GEO, {0: NatSeq((F(1, 2), F(1, 4)), "geometric", F(1, 8), F(1, 2)),
+              3: NatSeq.constant(F(1, 5))},
+    ),
+}
+
+
+def product_spec_families():
+    for path in sorted(glob.glob(os.path.join(DATA, "product_*.spec"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), load_spec(fh.read()).family
+
+
+def product_measures():
+    families = {name: build() for name, build in PRODUCT_FAMILIES.items()}
+    families.update(product_spec_families())
+    for name, fam in families.items():
+        for depth in (0, 1, 2):
+            yield f"{name}@{depth}", fam.measure(depth)
+
+
+PRODUCT_MEASURES = dict(product_measures())
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_MEASURES))
+def test_integer_product_fold_matches_the_fraction_fold(name):
+    mu = PRODUCT_MEASURES[name]
+    ball = mu.ctx.tree.ball_size(mu.depth)
+    rng = random.Random(name)
+    for n_rects in (1, 1, 1, 2, 3, 5):
+        cyl = seeded_union(mu.ctx, rng, mu.depth, n_rects)
+        for rect in cyl.disjoint_rectangles():
+            constraints = rect.as_dict()
+            assert mu._product_value(constraints, 0, ball) == old_product_value(
+                mu, constraints, 0, ball), rect.render()
+    for cut in range(mu.depth + 1):
+        lo = mu.ctx.tree.ball_size(cut)
+        assert mu._product_value({}, lo, ball) == old_product_value(mu, {}, lo, ball)
+
+
+def test_product_fold_keeps_zero_over_infinite():
+    ctx = Context(TreeGeometry(2), NAT)
+    mu = PRODUCT_FAMILIES["nat_counting_beside_zero"]().measure(1)
+    # the counting sites sum to INFINITE: mass and an unpinned site diverge
+    assert mu.mass() == INFINITE
+    # site 4 allows only spins of weight zero: 0, although the rest diverges
+    zero = {4: constraint_in([0, 1])}
+    for constraints in (zero, {1: constraint_not_in([3]), **zero}):
+        rect = make_rectangle(ctx, constraints)
+        assert mu._product_value(rect.as_dict(), 0, 4) == 0
+        assert old_product_value(mu, rect.as_dict(), 0, 4) == 0
+
+
+def test_table_value_never_disjoins(monkeypatch):
+    """A table event is the OR of its rectangles' entry masks: the union is
+    never disjoined, not for `measure_of` and not for `as_family`."""
+    ctx = Context(TreeGeometry(2), SpinSet.finite(2))
+    fam = random_consistent_family(ctx, 77, 2)
+    events = [seeded_union(ctx, random.Random(n), 2, n, max_sites=4) for n in (2, 5, 9)]
+    expected = [old_table_value(fam.measure(2), e) for e in events]
+    handle = ExtensionHandle.issue(fam, verify_depth=2)
+    cond = conditional_family(handle, events[1])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a table value disjoined its union")
+
+    def refuse_contains(self, values):
+        raise AssertionError("as_family tested an entry by `contains`")
+
+    monkeypatch.setattr(CylinderSet, "disjoint_rectangles", refuse)
+    monkeypatch.setattr(CylinderSet, "contains", refuse_contains)
+    assert [fam.measure(2).measure_of(e) for e in events] == expected
+    restricted = cond.as_family(depth=2).measure(2).form.table
+    monkeypatch.undo()
+    table = fam.measure(2).form.table
+    assert restricted == {k: w for k, w in table.items() if events[1].contains(k)}
+
+
+def test_many_overlapping_rectangles_past_the_rectangle_budget():
+    """17 rectangles on disjoint pairs of sites disjoin into 2**17 - 1 pieces,
+    past the rectangle budget; the table value is the atom sum regardless."""
+    ctx = Context(TreeGeometry(2), SpinSet.finite(2))
+    rng = random.Random(5)
+    size = ctx.tree.ball_size(4)
+    entries = {tuple(rng.randrange(2) for _ in range(size)): F(rng.randint(1, 9), 7)
+               for _ in range(300)}
+    # two more entries inside the first rectangle, so the union is not empty
+    for w in (F(1, 3), F(2, 5)):
+        entries[(0, 0) + tuple(rng.randrange(2) for _ in range(size - 2))] = w
+    mu = table_family(ctx, 4, entries).measure(4)
+    rects = [make_rectangle(ctx, {2 * i: constraint_in([0]), 2 * i + 1: constraint_in([0])})
+             for i in range(17)]
+    cyl = CylinderSet.build(ctx, rects)
+    with pytest.raises(BudgetError):
+        cyl.disjoint_rectangles()
+    brute = sum((w for key, w in mu.form.table.items() if cyl.contains(key)), F(0))
+    assert brute > 0
+    assert mu.measure_of(cyl) == brute
