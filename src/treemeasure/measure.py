@@ -781,10 +781,13 @@ class VolumeMeasure:
         return (1,) * len(self.form.kernel.rows), 1
 
     def _free_factor(self, height: int) -> tuple:
-        """Memoized weight of one free child subtree, `height` levels tall,
-        under a non-stochastic kernel, as a function of the parent spin in
-        lowest terms.  On a path (k = 1) it is P ** height applied to 1;
-        otherwise missing heights are built upwards from the tallest one cached."""
+        """Memoized weight of one free child subtree, `height` >= 1 levels
+        tall, under a non-stochastic kernel, as a function of the parent spin
+        in lowest terms.  The chain pass hands it to kept vertices for their
+        free children, and `_enumerate_marginal` folds it into the rows of
+        the sphere it stops at.  On a path (k = 1) it is P ** height applied
+        to 1; otherwise missing heights are built upwards from the tallest
+        one cached."""
         cache = self._free_cache
         if height not in cache:
             kernel = self.form.kernel
@@ -979,11 +982,21 @@ class VolumeMeasure:
 def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     """Marginal of mu onto the depth-i ball: a table's entries regrouped by
     their depth-i head, the one atom of a one-spin ball weighing mu's mass,
-    any other form summed over every base atom.
+    any other form summed over the s ** |ball(i)| atoms of the depth-i ball.
+
+    The levels below sphere i sum out in closed form.  A product's dropped
+    sites multiply every atom by one scalar, the `_product_value` of sites
+    |ball(i)|..|ball(mu.depth)| - 1 that `project` folds in too.  Under a
+    chain, each free child subtree of a sphere-i vertex weighs
+    `_free_factor(mu.depth - i)`, a function of that vertex's spin, so its
+    row is multiplied entrywise by that factor to the power of its child
+    count: k, or k + 1 at the root, whose row is lam.  A stochastic kernel's
+    factor is 1.  The atom gate still charges the s ** |ball(mu.depth)|
+    atoms of mu's own ball.
 
     Integer-scaled arithmetic: every atom weight is a product of one row
     entry per site, so with each site's rows scaled to integers over one
-    denominator the leaf sums are exact integer arithmetic over the product
+    denominator the atom sums are exact integer arithmetic over the product
     of those denominators.  The atoms come in `CylinderSet.atoms` order.
     """
     ctx = mu.ctx
@@ -1005,36 +1018,39 @@ def _enumerate_marginal(mu: VolumeMeasure, i: int, budget: int) -> dict:
     # ignore p, and so do the root's, which reads its own spin slot in place
     # of a parent's.
     if isinstance(form, ProductForm):
-        scaled = [form.weight_at(v)._head(s) for v in range(full)]
+        scaled = [form.weight_at(v)._head(s) for v in range(t)]
         rowsI = [(ints,) * s for ints, _ in scaled]
-        den = math.prod(d for _, d in scaled)
+        below = mu._product_value({}, t, full)
+        acc = below.numerator
+        den = math.prod(d for _, d in scaled) * below.denominator
     else:
         lam, d = form.lam._head(s)
         mat, kernel_d = form.kernel._scaled
-        rowsI = [[lam] * s] + [mat] * (full - 1)
-        den = d * kernel_d ** (full - 1)
-    parents = [0] + ctx.tree.parents_list(mu.depth)[1:]
-    buckets = [0] * (s**t)
-    cur = [0] * full
+        rowsI = [[lam] * s] + [mat] * (t - 1)
+        acc, den = 1, d * kernel_d ** (t - 1)
+        if i < mu.depth and not form.kernel.is_stochastic():
+            k = ctx.tree.order
+            nums, fden = _power(mu._free_factor(mu.depth - i), k if i else k + 1)
+            first = ctx.tree.ball_size(i - 1) if i else 0
+            rows = [[x * f for x, f in zip(row, nums)] for row in rowsI[first]]
+            rowsI[first:] = [rows] * (t - first)
+            den *= fden ** (t - first)
+    parents = [0] + ctx.tree.parents_list(i)[1:]
+    weights: list[int] = []
+    cur = [0] * t
 
-    def rec(v, acc, idx):
+    def rec(v, acc):
         row = rowsI[v][cur[parents[v]]]
-        if v == full - 1:
-            if v < t:
-                base = idx * s
-                for val in range(s):
-                    buckets[base + val] += acc * row[val]
-            else:
-                for val in range(s):
-                    buckets[idx] += acc * row[val]
+        if v == t - 1:
+            weights.extend(acc * row[val] for val in range(s))
             return
         for val in range(s):
             cur[v] = val
-            rec(v + 1, acc * row[val], idx * s + val if v < t else idx)
+            rec(v + 1, acc * row[val])
 
-    rec(0, 1, 0)
+    rec(0, acc)
     atoms = itertools.product(range(s), repeat=t)
-    return {atom: Fraction(b, den) for atom, b in zip(atoms, buckets) if b}
+    return {atom: Fraction(b, den) for atom, b in zip(atoms, weights) if b}
 
 
 def _regroup(table: dict, key) -> dict:
@@ -1222,12 +1238,14 @@ def check_consistency(fam: MeasureFamily, depth: int,
     """Verify that deeper measures marginalize onto shallower ones.
 
     Finite spin sets are checked exhaustively by enumeration: for each j <=
-    depth the depth-j measure is summed atom-by-atom onto the depth j - 1
-    ball and compared against the family's own measure there; projections
-    compose, so these matches give every shallower one.  Over the
-    denumerable spin set, stochastic closed forms are checked exactly via
-    row sums when depths 1..depth share depth 0's form by value; otherwise a
-    finite probe battery is compared (reported as non-exhaustive).
+    depth the depth-j measure is summed onto the depth j - 1 ball, walking
+    that ball's atoms with sphere j folded in closed form
+    (`_enumerate_marginal`), and compared against the family's own measure
+    there; projections compose, so these matches give every shallower one.
+    Over the denumerable spin set, stochastic closed forms are checked
+    exactly via row sums when depths 1..depth share depth 0's form by value;
+    otherwise a finite probe battery is compared (reported as
+    non-exhaustive).
     """
     requested = depth
     if fam.max_defined_depth is not None:

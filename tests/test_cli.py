@@ -120,8 +120,22 @@ def test_negative_depth_is_usage_error(capsys, argv):
     assert "must be non-negative" in captured.err
 
 
+def test_consistency_depth_2_enumerates_exhaustively(capsys):
+    code, payload, err = run_cli(
+        capsys, "consistency", "--spec", os.path.join(DATA, "chain_k2_s3_prob.spec"),
+        "--depth", "2", "--json",
+    )
+    assert code == 0
+    assert payload == {
+        "budget_limited": False, "command": "consistency", "exhaustive": True,
+        "method": "enumeration", "ok": True, "requested_depth": 2,
+        "verified_depth": 2, "violation": None,
+    }
+    assert err == ""
+
+
 def test_consistency_budget_limited_exits_inconclusive(capsys):
-    # 3**15 atoms at depth 2 fit the default atom budget, 3**31 at depth 3 do not
+    # 3**10 atoms at depth 2 fit the default atom budget, 3**22 at depth 3 do not
     code, payload, err = run_cli(
         capsys, "consistency", "--spec", os.path.join(DATA, "chain_k2_s3_prob.spec"),
         "--depth", "3",

@@ -1,15 +1,21 @@
-"""Table and product values against the routes they replaced.
+"""Table and product values, and enumeration marginals, against the routes
+they replaced.
 
 A table event is valued through the table's entry index (bitmasks of
 entries per site and spin), with no disjoining; a product rectangle folds its
-site sums in ints.  The slow routes stay here as oracles: the per-entry
-`Rectangle.matches` sum over the union's disjoint rectangles, and the
-per-site `value_mul` fold of `sum_runs` Fractions.
+site sums in ints; an enumeration marginal walks only the target ball's atoms
+and folds the levels below it in closed form.  The slow routes stay here as
+oracles: the per-entry `Rectangle.matches` sum over the union's disjoint
+rectangles, the per-site `value_mul` fold of `sum_runs` Fractions, and the
+walk over every atom of the measure's own ball.
 """
 
 import glob
+import itertools
+import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,19 +27,30 @@ from treemeasure import (
     CylinderSet,
     ExtensionHandle,
     NatSeq,
+    SpinRangeError,
     SpinSet,
     TreeGeometry,
     conditional_family,
     constraint_in,
     constraint_not_in,
+    markov_family,
     product_family,
     random_consistent_family,
     table_family,
     value_mul,
     value_pow,
 )
-from treemeasure.cylinder import c_runs, make_rectangle
+from treemeasure.cylinder import DEFAULT_ATOM_BUDGET, c_runs, exceeds_budget, make_rectangle
+from treemeasure.errors import render_value
+from treemeasure.measure import (
+    DenseTableForm,
+    ProductForm,
+    VolumeMeasure,
+    _enumerate_marginal,
+    _regroup,
+)
 from treemeasure.specdsl import load_spec
+from test_measure import ATOM_SUM_FAMILIES
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -256,3 +273,144 @@ def test_many_overlapping_rectangles_past_the_rectangle_budget():
     brute = sum((w for key, w in mu.form.table.items() if cyl.contains(key)), F(0))
     assert brute > 0
     assert mu.measure_of(cyl) == brute
+
+
+def old_enumerate_marginal(mu, i, budget=DEFAULT_ATOM_BUDGET):
+    """The full-ball walk: every atom of mu's own ball, summed into the
+    buckets of its depth-i head."""
+    ctx = mu.ctx
+    t = ctx.tree.ball_size(i)
+    form = mu.form
+    if isinstance(form, DenseTableForm):
+        return _regroup(form.table, lambda key: key[:t])
+    if not ctx.spins.is_finite:
+        raise SpinRangeError("enumeration requires a finite spin set")
+    s = ctx.spins.size
+    full = ctx.tree.ball_size(mu.depth)
+    if full > budget or exceeds_budget(s, full, budget):
+        raise BudgetError(f"enumeration of {s}**{render_value(full)} atoms exceeds budget {budget}")
+    if s == 1:  # one atom, spin 0 at every site, carrying the whole mass
+        weight = mu.mass()
+        return {(0,) * t: weight} if weight else {}
+    if isinstance(form, ProductForm):
+        scaled = [form.weight_at(v)._head(s) for v in range(full)]
+        rowsI = [(ints,) * s for ints, _ in scaled]
+        den = math.prod(d for _, d in scaled)
+    else:
+        lam, d = form.lam._head(s)
+        mat, kernel_d = form.kernel._scaled
+        rowsI = [[lam] * s] + [mat] * (full - 1)
+        den = d * kernel_d ** (full - 1)
+    parents = [0] + ctx.tree.parents_list(mu.depth)[1:]
+    buckets = [0] * (s**t)
+    cur = [0] * full
+
+    def rec(v, acc, idx):
+        row = rowsI[v][cur[parents[v]]]
+        if v == full - 1:
+            if v < t:
+                base = idx * s
+                for val in range(s):
+                    buckets[base + val] += acc * row[val]
+            else:
+                for val in range(s):
+                    buckets[idx] += acc * row[val]
+            return
+        for val in range(s):
+            cur[v] = val
+            rec(v + 1, acc * row[val], idx * s + val if v < t else idx)
+
+    rec(0, 1, 0)
+    atoms = itertools.product(range(s), repeat=t)
+    return {atom: Fraction(b, den) for atom, b in zip(atoms, buckets) if b}
+
+
+# the oracle walks s ** |ball(depth)| atoms; balls past this many are left out
+ORACLE_ATOMS = 2**17
+
+
+def seeded_chain(rng, k, s, rows):
+    """A chain whose kernel rows sum to 1 ("stochastic"), below 1 or above 1,
+    with zero entries drawn in."""
+    ctx = Context(TreeGeometry(k), SpinSet.finite(s))
+    lam = [F(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(s)]
+    kernel = []
+    for _ in range(s):
+        row = [F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(s)]
+        target = {"stochastic": F(1), "sub": F(rng.randint(1, 5), 6),
+                  "above": F(rng.randint(7, 12), 6)}[rows]
+        total = sum(row)
+        kernel.append([x * target / total for x in row] if total else [target / s] * s)
+    return markov_family(ctx, lam, kernel)
+
+
+def seeded_product(rng, k, s):
+    """A product with one override at a random vertex of each level 0..4,
+    so that as i and the depth vary an override falls inside ball i, between
+    sphere i + 1 and the depth, and past the ball."""
+    ctx = Context(TreeGeometry(k), SpinSet.finite(s))
+    tree = ctx.tree
+
+    def weight():
+        return [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(s)]
+
+    overrides = {rng.randrange(tree.ball_size(lvl - 1) if lvl else 0, tree.ball_size(lvl)): weight()
+                 for lvl in range(5)}
+    return product_family(ctx, weight(), overrides)
+
+
+def enumeration_cases():
+    for name, build in ATOM_SUM_FAMILIES.items():
+        mu = build()
+        yield name, lambda d, mu=mu: VolumeMeasure(mu.ctx, d, mu.form)
+    for k in (1, 2, 3):
+        for s in (1, 2, 3):
+            rng = random.Random(f"{k}-{s}")
+            for rows in ("stochastic", "sub", "above"):
+                yield f"chain_{rows}_k{k}_s{s}", seeded_chain(rng, k, s, rows).measure
+            yield f"product_k{k}_s{s}", seeded_product(rng, k, s).measure
+
+
+ENUMERATION_CASES = dict(enumeration_cases())
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_CASES))
+def test_target_ball_enumeration_matches_the_full_ball_walk(name):
+    measure = ENUMERATION_CASES[name]
+    for depth in range(4):
+        mu = measure(depth)
+        if exceeds_budget(mu.ctx.spins.size, mu._ball(), ORACLE_ATOMS):
+            break
+        for i in range(depth + 1):
+            expected = old_enumerate_marginal(mu, i)
+            assert _enumerate_marginal(mu, i, DEFAULT_ATOM_BUDGET) == expected, (depth, i)
+            assert mu.project(i, method="enumerate").dense_table() == expected, (depth, i)
+
+
+def test_deep_path_marginal_enumerates_the_target_ball_only():
+    """A k = 1, s = 3 chain at depth 7 has 3**15 atoms, under the atom gate;
+    its marginals onto depths 0 and 3 walk 3 and 3**7 atoms."""
+    ctx = Context(TreeGeometry(1), SpinSet.finite(3))
+    fam = markov_family(ctx, [F(1, 3), F(1, 2), F(1, 6)],
+                        [[F(1, 2), F(1, 3), F(1, 4)], [F(1, 5), F(1, 5), F(1, 5)],
+                         [F(0), F(2, 3), F(1, 2)]])
+    mu = fam.measure(7)
+    assert not exceeds_budget(3, mu._ball(), DEFAULT_ATOM_BUDGET)
+    mass = mu.mass()
+    assert mass != 1
+    for i in (0, 3):
+        start = time.perf_counter()
+        table = mu.project(i).dense_table()
+        assert time.perf_counter() - start < 1.0, i
+        assert sum(table.values()) == mass, i
+
+
+def test_non_stochastic_k2_marginal_and_unchanged_gate():
+    """k = 2, s = 2, rows summing to 3/4: depth 3 to 2 walks 2**7 atoms."""
+    ctx = Context(TreeGeometry(2), SpinSet.finite(2))
+    fam = markov_family(ctx, [F(1, 2), F(1, 2)], [[F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])
+    mu3 = fam.measure(3)
+    assert mu3.project(2).dense_table() == old_enumerate_marginal(mu3, 2)
+    # the gate still charges the 2**31 atoms of the depth-4 ball
+    with pytest.raises(BudgetError):
+        fam.measure(4).project(3)
