@@ -118,7 +118,7 @@ class SiteConstraint:
     values: frozenset[int]
 
     def key(self):
-        # memoized: the pieces of one cascade share constraint objects
+        # memoized: the decoded pieces of one packing share constraint objects
         cached = getattr(self, "_key", None)
         if cached is None:
             cached = (self.mode, tuple(sorted(self.values)))
@@ -143,9 +143,15 @@ def _full(size: int) -> frozenset[int]:
 def c_normalize(c: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
     """Canonical form within the spin set; None means it allows every spin."""
     if spins.is_finite:
-        full = _full(spins.size)
-        allowed = (c.values & full) if c.mode == IN else (full - c.values)
-        if allowed == full:
+        # an "in" set only drops the spins past the alphabet, so it builds no
+        # spin set however wide the alphabet is
+        if c.mode == NOT_IN:
+            allowed = _full(spins.size) - c.values
+        elif c.values and (min(c.values) < 0 or max(c.values) >= spins.size):
+            allowed = frozenset(q for q in c.values if 0 <= q < spins.size)
+        else:
+            allowed = c.values
+        if len(allowed) == spins.size:
             return None
         return SiteConstraint(IN, allowed)
     # the smallest value, from the memoized sorted key
@@ -192,15 +198,6 @@ def c_complement(c: SiteConstraint, spins: SpinSet) -> SiteConstraint:
         return SiteConstraint(IN, _full(spins.size) - c.values)
     # swapping the mode shares the value set, however wide, instead of copying it
     return SiteConstraint(NOT_IN if c.mode == IN else IN, c.values)
-
-
-def _c_minus(a: SiteConstraint, b: SiteConstraint) -> SiteConstraint:
-    """The spins a allows and b excludes, for normalized a and b."""
-    if a.mode == IN:
-        return SiteConstraint(IN, a.values - b.values if b.mode == IN else a.values & b.values)
-    if b.mode == IN:
-        return SiteConstraint(NOT_IN, a.values | b.values)
-    return SiteConstraint(IN, b.values - a.values)
 
 
 def _runs(values) -> list:
@@ -336,69 +333,156 @@ def rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
     return Rectangle(tuple(sorted(merged.items())))
 
 
-def _meets(a: Rectangle, b: Rectangle) -> bool:
-    """Whether a and b meet: at each site both constrain, they share a spin."""
-    at = b.as_dict()
-    for site, c in a.items:
-        d = at.get(site)
-        if d is None:
-            continue
-        if c.mode == IN:
-            if c.values.isdisjoint(d.values) if d.mode == IN else c.values <= d.values:
-                return False
-        elif d.mode == IN and d.values <= c.values:
-            return False
-    return True
+# ---------------------------------------------------------------------------
+# the subtraction cascade, on packed rectangles
+
+_ALLOWED = bytes.maketrans(b"01", b"\0\1")  # a letter's char -> whether it is set
+_EXCLUDED = bytes.maketrans(b"01", b"\1\0")  # ... -> whether it is clear
 
 
-def _carve(p: Rectangle, d: Rectangle, spins: SpinSet) -> list[Rectangle]:
-    """Disjoint rectangles covering p minus d, for rectangles that meet: at
-    each site of d in turn, the piece that leaves d's constraint there and
-    keeps d's constraints at the sites before it."""
-    out: list[Rectangle] = []
-    head = []  # the sites below the current one, d's constraints applied
-    items, k = p.items, 0
-    for site, dc in d.items:
-        while k < len(items) and items[k][0] < site:
-            head.append(items[k])
-            k += 1
-        if k < len(items) and items[k][0] == site:
-            pc = items[k][1]
-            k += 1
-            rest = _c_minus(pc, dc)
-            dc = c_intersect(pc, dc)
+class _Packing:
+    """The rectangles of one call, each packed into one int.
+
+    Every site that some rectangle constrains gets a bit field: one letter
+    per value that a constraint there names, in increasing order, then one
+    letter for all the other spins when any remain, then a guard bit above
+    them all.  A rectangle sets the letters it allows, every letter at a
+    site it leaves free, and no guard bit.  So a field's letters are never
+    all clear, and all set exactly where the rectangle is free.  Adding
+    `full` (every letter) to the AND of two rectangles carries into a
+    field's guard bit exactly when the field keeps a letter: the two meet
+    when every guard bit is set.
+
+    The cost grows with the values the constraints name, never with the
+    alphabet: ints are read from and written to strings of "0" and "1", so
+    packing and decoding take time linear in the letters.
+    """
+
+    def __init__(self, rects, spins: SpinSet):
+        self.rects, self.spins = rects, spins
+        named: dict[int, set] = {}
+        for r in rects:
+            for site, c in r.items:
+                got = named.get(site)
+                if got is None:
+                    named[site] = set(c.values)
+                else:
+                    got |= c.values
+        # per site, in order: (the offsets of its letters in the text, the
+        # offset of each named value's letter, "0" per letter, the named
+        # values); one letter more stands for the other spins
+        self.fields = fields = {}
+        full, at = [b"0"], 2  # a leading "0": the text is never empty
+        for site in sorted(named):
+            values = sorted(named[site])
+            end = at + len(values)
+            if spins.size is None or len(values) < spins.size:
+                end += 1  # the letter of the other spins
+            zeros = b"0" * (end - at)
+            fields[site] = (at, end, dict(zip(values, range(at, end))), zeros, values)
+            full += (b"0", b"1" * (end - at))
+            at = end + 1
+        full = b"".join(full)
+        self.width = len(full)
+        self.full = int(full, 2)
+        # adding each field's lowest letter carries into its guard bit
+        self.guard = self.full + (self.full & ~(self.full << 1))
+        self.sentinel = 1 << self.width  # keeps bin()'s leading zeros
+        self.ints = ints = []
+        for r in rects:
+            text = bytearray(full)
+            for site, c in r.items:
+                at, end, slot, zeros, _ = fields[site]
+                if c.mode == IN:
+                    text[at:end] = zeros
+                    for q in c.values:
+                        text[slot[q]] = 49  # "1"
+                else:
+                    for q in c.values:
+                        text[slot[q]] = 48  # "0"
+            ints.append(int(text, 2))
+        self.steps = [None] * len(rects)  # see `cut`
+        self.decoded = {}
+
+    def meets(self, x: int, y: int) -> bool:
+        return ((x & y) + self.full) & self.guard == self.guard
+
+    def cut(self, j: int) -> list:
+        """The steps of carving by rectangle j, one per field it constrains,
+        in site order, kept in `steps[j]`: (the letters it excludes there,
+        the mask that takes them from a piece, the mask that keeps only its
+        own letters there)."""
+        d, steps = self.ints[j], []
+        for site, _ in self.rects[j].items:
+            at, end, _, _, _ = self.fields[site]
+            field = ((1 << (end - at)) - 1) << (self.width - end)
+            steps.append((field & ~d, ~(field & d), d | ~field))
+        self.steps[j] = steps
+        return steps
+
+    def decode(self, x: int) -> Rectangle:
+        text = bin(x | self.sentinel)  # "0b1", then one char per bit
+        items = []
+        for site, (at, end, _, _, values) in self.fields.items():
+            letters = text[at + 3:end + 3]
+            if "0" not in letters:
+                continue  # free
+            c = self.decoded.get((site, letters))
+            if c is None:
+                c = self._constraint(letters, values)
+                self.decoded[site, letters] = c
+            items.append((site, c))
+        return Rectangle(tuple(items))
+
+    def _constraint(self, letters: str, values) -> SiteConstraint:
+        bits = letters.encode()
+        if len(letters) > len(values) and letters[-1] == "1":  # allows the others
+            excluded = list(itertools.compress(values, bits.translate(_EXCLUDED)))
+            if self.spins.is_finite:
+                return SiteConstraint(IN, _full(self.spins.size) - frozenset(excluded))
+            mode, values = NOT_IN, excluded
         else:
-            rest = c_complement(dc, spins)
-        if not c_is_empty(rest):
-            out.append(Rectangle((*head, (site, rest), *items[k:])))
-        head.append((site, dc))
-    return out
+            mode, values = IN, list(itertools.compress(values, bits.translate(_ALLOWED)))
+        c = SiteConstraint(mode, frozenset(values))
+        object.__setattr__(c, "_key", (mode, tuple(values)))  # values are sorted
+        return c
 
 
-def _survivors(rects, cuts, spins: SpinSet, budget: int, doing: str):
-    """The pieces of `rects` outside every rectangle of `cuts`, pairwise
-    disjoint.  The subtraction cascade runs depth first, so each piece is
-    yielded as soon as it passes the last cut.  More than `budget` pieces
-    past any one cut raise `BudgetError`: run to its end, the cascade raises
-    exactly when one run cut by cut would."""
-    n = len(cuts)
+def _survivors(pack: _Packing, todo, cuts, budget: int, doing: str):
+    """The pieces of the packed rectangles `todo` outside every packed
+    rectangle of `cuts` (both lists of indices), pairwise disjoint, as
+    (int, rectangle): the rectangle is the input itself when no cut met it,
+    else None, and `pack.decode` reads the int.  The subtraction cascade
+    runs depth first, so each piece is yielded as soon as it passes the last
+    cut.  Carving a piece by a cut it meets gives, per site the cut
+    constrains in turn, the piece that leaves the cut there and keeps the
+    cut at the sites before it.  More than `budget` pieces past any one cut
+    raise `BudgetError`: run to its end, the cascade raises exactly when one
+    run cut by cut would."""
+    ints, full, guard, steps = pack.ints, pack.full, pack.guard, pack.steps
+    against = [ints[j] for j in cuts]
+    n = len(against)
     passed = [0] * n
-    waiting = [(r, 0) for r in reversed(rects)]
+    waiting = [(ints[j], 0, pack.rects[j]) for j in reversed(todo)]
     while waiting:
-        p, i = waiting.pop()
-        while i < n and not _meets(p, cuts[i]):
+        p, i, r = waiting.pop()
+        while i < n and ((p & against[i]) + full) & guard != guard:
             passed[i] += 1
             if passed[i] > budget:
                 raise BudgetError(f"rectangle budget exceeded {doing}")
             i += 1
         if i == n:
-            yield p
+            yield p, r
             continue
-        pieces = _carve(p, cuts[i], spins)
+        pieces = []
+        for leaves, piece, head in steps[cuts[i]] or pack.cut(cuts[i]):
+            if p & leaves:
+                pieces.append((p & piece, i + 1, None))
+            p &= head
         passed[i] += len(pieces)
         if passed[i] > budget:
             raise BudgetError(f"rectangle budget exceeded {doing}")
-        waiting.extend((q, i + 1) for q in pieces)
+        waiting += pieces
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +607,16 @@ class CylinderSet:
         return CylinderSet.build(self.ctx, self.rectangles + other.rectangles)
 
     def _outside(self, other: "CylinderSet", budget: int):
-        """The pieces of self outside other, one cascade over all of self."""
+        """The packing of both operands, and the pieces of self outside
+        other from one cascade over all of self."""
         _require_same_ctx(self, other)
-        return _survivors(self.rectangles, other.rectangles, self.ctx.spins, budget,
-                          "during subtraction")
+        n, m = len(self.rectangles), len(other.rectangles)
+        pack = _Packing(self.rectangles + other.rectangles, self.ctx.spins)
+        return pack, _survivors(pack, range(n), range(n, n + m), budget, "during subtraction")
 
     def subtract(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
-        return CylinderSet.build(self.ctx, list(self._outside(other, budget)))
+        pack, pieces = self._outside(other, budget)
+        return CylinderSet.build(self.ctx, [pack.decode(x) if r is None else r for x, r in pieces])
 
     def complement(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
         return omega(self.ctx).subtract(self, budget)
@@ -538,7 +625,7 @@ class CylinderSet:
         """Whether self lies inside other; stops at the first piece of self
         found outside every rectangle of other, and answers True only after
         the whole cascade has stayed within the budget."""
-        return next(self._outside(other, budget), None) is None
+        return next(self._outside(other, budget)[1], None) is None
 
     def semantic_equal(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
         return self.subset_of(other, budget) and other.subset_of(self, budget)
@@ -552,11 +639,12 @@ class CylinderSet:
         sites0 = rects[0].sites()
         if all(r.sites() == sites0 and r.all_singletons() for r in rects):
             return rects
+        pack = _Packing(rects, self.ctx.spins)
         out: list[Rectangle] = []
-        for i, r in enumerate(rects):
-            # the pieces of r outside the rectangles before it
-            for p in _survivors((r,), rects[:i], self.ctx.spins, budget, "while disjoining"):
-                out.append(p)
+        for i in range(len(rects)):
+            # the pieces of rectangle i outside the rectangles before it
+            for x, r in _survivors(pack, (i,), range(i), budget, "while disjoining"):
+                out.append(pack.decode(x) if r is None else r)
                 if len(out) > budget:
                     raise BudgetError("rectangle budget exceeded while disjoining")
         return tuple(out)
@@ -648,9 +736,18 @@ def from_configuration(ctx: Context, config: Configuration) -> CylinderSet:
 def first_overlap(parts) -> tuple[int, int] | None:
     """The first pair of indices a < b whose cylinder sets intersect, or None
     when the sets are pairwise disjoint."""
+    if len(parts) < 2:
+        return None
+    # one packing of every part's rectangles; a context mismatch still
+    # raises at the first pair it affects, before that pair is tested
+    pack = _Packing(tuple(r for part in parts for r in part.rectangles), parts[0].ctx.spins)
+    ints, at = [], 0
+    for part in parts:
+        ints.append(pack.ints[at:at + len(part.rectangles)])
+        at += len(part.rectangles)
     for a, b in itertools.combinations(range(len(parts)), 2):
         _require_same_ctx(parts[a], parts[b])
-        if any(_meets(p, q) for p in parts[a].rectangles for q in parts[b].rectangles):
+        if any(pack.meets(x, y) for x in ints[a] for y in ints[b]):
             return a, b
     return None
 

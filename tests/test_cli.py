@@ -666,6 +666,34 @@ def test_one_spin_alphabet_ends_in_a_value_or_exit_3(capsys, tmp_path, k, argv, 
         assert payload is None and err.startswith("budget exceeded: ")
 
 
+@pytest.mark.parametrize("event, value", [
+    ("x0=1", "1/3"), ("x0 in {0,1}", "1"), ("x0=1 | x1=1", "1/3"),
+])
+def test_in_events_over_a_huge_alphabet_end_in_values(capsys, monkeypatch, tmp_path,
+                                                      event, value):
+    # the sparse table over 10**10 spins: neither an "in" set's normalization
+    # nor a union's render builds the alphabet's spin set, which the spy
+    # refuses past 10**6 spins (notin events still build it: ROADMAP item 2)
+    from treemeasure import cylinder
+
+    full = cylinder._full
+
+    def spy(size):
+        if size > 10**6:
+            raise AssertionError(f"built the spin set of an alphabet of {size}")
+        return full(size)
+
+    monkeypatch.setattr(cylinder, "_full", spy)
+    with open(os.path.join(DATA, "table_partial_k2.spec")) as f:
+        text = f.read()
+    spec = tmp_path / "table_huge.spec"
+    spec.write_text(text.replace("size = 2\n", "size = 10000000000\n"))
+    code, payload, _ = run_cli(capsys, "eval", "--spec", str(spec), "--event", event,
+                               "--depth", "1")
+    assert code == 0
+    assert payload["value"] == value
+
+
 def test_entrypoint_exits_with_the_command_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "argv", ["treemeasure", "validate", "--spec", CHAIN, "--json"])
     with pytest.raises(SystemExit) as exc:
