@@ -284,7 +284,7 @@ class Rectangle:
         return cached
 
     def key(self):
-        # memoized: keys are hot in measure-value caches
+        # memoized: keys are hot in the handle's value record
         cached = getattr(self, "_key", None)
         if cached is None:
             cached = tuple((s, c.key()) for s, c in self.items)

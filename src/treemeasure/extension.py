@@ -51,12 +51,13 @@ class ExtensionHandle:
     Built through `issue`, which either verifies consistency up to a stated
     depth or records why verification was skipped; a check that ran out of
     its atom budget raises `BudgetError` instead.  Every value ever computed
-    is cached under the cylinder's canonical key; recomputing the same set at
-    another depth must reproduce the cached value, so the cache doubles as a
-    representation-independence monitor.  The key is the event's canonical
-    rectangles, so the cache refuses two values for one spelling of an
-    event: with s = 3, `x0=0 | x0=1` and `x0 in {0,1}` have different keys
-    and are checked separately.
+    is recorded with the depth it was first valued at, under the cylinder's
+    canonical key: a repeat at that depth returns the record, and valuing
+    the same set at any other depth must reproduce it, so the record doubles
+    as a representation-independence monitor.  The key is the event's
+    canonical rectangles, so the record refuses two values for one spelling
+    of an event: with s = 3, `x0=0 | x0=1` and `x0 in {0,1}` have different
+    keys and are checked separately.
     """
 
     def __init__(self, family: MeasureFamily, report: ConsistencyReport | None,
@@ -97,9 +98,9 @@ class ExtensionHandle:
     def mu(self, event: CylinderSet, at_depth: int | None = None):
         """Value of a cylinder set, evaluated at its base depth by default.
 
-        Passing `at_depth` re-evaluates at a deeper ball; for a consistent
-        family the result is the same, and the write-once cache raises if it
-        is not.
+        Passing `at_depth` evaluates at a deeper ball.  A repeat at the depth
+        the write-once record holds returns its value; any other depth is
+        valued and compared, and a difference raises `VerificationError`.
         """
         if event.ctx != self.ctx:
             raise ContextMismatchError("event built over a different context")
@@ -108,17 +109,18 @@ class ExtensionHandle:
             raise ValueError(
                 f"evaluation depth {depth} below base depth {event.base_depth}"
             )
-        value = self.family.measure(depth).measure_of(event)
         key = event.canonical_key()
-        if key in self._values:
-            if self._values[key] != value:
-                raise VerificationError(
-                    f"depth-dependent value on {event.render()}: cached "
-                    f"{render_value(self._values[key])}, depth {depth} gave "
-                    f"{render_value(value)}"
-                )
-        else:
-            self._values[key] = value
+        cached, first = self._values.get(key, (None, None))
+        if first == depth:
+            return cached
+        value = self.family.measure(depth).measure_of(event)
+        if first is None:
+            self._values[key] = value, depth
+        elif cached != value:
+            raise VerificationError(
+                f"depth-dependent value on {event.render()}: cached "
+                f"{render_value(cached)}, depth {depth} gave {render_value(value)}"
+            )
         return value
 
     def mass(self):

@@ -601,7 +601,6 @@ class VolumeMeasure:
         self.ctx = ctx
         self.depth = depth
         self.form = form
-        self._rect_cache: dict = {}
         self._free_cache: dict = {}
 
     # -- plumbing -----------------------------------------------------------
@@ -639,7 +638,7 @@ class VolumeMeasure:
         (`DenseTableForm`): per rectangle, its sites times its allowed
         spins, then one pass over the selected entries, and no disjoining,
         so the rectangle budget does not apply.  Other forms sum the values
-        of the union's disjoint rectangles, each memoized on the measure."""
+        of the union's disjoint rectangles."""
         if cyl.ctx != self.ctx:
             raise ContextMismatchError("cylinder built over a different context")
         if cyl.base_depth > self.depth:
@@ -650,10 +649,7 @@ class VolumeMeasure:
             return self.form.value(cyl)
         total = Fraction(0)
         for rect in cyl.disjoint_rectangles():
-            key = rect.key()
-            if key not in self._rect_cache:
-                self._rect_cache[key] = self._rect_value(rect)
-            total = value_add(total, self._rect_cache[key])
+            total = value_add(total, self._rect_value(rect))
         return total
 
     def mass(self):
@@ -870,10 +866,15 @@ class VolumeMeasure:
         kernel = self.form.kernel
         # a free subtree weighs 1 under a stochastic kernel, so none is built
         stochastic = kernel.is_stochastic()
+        # memoized on the rectangle: the sites, k and the kernel's kind fix it
+        memo = getattr(rect, "_skeleton", None)
+        if memo is None or memo[0] != (k, stochastic):
+            memo = (k, stochastic), self._skeleton(rect)
+            object.__setattr__(rect, "_skeleton", memo)
         # pending[v]: the factors v's kept children hand it, each a function
         # of v's spin
         pending: dict[int, list] = {}
-        for v, lvl, up, run in self._skeleton(rect):
+        for v, lvl, up, run in memo[1]:
             fns = pending.pop(v, [])
             height = self.depth - lvl
             nfree = 0 if height == 0 or stochastic else (k + 1 if v == 0 else k) - len(fns)
@@ -1244,8 +1245,8 @@ def check_consistency(fam: MeasureFamily, depth: int,
     there; projections compose, so these matches give every shallower one.
     Over the denumerable spin set, stochastic closed forms are checked
     exactly via row sums when depths 1..depth share depth 0's form by value;
-    otherwise a finite probe battery is compared (reported as
-    non-exhaustive).
+    otherwise a finite probe battery compares each depth with the one before
+    (reported as non-exhaustive).
     """
     requested = depth
     if fam.max_defined_depth is not None:
@@ -1281,21 +1282,15 @@ def _check_consistency_finite(fam, requested, depth, budget) -> ConsistencyRepor
     return ConsistencyReport(requested, achieved, None, "enumeration")
 
 
-def _probe_bases(ctx: Context, i: int) -> list[CylinderSet]:
-    """Small battery of depth-i bases with spins below 6."""
-    probes = []
-    for q in range(6):
-        probes.append(from_constraints(ctx, {0: constraint_in([q])}).lift_to_base(i))
-    if i >= 1:
-        first_child = ctx.tree.children(0)[0]
-        for q in range(3):
-            for r in range(3):
-                probes.append(
-                    from_constraints(
-                        ctx, {0: constraint_in([q]), first_child: constraint_in([r])}
-                    ).lift_to_base(i)
-                )
-    return probes
+def _probe_bases(ctx: Context) -> list[CylinderSet]:
+    """Small battery of probes with spins below 6, each at its natural base
+    depth: the root alone at depth 0, then the root and its first child at
+    depth 1."""
+    first_child = ctx.tree.children(0)[0]
+    return [from_constraints(ctx, {0: constraint_in([q])}) for q in range(6)] + [
+        from_constraints(ctx, {0: constraint_in([q]), first_child: constraint_in([r])})
+        for q in range(3) for r in range(3)
+    ]
 
 
 def _check_consistency_nat(fam, requested, depth) -> ConsistencyReport:
@@ -1310,16 +1305,18 @@ def _check_consistency_nat(fam, requested, depth) -> ConsistencyReport:
         )
         if sums_ok:
             return ConsistencyReport(requested, depth, None, "closed-row")
+    # depth j - 1 already agrees with every shallower depth on the battery,
+    # so comparing depth j with it alone finds the first disagreement
+    probes = _probe_bases(fam.ctx) if depth >= 1 else []
     for j in range(1, depth + 1):
-        mu_j = fam.measure(j)
-        for i in range(j):
-            mu_i = fam.measure(i)
-            for base in _probe_bases(fam.ctx, i):
+        mu_j, mu_prev = fam.measure(j), fam.measure(j - 1)
+        for base in probes:
+            if base.base_depth < j:
                 lhs = mu_j.measure_of(base)
-                rhs = mu_i.measure_of(base)
+                rhs = mu_prev.measure_of(base)
                 if lhs != rhs:
                     return ConsistencyReport(
-                        requested, j - 1, Violation(i, j, base, lhs, rhs), "probes",
-                        exhaustive=False,
+                        requested, j - 1, Violation(base.base_depth, j, base, lhs, rhs),
+                        "probes", exhaustive=False,
                     )
     return ConsistencyReport(requested, depth, None, "probes", exhaustive=False)

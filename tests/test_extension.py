@@ -14,6 +14,7 @@ from treemeasure import (
     NestingError,
     TransitionKernel,
     VerificationError,
+    VolumeMeasure,
     additivity_check,
     constraint_in,
     continuity_probe,
@@ -103,6 +104,49 @@ def test_mu_cache_catches_depth_dependence(ctx_k2s2):
     assert handle.mu(e) == F(1, 2)
     with pytest.raises(VerificationError):
         handle.mu(e, at_depth=1)
+
+
+def spy_valuations(monkeypatch):
+    """The depths `VolumeMeasure.measure_of` is called at, in order."""
+    depths = []
+    measure_of = VolumeMeasure.measure_of
+    monkeypatch.setattr(VolumeMeasure, "measure_of",
+                        lambda mu, cyl: depths.append(mu.depth) or measure_of(mu, cyl))
+    return depths
+
+
+def test_mu_answers_a_repeat_at_the_recorded_depth(chain_fam, ctx_k2s2, monkeypatch):
+    handle = ExtensionHandle.issue(chain_fam)
+    depths = spy_valuations(monkeypatch)
+    e = from_constraints(ctx_k2s2, {0: constraint_in([0]), 1: constraint_in([1])})
+    assert handle.mu(e) == F(1, 6)
+    assert depths == [1]
+    # a repeat at the base depth, named or not, values nothing
+    assert handle.mu(e) == handle.mu(e, at_depth=1) == F(1, 6)
+    assert depths == [1]
+    # another depth is valued and compared each time; depth 1 stays the record
+    assert handle.mu(e, at_depth=3) == handle.mu(e, at_depth=3) == F(1, 6)
+    assert handle.mu(e) == F(1, 6)
+    assert depths == [1, 3, 3]
+    # an event first valued deeper is recorded at that depth
+    assert handle.mu(omega(ctx_k2s2), at_depth=2) == handle.mu(omega(ctx_k2s2), at_depth=2) == 1
+    assert depths == [1, 3, 3, 2]
+
+
+def test_mu_raises_at_the_failing_depth_every_time(ctx_k2s2, monkeypatch):
+    # the setting of test_mu_cache_catches_depth_dependence: the failing
+    # depth is never recorded, so it raises on every call
+    handle = ExtensionHandle.issue(
+        broken_family(ctx_k2s2), trusted=True, trust_reason="adversarial probe"
+    )
+    depths = spy_valuations(monkeypatch)
+    e = single_site(ctx_k2s2, 0, 0)
+    assert handle.mu(e) == F(1, 2)
+    for _ in range(2):
+        with pytest.raises(VerificationError, match="depth 1 gave"):
+            handle.mu(e, at_depth=1)
+        assert handle.mu(e) == F(1, 2)
+    assert depths == [0, 1, 1]
 
 
 def test_mu_rejects_foreign_context(chain_fam, nat_ctx):
