@@ -11,6 +11,7 @@ cylinder sets decidable by rectangle algebra alone.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -42,7 +43,7 @@ def _count_atoms(rects, size: int, s: int) -> int:
     """Atoms on `size` sites over s spins in the disjoint `rects`: each one's
     pinned choices times s per free site (over finite spins every normalized
     constraint is an "in" set)."""
-    return sum(math.prod(len(c.values) for _, c in r.items) * s ** (size - len(r.items))
+    return sum(math.prod(_width(c.runs) for _, c in r.items) * s ** (size - len(r.items))
                for r in rects)
 
 
@@ -100,7 +101,7 @@ def _require_same_ctx(a: "CylinderSet", b: "CylinderSet") -> None:
 # per-site constraints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SiteConstraint:
     """Allowed spin values at one site.
 
@@ -109,67 +110,154 @@ class SiteConstraint:
     mode "notin": everything except the listed values is allowed; this form
     survives normalization only over the denumerable spin set.
 
+    The listed values are kept as `runs`: sorted, disjoint half-open pairs
+    (lo, hi), no two touching.  A `range` becomes one pair in O(1); any
+    other iterable of k values is sorted once, in O(k log k).  So every
+    operation below costs the runs, never the width of a value range.
+
     Rectangles hold normalized constraints (`c_normalize`): over finite spins,
-    "in" sets only.  No module but this one reads `mode` and `values`; the
+    "in" sets only.  No module but this one reads `mode` and `runs`; the
     others go through `c_runs`, `c_contains` and `c_render`.
     """
 
     mode: str
-    values: frozenset[int]
+    runs: tuple[tuple[int, int], ...]
+
+    def __init__(self, mode: str, values=()):
+        if type(values) is range and values.step == 1:
+            runs = ((values.start, values.stop),) if values else ()
+        else:
+            runs = tuple(_runs(sorted(set(values))))
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "runs", runs)
+
+    @property
+    def values(self) -> frozenset[int]:
+        """The listed values as a set, built on each read: O(width)."""
+        return frozenset(_values(self.runs))
 
     def key(self):
-        # memoized: the decoded pieces of one packing share constraint objects
+        """(mode, three ints per run, flat) whose order is that of the sorted
+        value tuples: a run (lo, hi) is lo, 0, hi when it is the last and
+        lo, 1, -hi otherwise, since a tuple that ends at hi sorts before one
+        that goes on past it, and one that stops at hi to resume above it
+        sorts after one that goes on.  Memoized: the decoded pieces of one
+        packing share constraint objects."""
         cached = getattr(self, "_key", None)
         if cached is None:
-            cached = (self.mode, tuple(sorted(self.values)))
+            runs, flat = self.runs, ()
+            if runs:
+                flat = (runs[-1][0], 0, runs[-1][1])
+            if len(runs) > 1:
+                flat = tuple(itertools.chain.from_iterable(
+                    (lo, 1, -hi) for lo, hi in runs[:-1])) + flat
+            cached = (self.mode, flat)
             object.__setattr__(self, "_key", cached)
         return cached
 
 
+def _with_runs(mode: str, runs: tuple) -> SiteConstraint:
+    """A constraint over runs that are already sorted, disjoint and apart."""
+    c = object.__new__(SiteConstraint)
+    object.__setattr__(c, "mode", mode)
+    object.__setattr__(c, "runs", runs)
+    return c
+
+
 def constraint_in(values) -> SiteConstraint:
-    return SiteConstraint(IN, frozenset(values))
+    return SiteConstraint(IN, values)
 
 
 def constraint_not_in(values) -> SiteConstraint:
-    return SiteConstraint(NOT_IN, frozenset(values))
+    return SiteConstraint(NOT_IN, values)
 
 
-@functools.cache
-def _full(size: int) -> frozenset[int]:
-    """The finite spin set {0, ..., size-1}, built once per size."""
-    return frozenset(range(size))
+def _full(size: int) -> tuple:
+    """The finite spin set {0, ..., size-1}, as its one run."""
+    return ((0, size),)
+
+
+# Run algebra on sorted, disjoint, non-touching tuples of half-open runs; each
+# result is of that form again, so equal sets have equal runs.
+
+
+def _values(runs):
+    return itertools.chain.from_iterable(itertools.starmap(range, runs))
+
+
+def _width(runs) -> int:
+    return sum(hi - lo for lo, hi in runs)
+
+
+def _merged(runs) -> tuple:
+    """The union of runs given in increasing order of lo: overlapping and
+    touching ones are joined."""
+    out = []
+    for lo, hi in runs:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _meet(a: tuple, b: tuple) -> tuple:
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        (alo, ahi), (blo, bhi) = a[i], b[j]
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if lo < hi:
+            out.append((lo, hi))
+        if ahi < bhi:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def _minus(a: tuple, b: tuple) -> tuple:
+    out, j = [], 0
+    for lo, hi in a:
+        while j < len(b) and b[j][1] <= lo:
+            j += 1
+        k = j
+        while k < len(b) and b[k][0] < hi:
+            if b[k][0] > lo:
+                out.append((lo, b[k][0]))
+            lo = max(lo, b[k][1])
+            k += 1
+        if lo < hi:
+            out.append((lo, hi))
+    return tuple(out)
 
 
 def c_normalize(c: SiteConstraint, spins: SpinSet) -> SiteConstraint | None:
     """Canonical form within the spin set; None means it allows every spin."""
+    runs = c.runs
     if spins.is_finite:
-        # an "in" set only drops the spins past the alphabet, so it builds no
-        # spin set however wide the alphabet is
         if c.mode == NOT_IN:
-            allowed = _full(spins.size) - c.values
-        elif c.values and (min(c.values) < 0 or max(c.values) >= spins.size):
-            allowed = frozenset(q for q in c.values if 0 <= q < spins.size)
-        else:
-            allowed = c.values
-        if len(allowed) == spins.size:
+            runs = _minus(_full(spins.size), runs)
+        elif runs and (runs[0][0] < 0 or runs[-1][1] > spins.size):
+            runs = _meet(runs, ((0, spins.size),))
+        if runs == ((0, spins.size),):
             return None
-        return SiteConstraint(IN, allowed)
-    # the smallest value, from the memoized sorted key
-    if c.values and c.key()[1][0] < 0:
-        c = SiteConstraint(c.mode, frozenset(q for q in c.values if q >= 0))
-    if c.mode == NOT_IN and not c.values:
+        return c if c.mode == IN and runs is c.runs else _with_runs(IN, runs)
+    if runs and runs[0][0] < 0:
+        c = _with_runs(c.mode, _meet(runs, ((0, runs[-1][1]),)))
+    if c.mode == NOT_IN and not c.runs:
         return None
     return c
 
 
 def c_is_empty(c: SiteConstraint) -> bool:
-    return c.mode == IN and not c.values
+    return c.mode == IN and not c.runs
 
 
 def c_contains(c: SiteConstraint, q: int) -> bool:
-    if c.mode == IN:
-        return q in c.values
-    return q not in c.values
+    runs = c.runs
+    i = bisect.bisect_right(runs, (q, math.inf))
+    return (i > 0 and q < runs[i - 1][1]) == (c.mode == IN)
 
 
 # The site operations below take normalized constraints and return normalized
@@ -182,22 +270,22 @@ def c_intersect(a: SiteConstraint, b: SiteConstraint) -> SiteConstraint:
     """Intersection of normalized constraints; never None, and the empty
     marker when they share no spin."""
     if a.mode == IN:
-        values = a.values & b.values if b.mode == IN else a.values - b.values
+        runs = _meet(a.runs, b.runs) if b.mode == IN else _minus(a.runs, b.runs)
     elif b.mode == IN:
         a, b = b, a
-        values = a.values - b.values
+        runs = _minus(a.runs, b.runs)
     else:
-        values = a.values | b.values
+        runs = _merged(sorted(a.runs + b.runs))
     # an operand that already is the intersection is returned itself
-    return a if len(values) == len(a.values) else SiteConstraint(a.mode, values)
+    return a if runs == a.runs else _with_runs(a.mode, runs)
 
 
 def c_complement(c: SiteConstraint, spins: SpinSet) -> SiteConstraint:
     """The spins a normalized, non-empty constraint excludes."""
     if spins.is_finite:
-        return SiteConstraint(IN, _full(spins.size) - c.values)
-    # swapping the mode shares the value set, however wide, instead of copying it
-    return SiteConstraint(NOT_IN if c.mode == IN else IN, c.values)
+        return _with_runs(IN, _minus(_full(spins.size), c.runs))
+    # swapping the mode shares the runs
+    return _with_runs(NOT_IN if c.mode == IN else IN, c.runs)
 
 
 def _runs(values) -> list:
@@ -218,11 +306,17 @@ def _runs(values) -> list:
     return runs
 
 
-def _gaps(excluded) -> list:
-    """The spins outside sorted distinct `excluded`, as half-open runs; the
-    last one is (lo, None), open-ended."""
+def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
+    """The spins a normalized constraint allows (None: every spin), as
+    maximal half-open runs (lo, hi) in increasing order; hi None means every
+    spin from lo on.  An "in" set's are its stored runs, a "notin" set's the
+    gaps between them."""
+    if c is None:
+        return [(0, spins.size)]
+    if c.mode == IN:
+        return list(c.runs)
     gaps, start = [], 0
-    for lo, hi in _runs(excluded):
+    for lo, hi in c.runs:
         if lo > start:
             gaps.append((start, lo))
         start = hi
@@ -230,29 +324,56 @@ def _gaps(excluded) -> list:
     return gaps
 
 
-def c_runs(c: SiteConstraint | None, spins: SpinSet) -> list:
-    """The spins a normalized constraint allows (None: every spin), as
-    maximal half-open runs (lo, hi) in increasing order; hi None means every
-    spin from lo on."""
-    if c is None:
-        return [(0, spins.size)]
-    values = c.key()[1]
-    return _runs(values) if c.mode == IN else _gaps(values)
+# `render_atom` writes a wide run a thousand values at a time: the values
+# 1000 * b + i for i < 1000 are str(b) followed by i in three digits, so one
+# join of cached three-digit strings writes a whole block.
+_BLOCK = 1000
 
 
-def render_atom(site: int, mode: str, values) -> str:
-    """The text of one site constraint over sorted `values`: `x3=1` for a
-    single allowed value, else `x3 in {0,2}` or `x3 notin {0,2}`."""
+@functools.cache
+def _blocks() -> tuple[list, str, list]:
+    """(the strings "000" to "999", the values below 1000 joined by commas,
+    and the offset in that text where each one starts)."""
+    low = [str(q) for q in range(_BLOCK)]
+    at = list(itertools.accumulate((len(v) + 1 for v in low), initial=0))
+    return [f"{q:03d}" for q in range(_BLOCK)], ",".join(low), at
+
+
+def _render_run(lo: int, hi: int) -> str:
+    """The values lo..hi-1 joined by commas."""
+    if lo < 0:  # only a hand-built event atom lists a negative value
+        return ",".join(map(str, range(lo, hi)))
+    digits, low, at = _blocks()
+    parts = []
+    if lo < _BLOCK:
+        parts.append(low[at[lo]:at[min(hi, _BLOCK)] - 1])
+        lo = _BLOCK
+    while lo < hi:
+        b, i = divmod(lo, _BLOCK)
+        j = min(hi - b * _BLOCK, _BLOCK)
+        prefix = str(b)
+        parts.append(prefix + ("," + prefix).join(digits[i:j]))
+        lo += j - i
+    return ",".join(parts)
+
+
+def render_atom(site: int, mode: str, runs) -> str:
+    """The text of one site constraint over the half-open `runs` of its
+    values, in order: `x3=1` for a single allowed value, else `x3 in {0,2}`
+    or `x3 notin {0,2}`."""
     try:
-        if mode == IN and len(values) == 1:
-            return f"x{site}={values[0]}"
-        return f"x{site} {mode} {{{','.join(str(v) for v in values)}}}"
+        if mode == IN and len(runs) == 1 and runs[0][1] - runs[0][0] == 1:
+            return f"x{site}={runs[0][0]}"
+        return f"x{site} {mode} {{{','.join(itertools.starmap(_render_run, runs))}}}"
     except ValueError:  # a number past the int-to-str digit limit: render them all
-        return render_atom(render_value(site), mode, [render_value(v) for v in values])
+        values = [render_value(v) for v in _values(runs)]
+        if mode == IN and len(values) == 1:
+            return f"x{render_value(site)}={values[0]}"
+        return f"x{render_value(site)} {mode} {{{','.join(values)}}}"
 
 
 def c_render(c: SiteConstraint, site: int) -> str:
-    return render_atom(site, c.mode, c.key()[1])
+    return render_atom(site, c.mode, c.runs)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +416,8 @@ class Rectangle:
         return not self.items
 
     def all_singletons(self) -> bool:
-        return all(c.mode == IN and len(c.values) == 1 for _, c in self.items)
+        return all(c.mode == IN and len(c.runs) == 1 and c.runs[0][1] - c.runs[0][0] == 1
+                   for _, c in self.items)
 
     def matches(self, values) -> bool:
         """values: indexable by vertex (an atom on a ball containing all sites)."""
@@ -336,6 +458,9 @@ def rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
 # ---------------------------------------------------------------------------
 # the subtraction cascade, on packed rectangles
 
+# each run's mask costs the packing's width, so a constraint with more runs
+# than this is packed through its text, in one pass over its letters
+_FEW_RUNS = 8
 _ALLOWED = bytes.maketrans(b"01", b"\0\1")  # a letter's char -> whether it is set
 _EXCLUDED = bytes.maketrans(b"01", b"\1\0")  # ... -> whether it is clear
 
@@ -344,65 +469,80 @@ class _Packing:
     """The rectangles of one call, each packed into one int.
 
     Every site that some rectangle constrains gets a bit field: one letter
-    per value that a constraint there names, in increasing order, then one
-    letter for all the other spins when any remain, then a guard bit above
-    them all.  A rectangle sets the letters it allows, every letter at a
-    site it leaves free, and no guard bit.  So a field's letters are never
-    all clear, and all set exactly where the rectangle is free.  Adding
-    `full` (every letter) to the AND of two rectangles carries into a
-    field's guard bit exactly when the field keeps a letter: the two meet
-    when every guard bit is set.
+    per stretch between consecutive ends of the runs the constraints there
+    list, in increasing order, then one letter for all the other spins
+    unless the stretches cover a finite alphabet, then a guard bit above
+    them all.  A run is a span of letters.  A stretch that no run covers
+    holds only spins no constraint names, so in every rectangle, and every
+    piece carved from them, it reads as the letter of the other spins does.
+    A rectangle sets the letters it allows, every letter at a site it
+    leaves free, and no guard bit.  So a field's letters are never all
+    clear, and all set exactly where the rectangle is free.  Adding `full`
+    (every letter) to the AND of two rectangles carries into a field's
+    guard bit exactly when the field keeps a letter: the two meet when
+    every guard bit is set.
 
-    The cost grows with the values the constraints name, never with the
-    alphabet: ints are read from and written to strings of "0" and "1", so
-    packing and decoding take time linear in the letters.
+    The cost grows with the runs the constraints list, never with their
+    width or the alphabet: a constraint with few runs is packed by one mask
+    per run, one with more through a string of "0" and "1", and a piece is
+    decoded from such a string, in time linear in the letters.
     """
 
     def __init__(self, rects, spins: SpinSet):
         self.rects, self.spins = rects, spins
-        named: dict[int, set] = {}
+        named: dict[int, list] = {}
         for r in rects:
             for site, c in r.items:
                 got = named.get(site)
                 if got is None:
-                    named[site] = set(c.values)
+                    named[site] = list(c.runs)
                 else:
-                    got |= c.values
-        # per site, in order: (the offsets of its letters in the text, the
-        # offset of each named value's letter, "0" per letter, the named
-        # values); one letter more stands for the other spins
-        self.fields = fields = {}
-        full, at = [b"0"], 2  # a leading "0": the text is never empty
+                    got += c.runs
+        # as text, the bits are a leading "0" (so the text is never empty),
+        # then per site a guard bit and the letters, from offset `at` on
+        layout, at = [], 2
         for site in sorted(named):
-            values = sorted(named[site])
-            end = at + len(values)
-            if spins.size is None or len(values) < spins.size:
+            cuts = sorted(set(itertools.chain.from_iterable(named[site])))
+            end = at + len(cuts) - 1
+            if spins.size is None or cuts[0] or cuts[-1] != spins.size:
                 end += 1  # the letter of the other spins
-            zeros = b"0" * (end - at)
-            fields[site] = (at, end, dict(zip(values, range(at, end))), zeros, values)
-            full += (b"0", b"1" * (end - at))
+            layout.append((site, at, end, cuts))
             at = end + 1
-        full = b"".join(full)
-        self.width = len(full)
-        self.full = int(full, 2)
+        self.width = width = at - 1
+        # per site: (the text offsets of its letters, the mask of them all,
+        # and the offset of the first letter at or above each run end); and
+        # its run ends, for `decode`
+        self.fields, self.cuts = fields, cuts_of = {}, {}
+        full = 0
+        for site, at, end, cuts in layout:
+            field = (1 << (width - at)) - (1 << (width - end))
+            full |= field
+            fields[site] = (at, end, field, dict(zip(cuts, range(at, end + 1))))
+            cuts_of[site] = cuts
+        self.full = full
         # adding each field's lowest letter carries into its guard bit
-        self.guard = self.full + (self.full & ~(self.full << 1))
-        self.sentinel = 1 << self.width  # keeps bin()'s leading zeros
+        self.guard = full + (full & ~(full << 1))
+        self.sentinel = 1 << width  # keeps bin()'s leading zeros
+        # each field starts all set; a constraint flips the letters it
+        # clears, a few runs by one mask each, more through their text
         self.ints = ints = []
         for r in rects:
-            text = bytearray(full)
+            x = full
             for site, c in r.items:
-                at, end, slot, zeros, _ = fields[site]
+                at, end, field, slot = fields[site]
                 if c.mode == IN:
-                    text[at:end] = zeros
-                    for q in c.values:
-                        text[slot[q]] = 49  # "1"
+                    x ^= field
+                if len(c.runs) <= _FEW_RUNS:
+                    for lo, hi in c.runs:
+                        x ^= (1 << (width - slot[lo])) - (1 << (width - slot[hi]))
                 else:
-                    for q in c.values:
-                        text[slot[q]] = 48  # "0"
-            ints.append(int(text, 2))
+                    text = bytearray(b"0" * (end - at))
+                    for lo, hi in c.runs:
+                        text[slot[lo] - at:slot[hi] - at] = b"1" * (slot[hi] - slot[lo])
+                    x ^= int(text, 2) << (width - end)
+            ints.append(x)
         self.steps = [None] * len(rects)  # see `cut`
-        self.decoded = {}
+        self.decoded = None  # see `decode`
 
     def meets(self, x: int, y: int) -> bool:
         return ((x & y) + self.full) & self.guard == self.guard
@@ -414,38 +554,45 @@ class _Packing:
         own letters there)."""
         d, steps = self.ints[j], []
         for site, _ in self.rects[j].items:
-            at, end, _, _, _ = self.fields[site]
-            field = ((1 << (end - at)) - 1) << (self.width - end)
+            field = self.fields[site][2]
             steps.append((field & ~d, ~(field & d), d | ~field))
         self.steps[j] = steps
         return steps
 
     def decode(self, x: int) -> Rectangle:
+        """The rectangle packed in x.  Its constraints are kept by (site,
+        letters), seeded with the inputs' own: a piece shares its constraint
+        at a site with an input that has the same one there, and with every
+        other piece decoded from this packing."""
+        decoded = self.decoded
+        if decoded is None:
+            decoded = self.decoded = {}
+            for r, y in zip(self.rects, self.ints):
+                text = bin(y | self.sentinel)
+                for site, c in r.items:
+                    at, end = self.fields[site][:2]
+                    decoded.setdefault((site, text[at + 3:end + 3]), c)
         text = bin(x | self.sentinel)  # "0b1", then one char per bit
         items = []
-        for site, (at, end, _, _, values) in self.fields.items():
+        for site, (at, end, _, _) in self.fields.items():
             letters = text[at + 3:end + 3]
             if "0" not in letters:
                 continue  # free
-            c = self.decoded.get((site, letters))
+            c = decoded.get((site, letters))
             if c is None:
-                c = self._constraint(letters, values)
-                self.decoded[site, letters] = c
+                c = decoded[site, letters] = self._constraint(letters, self.cuts[site])
             items.append((site, c))
         return Rectangle(tuple(items))
 
-    def _constraint(self, letters: str, values) -> SiteConstraint:
+    def _constraint(self, letters: str, cuts) -> SiteConstraint:
         bits = letters.encode()
-        if len(letters) > len(values) and letters[-1] == "1":  # allows the others
-            excluded = list(itertools.compress(values, bits.translate(_EXCLUDED)))
+        stretches = zip(cuts, cuts[1:])
+        if len(letters) == len(cuts) and letters[-1] == "1":  # allows the others
+            excluded = _merged(itertools.compress(stretches, bits.translate(_EXCLUDED)))
             if self.spins.is_finite:
-                return SiteConstraint(IN, _full(self.spins.size) - frozenset(excluded))
-            mode, values = NOT_IN, excluded
-        else:
-            mode, values = IN, list(itertools.compress(values, bits.translate(_ALLOWED)))
-        c = SiteConstraint(mode, frozenset(values))
-        object.__setattr__(c, "_key", (mode, tuple(values)))  # values are sorted
-        return c
+                return _with_runs(IN, _minus(_full(self.spins.size), excluded))
+            return _with_runs(NOT_IN, excluded)
+        return _with_runs(IN, _merged(itertools.compress(stretches, bits.translate(_ALLOWED))))
 
 
 def _survivors(pack: _Packing, todo, cuts, budget: int, doing: str):
@@ -689,7 +836,7 @@ class CylinderSet:
         tuples = []
         for r in rects:
             at = r.as_dict()
-            choices = [at[v].key()[1] if v in at else range(s) for v in range(size)]
+            choices = [tuple(_values(at[v].runs)) if v in at else range(s) for v in range(size)]
             tuples += itertools.product(*choices)
         return [Configuration.on_ball(self.ctx, n, t) for t in sorted(tuples)]
 

@@ -38,7 +38,8 @@ function of a spin is shared by every spin from the kernel's uniform row
 on, so a constraint's allowed spins there are summed as maximal runs (an
 `in` set) or as the gaps between excluded values (a `notin` set), each run
 one closed-form `NatSeq.sum_range`, and multiplied by that shared value
-once.  Only sorting and scanning the named values is linear in their number.
+once.  A constraint keeps its values as runs, so none of this grows with
+the number of values in a range either.
 `VolumeMeasure.root_slice_sums` reuses the same split for the partial sums
 mu(E & {x0 < n}) of a root-slice cover sum.
 
@@ -47,6 +48,7 @@ Values are Fraction or the float infinity for a diverging mass.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -513,11 +515,12 @@ class DenseTableForm:
     first use in one pass over the entries and kept, since the form does not
     change: the weights as ints over their least common denominator, and for
     each (site, spin) an int bitmask of the entries with that spin there.  A
-    rectangle's entries are the AND, over its sites, of the OR of its
-    allowed spins' masks, so it costs its sites times its allowed spins in
-    mask operations, and a union's entries are the OR of its rectangles'
-    masks, with no disjoining.  Its value is then one pass over the selected
-    entries' ints and one Fraction.
+    rectangle's entries are the AND, over its sites, of the OR of the masks
+    of the spins it allows there, found by bisection in each run: so it
+    costs its sites times those of its allowed spins that some entry has in
+    mask operations, however wide its runs, and a union's entries are the
+    OR of its rectangles' masks, with no disjoining.  Its value is then one
+    pass over the selected entries' ints and one Fraction.
     """
 
     def __init__(self, table):
@@ -528,7 +531,8 @@ class DenseTableForm:
     @cached_property
     def _index(self) -> tuple[list, int, dict]:
         """(ints, d, masks): weight i is ints[i] / d, in the table's order,
-        and masks[site, q] has bit i set when entry i has spin q at site."""
+        and masks[site] is (the spins some entry has at site, sorted, and
+        for each the int with bit i set when entry i has it there)."""
         d = math.lcm(*(w.denominator for w in self.table.values()))
         ints = [w.numerator * (d // w.denominator) for w in self.table.values()]
         # one bytearray per (site, spin) while the pass runs: or-ing bits
@@ -542,7 +546,12 @@ class DenseTableForm:
                 if buf is None:
                     buf = bufs[site, q] = bytearray(width)
                 buf[byte] |= bit
-        return ints, d, {sq: int.from_bytes(buf, "little") for sq, buf in bufs.items()}
+        masks: dict = {}
+        for (site, q), buf in sorted(bufs.items()):
+            qs, ms = masks.setdefault(site, ([], []))
+            qs.append(q)
+            ms.append(int.from_bytes(buf, "little"))
+        return ints, d, masks
 
     def selector(self, cyl: CylinderSet) -> bytes:
         """One byte per entry, in the table's order: 1 for an entry inside
@@ -554,10 +563,12 @@ class DenseTableForm:
         for rect in cyl.rectangles:
             picked = full
             for site, c in rect.items:
+                qs, ms = masks.get(site, ((), ()))
                 allowed = 0
                 for lo, hi in c_runs(c, spins):
-                    for q in range(lo, hi):
-                        allowed |= masks.get((site, q), 0)
+                    end = len(qs) if hi is None else bisect.bisect_left(qs, hi)
+                    for m in ms[bisect.bisect_left(qs, lo):end]:
+                        allowed |= m
                 picked &= allowed
             inside |= picked
         return bin(inside)[:1:-1].encode().translate(_BITS)
@@ -847,6 +858,9 @@ class VolumeMeasure:
         w = kernel.uniform_from
         head, runs = self._selection(c, w)
         nums, den = g
+        if len(head) == 1 and not runs:  # one spin r: the column of r times g(r)
+            r = head[0]
+            return tuple(_mul(row[r], nums[r]) for row in mat), den * d
         picked = [0] * len(nums)
         for r in head:
             picked[r] = nums[r]
@@ -1306,17 +1320,20 @@ def _check_consistency_nat(fam, requested, depth) -> ConsistencyReport:
         if sums_ok:
             return ConsistencyReport(requested, depth, None, "closed-row")
     # depth j - 1 already agrees with every shallower depth on the battery,
-    # so comparing depth j with it alone finds the first disagreement
+    # so comparing depth j with it alone finds the first disagreement; each
+    # probe's depth-j value is its depth-(j + 1) reference, valued once
     probes = _probe_bases(fam.ctx) if depth >= 1 else []
+    prev: dict[int, object] = {}  # probe index -> value at depth j - 1
     for j in range(1, depth + 1):
-        mu_j, mu_prev = fam.measure(j), fam.measure(j - 1)
-        for base in probes:
+        mu_j, here = fam.measure(j), {}
+        for i, base in enumerate(probes):
             if base.base_depth < j:
-                lhs = mu_j.measure_of(base)
-                rhs = mu_prev.measure_of(base)
+                lhs = here[i] = mu_j.measure_of(base)
+                rhs = prev[i] if i in prev else fam.measure(j - 1).measure_of(base)
                 if lhs != rhs:
                     return ConsistencyReport(
                         requested, j - 1, Violation(base.base_depth, j, base, lhs, rhs),
                         "probes", exhaustive=False,
                     )
+        prev = here
     return ConsistencyReport(requested, depth, None, "probes", exhaustive=False)

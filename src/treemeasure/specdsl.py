@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cylinder import (
     Context,
     CylinderSet,
     SpinSet,
-    constraint_in,
-    constraint_not_in,
+    SiteConstraint,
+    _merged,
+    _values,
+    _with_runs,
     from_constraints,
     render_atom,
 )
@@ -74,6 +76,8 @@ class EventAtom:
     site: int
     mode: str  # "in" | "notin"
     values: tuple[int, ...]  # sorted, deduplicated
+    # the parser's half-open runs of `values`; None on a hand-built atom
+    _runs: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -214,14 +218,19 @@ class _EventParser:
         site = _int(tok.text[1:], tok.line, tok.col + 1)
         op = self.take()
         if op.kind == "sym" and op.text == "=":
-            return EventAtom(site, "in", (self.expect_int(),))
+            q = self.expect_int()
+            return EventAtom(site, "in", (q,), ((q, q + 1),))
         if op.kind == "name" and op.text in ("in", "notin"):
-            return EventAtom(site, op.text, self.parse_set())
+            runs = self.parse_set()
+            values = tuple(range(*runs[0])) if len(runs) == 1 else tuple(_values(runs))
+            return EventAtom(site, op.text, values, runs)
         raise _unexpected(op, "'='", "'in'", "'notin'")
 
-    def parse_set(self) -> tuple[int, ...]:
+    def parse_set(self) -> tuple:
+        """The values of a set literal as sorted, disjoint, non-touching
+        half-open runs: one per `a..b` or value, sorted and merged."""
         self.expect_sym("{")
-        values: set[int] = set()
+        runs: list[tuple[int, int]] = []
         if self.accept("}"):
             return ()
         while True:
@@ -233,13 +242,13 @@ class _EventParser:
                     raise SpecSyntaxError(
                         f"range {lo}..{hi} runs downward", tok.line, tok.col
                     )
-                values.update(range(lo, hi + 1))
+                runs.append((lo, hi + 1))
             else:
-                values.add(lo)
+                runs.append((lo, lo + 1))
             if self.accept(","):
                 continue
             self.expect_sym("}")
-            return tuple(sorted(values))
+            return _merged(sorted(runs))
 
 
 def parse_event(text: str, line_base: int = 1, col_base: int = 1):
@@ -261,7 +270,10 @@ def render_event(ast) -> str:
 
 def _render_event(ast, level: int) -> str:
     if isinstance(ast, EventAtom):
-        return render_atom(ast.site, ast.mode, ast.values)
+        runs = ast._runs
+        if runs is None:  # hand-built: its values as they stand, in their order
+            runs = [(q, q + 1) for q in ast.values]
+        return render_atom(ast.site, ast.mode, runs)
     if isinstance(ast, EventNot):
         return "!(" + _render_event(ast.inner, 0) + ")"
     if isinstance(ast, (EventOr, EventAnd)):
@@ -275,10 +287,16 @@ def lower_event(ctx: Context, ast) -> CylinderSet:
     """Event tree -> cylinder set over the given context."""
     if isinstance(ast, EventAtom):
         ctx.tree.check_vertex(ast.site)
+        # a parsed atom holds its values sorted, and its runs; a hand-built
+        # one may hold them in any order
+        parsed = ast._runs is not None
         if ast.values:  # spins are contiguous from 0: the extremes decide
-            ctx.spins.check(min(ast.values))
-            ctx.spins.check(max(ast.values))
-        c = constraint_in(ast.values) if ast.mode == "in" else constraint_not_in(ast.values)
+            ctx.spins.check(ast.values[0] if parsed else min(ast.values))
+            ctx.spins.check(ast.values[-1] if parsed else max(ast.values))
+        if parsed:
+            c = _with_runs(ast.mode, ast._runs)
+        else:
+            c = SiteConstraint(ast.mode, ast.values)
         return from_constraints(ctx, {ast.site: c})
     if isinstance(ast, EventNot):
         return lower_event(ctx, ast.inner).complement()

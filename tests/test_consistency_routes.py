@@ -225,5 +225,29 @@ def test_the_battery_values_each_probe_once_per_neighbouring_pair(monkeypatch):
                         lambda mu, cyl: calls.append(mu.depth) or measure_of(mu, cyl))
     report = check_consistency(fam, 6)
     assert (report.ok, report.method, report.verified_depth) == (True, "probes", 6)
-    # 6 root probes at j = 1, then 6 + 9 at each j = 2..6, each on two depths
-    assert len(calls) == 2 * (6 + 5 * 15) <= 180
+    # the 6 root probes on depths 0 and 1, then the 9 two-site probes on
+    # depth 1; from then on each depth values the 15 probes once, and the
+    # values at the depth before are carried over
+    assert collections.Counter(calls) == {0: 6, 1: 15, 2: 15, 3: 15, 4: 15, 5: 15, 6: 15}
+    assert len(calls) == 96
+
+
+def test_a_violation_values_each_probe_once_per_depth(monkeypatch):
+    # the switch at depth 3 stops the battery there, with the report the
+    # all-pairs oracle gives; no probe is valued twice on one depth
+    ctx = Context(TreeGeometry(2), NAT)
+    lam = NatSeq.geometric(F(1, 2), F(1, 2))
+    before = TransitionKernel.for_naturals(NatSeq.geometric(F(1, 2), F(1, 2)))
+    after = TransitionKernel.for_naturals(NatSeq.geometric(F(2, 3), F(1, 3)))
+    fam = switch_family(ctx, lam, before, after, 3)
+    expected = outcome(old_check_consistency, fam, 5)
+    calls = collections.Counter()
+    measure_of = VolumeMeasure.measure_of
+    monkeypatch.setattr(VolumeMeasure, "measure_of",
+                        lambda mu, cyl: calls.update([(mu.depth, cyl.render())])
+                        or measure_of(mu, cyl))
+    assert outcome(check_consistency, fam, 5) == expected
+    assert set(calls.values()) == {1}
+    # depths 0 to 2 as in a passing run; on depth 3 the 6 root probes pass
+    # under the stochastic rows, and the first two-site probe disagrees
+    assert collections.Counter(depth for depth, _ in calls) == {0: 6, 1: 15, 2: 15, 3: 7}
