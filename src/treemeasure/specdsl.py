@@ -15,6 +15,7 @@ parser refuses.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -25,9 +26,8 @@ from .cylinder import (
     CylinderSet,
     SpinSet,
     SiteConstraint,
-    _merged,
-    _values,
-    _with_runs,
+    c_render,
+    constraint_from_runs,
     from_constraints,
     render_atom,
 )
@@ -76,8 +76,11 @@ class EventAtom:
     site: int
     mode: str  # "in" | "notin"
     values: tuple[int, ...]  # sorted, deduplicated
-    # the parser's half-open runs of `values`; None on a hand-built atom
-    _runs: tuple | None = field(default=None, compare=False, repr=False)
+    # the parsed constraint, which lists `values`; None on an atom built or
+    # `replace`d by hand, which is read from `values`
+    _constraint: SiteConstraint | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -219,20 +222,28 @@ class _EventParser:
         op = self.take()
         if op.kind == "sym" and op.text == "=":
             q = self.expect_int()
-            return EventAtom(site, "in", (q,), ((q, q + 1),))
-        if op.kind == "name" and op.text in ("in", "notin"):
-            runs = self.parse_set()
-            values = tuple(range(*runs[0])) if len(runs) == 1 else tuple(_values(runs))
-            return EventAtom(site, op.text, values, runs)
-        raise _unexpected(op, "'='", "'in'", "'notin'")
+            mode, pairs = "in", [(q, q + 1)]
+        elif op.kind == "name" and op.text in ("in", "notin"):
+            mode, pairs = op.text, self.parse_set()
+        else:
+            raise _unexpected(op, "'='", "'in'", "'notin'")
+        if len(pairs) == 1:
+            values = range(*pairs[0])
+        else:
+            values = itertools.chain.from_iterable(itertools.starmap(range, pairs))
+            if any(a[1] > b[0] for a, b in zip(pairs, pairs[1:])):
+                values = sorted(set(values))  # listed out of order, or twice
+        atom = EventAtom(site, mode, tuple(values))
+        object.__setattr__(atom, "_constraint", constraint_from_runs(mode, pairs))
+        return atom
 
-    def parse_set(self) -> tuple:
-        """The values of a set literal as sorted, disjoint, non-touching
-        half-open runs: one per `a..b` or value, sorted and merged."""
+    def parse_set(self) -> list:
+        """The values of a set literal as half-open pairs (lo, hi), one per
+        `a..b` or value, in the order listed."""
         self.expect_sym("{")
         runs: list[tuple[int, int]] = []
         if self.accept("}"):
-            return ()
+            return runs
         while True:
             lo = self.expect_int()
             tok = self.accept("..")
@@ -248,7 +259,7 @@ class _EventParser:
             if self.accept(","):
                 continue
             self.expect_sym("}")
-            return _merged(sorted(runs))
+            return runs
 
 
 def parse_event(text: str, line_base: int = 1, col_base: int = 1):
@@ -270,10 +281,10 @@ def render_event(ast) -> str:
 
 def _render_event(ast, level: int) -> str:
     if isinstance(ast, EventAtom):
-        runs = ast._runs
-        if runs is None:  # hand-built: its values as they stand, in their order
-            runs = [(q, q + 1) for q in ast.values]
-        return render_atom(ast.site, ast.mode, runs)
+        if ast._constraint is not None:
+            return c_render(ast._constraint, ast.site)
+        # hand-built: its values as they stand, in their order
+        return render_atom(ast.site, ast.mode, [(q, q + 1) for q in ast.values])
     if isinstance(ast, EventNot):
         return "!(" + _render_event(ast.inner, 0) + ")"
     if isinstance(ast, (EventOr, EventAnd)):
@@ -287,16 +298,14 @@ def lower_event(ctx: Context, ast) -> CylinderSet:
     """Event tree -> cylinder set over the given context."""
     if isinstance(ast, EventAtom):
         ctx.tree.check_vertex(ast.site)
-        # a parsed atom holds its values sorted, and its runs; a hand-built
-        # one may hold them in any order
-        parsed = ast._runs is not None
-        if ast.values:  # spins are contiguous from 0: the extremes decide
-            ctx.spins.check(ast.values[0] if parsed else min(ast.values))
-            ctx.spins.check(ast.values[-1] if parsed else max(ast.values))
-        if parsed:
-            c = _with_runs(ast.mode, ast._runs)
-        else:
-            c = SiteConstraint(ast.mode, ast.values)
+        # a parsed atom holds its values sorted, and its constraint; a
+        # hand-built one may hold them in any order
+        c, values = ast._constraint, ast.values
+        if values:  # spins are contiguous from 0: the extremes decide
+            ctx.spins.check(values[0] if c is not None else min(values))
+            ctx.spins.check(values[-1] if c is not None else max(values))
+        if c is None:
+            c = SiteConstraint(ast.mode, values)
         return from_constraints(ctx, {ast.site: c})
     if isinstance(ast, EventNot):
         return lower_event(ctx, ast.inner).complement()

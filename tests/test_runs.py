@@ -9,6 +9,7 @@ writes, decoded pieces share the inputs' own constraints, and a constraint
 over a huge alphabet is valued without building it.
 """
 
+import dataclasses
 import os
 import tracemalloc
 from fractions import Fraction
@@ -26,10 +27,13 @@ from treemeasure import (
     constraint_not_in,
     from_constraints,
     load_spec,
+    lower_event,
     make_rectangle,
+    parse_event,
     render_event,
     render_value,
 )
+from treemeasure import cylinder
 from treemeasure.cylinder import (
     IN,
     NOT_IN,
@@ -39,6 +43,7 @@ from treemeasure.cylinder import (
     c_runs,
     render_atom,
 )
+from treemeasure.errors import SpinRangeError
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -99,6 +104,26 @@ def test_a_hand_built_atom_renders_its_values_as_listed():
     assert render_event(EventAtom(4, "notin", (-3,))) == "x4 notin {-3}"
 
 
+def test_a_parsed_atom_lists_its_set_sorted_and_merged():
+    atom = parse_event("x0 notin {7..9, 1, 3..8, 2}")
+    assert atom == EventAtom(0, "notin", (1, 2, 3, 4, 5, 6, 7, 8, 9))
+    assert render_event(atom) == "x0 notin {1,2,3,4,5,6,7,8,9}"
+
+
+def test_a_replaced_atom_is_read_from_its_values():
+    # the parsed constraint is no argument of the atom's constructor, so
+    # `replace` drops it: the new values are what lowers and renders
+    atom = dataclasses.replace(parse_event("x0 in {1..5}"), values=(9,))
+    assert atom == EventAtom(0, "in", (9,))
+    assert render_event(atom) == "x0=9"
+    nat = Context(TreeGeometry(2), SpinSet.naturals())
+    assert lower_event(nat, atom).render() == "x0=9"
+    with pytest.raises(SpinRangeError, match="spin 9 out of range"):
+        lower_event(Context(TreeGeometry(2), SpinSet.finite(6)), atom)
+    with pytest.raises(TypeError):
+        EventAtom(0, "in", (9,), None)
+
+
 def test_block_render_falls_back_past_the_digit_limit():
     big = 10**5000
     wide = render_atom(2, IN, ((7, 9), (big, big + 40)))
@@ -121,6 +146,24 @@ def test_decoded_pieces_share_the_inputs_constraints():
     assert [p.render() for p in pieces[1:]] == [
         "x0 in {1,2} & x1=500", "x0 notin {1,2} & x1 in {5,500}"]
     assert pieces[1].constraint_at(0) is a.rectangles[0].constraint_at(0)
+
+
+def test_masks_and_text_pack_alike(monkeypatch):
+    # a constraint of few runs is packed by one mask per run, one of more
+    # through the text of its letters: every rectangle packs to one int
+    ctx = Context(TreeGeometry(2), SpinSet.naturals())
+    rects = [make_rectangle(ctx, mapping) for mapping in (
+        {0: constraint_in(range(0, 300, 3)), 1: constraint_not_in([5, 6, 9])},
+        {0: constraint_in([1, 2, *range(150, 171)]), 2: constraint_in([0])},
+        {1: constraint_not_in(range(0, 200, 2)), 2: constraint_not_in(range(4, 9))},
+    )]
+    packed = {}
+    for few in (0, 10**9):
+        monkeypatch.setattr(cylinder, "_FEW_RUNS", few)
+        pack = cylinder._Packing(rects, ctx.spins)
+        packed[few] = pack.ints
+        assert [pack.decode(x) for x in pack.ints] == rects
+    assert packed[0] == packed[10**9]
 
 
 def test_a_complement_over_a_huge_alphabet_is_valued():
