@@ -9,9 +9,10 @@ marginals and masses stay exact.
 
 A table event selects its entries by bitmask operations on an entry index
 (`DenseTableForm`) and is never disjoined.  A product or chain value never
-visits the whole ball.  The product form multiplies, in ints, over the
-constrained sites and the overrides, and raises the default row sum to the
-number of remaining sites.  The chain forms make one bottom-up
+visits the whole ball, and adds the union's disjoint rectangles in ints, so
+it builds one Fraction per union.  The product form multiplies, in ints,
+over the constrained sites and the overrides, and raises the default row
+sum to the number of remaining sites.  The chain forms make one bottom-up
 sum-product pass over the rectangle's skeleton of kept vertices.  When k = 1
 or the kernel is stochastic, those are only the root, the constrained sites
 and their branch points (at most 2c nodes for c sites): the sites in
@@ -26,20 +27,21 @@ least common denominator of its entries, and a function of a spin as a tuple
 of ints over one shared denominator, so each node costs O(s^2) int
 multiplications over s finite spins (over the naturals, in the kernel's
 explicit rows and the values the constraints name) and no gcd.  The root step
-multiplies in the root weights' integer form, cached on the weights, and
-reduces the result to a Fraction once per rectangle, by gcds against the
-small number whose primes the denominator is made of.  Under a stochastic
-kernel a free child subtree weighs 1 and is not built; under any other it is
-a memoized factor of its height, kept in lowest terms, and on a path (k = 1)
-it is itself one kernel power.
+multiplies in the root weights' integer form, cached on the weights; the
+rectangles' results are added in ints and reduced to a Fraction once per
+union, by gcds against the small number whose primes the denominator is made
+of.  Rectangles of one union that share their sites share one skeleton.
+Under a stochastic kernel a free child subtree weighs 1 and is not built;
+under any other it is a memoized factor of its height, kept in lowest terms,
+and on a path (k = 1) it is itself one kernel power.
 
 Over the naturals no cost grows with the width of a value range.  A
 function of a spin is shared by every spin from the kernel's uniform row
 on, so a constraint's allowed spins there are summed as maximal runs (an
-`in` set) or as the gaps between excluded values (a `notin` set), each run
-one closed-form `NatSeq.sum_range`, and multiplied by that shared value
-once.  A constraint keeps its values as runs, so none of this grows with
-the number of values in a range either.
+`in` set) or as the gaps between excluded values (a `notin` set), all of
+them one integer closed form (`NatSeq._run_sum`), and multiplied by that
+shared value once.  A constraint keeps its values as runs, so none of this
+grows with the number of values in a range either.
 `VolumeMeasure.root_slice_sums` reuses the same split for the partial sums
 mu(E & {x0 < n}) of a root-slice cover sum.
 
@@ -224,6 +226,23 @@ def _divided(x, d: int, base: int):
     return out
 
 
+def _sum_pairs(pairs) -> tuple:
+    """The sum of values n / d, given as int pairs (n, d) with n possibly
+    INFINITE, as one such pair over the least common multiple of the d.
+    Every pair is drawn, also after an INFINITE one, so a guard that a later
+    pair trips still raises."""
+    num, den = 0, 1
+    for n, d in pairs:
+        if type(n) is float or type(num) is float:
+            num = INFINITE
+        elif d == den:
+            num += n
+        else:
+            g = math.gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    return num, den
+
+
 # ---------------------------------------------------------------------------
 # sequences over the naturals with closed-form tails
 
@@ -276,29 +295,64 @@ class NatSeq:
         return self.sum_range(0)
 
     def sum_range(self, lo: int, hi: int | None = None):
-        """Sum over lo <= q < hi (hi None: every q from lo on): the prefix
-        entries, then c * (d1 - d0) on a constant tail or a * (r**d0 - r**d1)
-        / (1 - r) on a geometric one, over tail offsets d0 <= d < d1."""
-        n = len(self.prefix)
-        total = sum(self.prefix[lo:hi], Fraction(0)) if lo < n else Fraction(0)
-        d0 = max(lo, n) - n
-        d1 = None if hi is None else hi - n
-        if self.tail_a == 0 or d1 is not None and d1 <= d0:
-            return total
-        if self.tail_kind == "const":
-            return INFINITE if d1 is None else total + self.tail_a * (d1 - d0)
-        r = self.tail_r
-        end = 0 if d1 is None else value_pow(r, d1)
-        return total + self.tail_a * (value_pow(r, d0) - end) / (1 - r)
+        """Sum over lo <= q < hi (hi None: every q from lo on): `sum_runs`
+        of that one run, 0 when it is empty."""
+        if hi is not None and hi <= lo:
+            return Fraction(0)
+        return self.sum_runs(((lo, hi),))
 
     def sum_runs(self, runs):
         """Sum over half-open runs (lo, hi) of spins, hi None for every spin
-        from lo on; a run of one spin costs one `value_at`."""
-        total = None
+        from lo on: the `_run_sum` pair as one Fraction, or INFINITE."""
+        n, d = self._run_sum(runs)
+        return n if type(n) is float else Fraction(n, d)
+
+    def _run_sum(self, runs) -> tuple:
+        """The sum over half-open runs (lo, hi) of spins (hi None: every
+        spin from lo on) as ints (num, den), num INFINITE when it diverges;
+        every prime factor of den divides `_base`.  No Fraction is built.
+        The prefix adds its entries as `_head` ints; a constant tail c adds
+        c times the runs' length there; a geometric tail a * r ** d, r = p/q,
+        adds for the tail offsets e0 <= d < e1 of each run
+        a * (p**e0 * q**(e1-e0) - p**e1) / (q**(e1-1) * (q-p)), or
+        a * p**e0 / (q**(e0-1) * (q-p)) for an unbounded run, all over one
+        shared power of q.  Before any power is built, each run in turn is
+        refused as `value_at` refuses r ** e0 for one spin, and as a range
+        sum refuses r ** e0 (unbounded) or r ** e1 under a nonzero a."""
+        n = len(self.prefix)
+        geometric = self.tail_kind == "geometric"
+        q = self.tail_r.denominator
+        pre, den, tail = 0, 1, []
         for lo, hi in runs:
-            part = self.value_at(lo) if hi == lo + 1 else self.sum_range(lo, hi)
-            total = part if total is None else value_add(total, part)
-        return Fraction(0) if total is None else total
+            if lo < n:
+                ints, den = self._head(n)
+                pre += sum(ints[lo:n if hi is None else min(hi, n)])
+                if hi is not None and hi <= n:
+                    continue
+            e0, e1 = max(lo, n) - n, None if hi is None else hi - n
+            one = hi == lo + 1
+            if geometric and (one or self.tail_a):
+                _check_power(q, e0 if one or e1 is None else e1)
+            tail.append((e0, e1))
+        a = self.tail_a
+        if not (tail and a):
+            return pre, den
+        if not geometric:
+            if any(e1 is None for _, e1 in tail):
+                return INFINITE, 1
+            top, bottom = sum(e1 - e0 for e0, e1 in tail), 1
+        else:
+            p = self.tail_r.numerator
+            t = max(0, *(e0 - 1 if e1 is None else e1 - 1 for e0, e1 in tail))
+            top = 0
+            for e0, e1 in tail:
+                if e1 is None:
+                    top += p**e0 * q ** (t + 1 - e0)
+                else:
+                    top += (p**e0 * q ** (e1 - e0) - p**e1) * q ** (t + 1 - e1)
+            bottom = q**t * (q - p)
+        top, bottom = a.numerator * top, a.denominator * bottom
+        return pre * bottom + top * den, den * bottom
 
     def sum_in(self, values) -> Fraction:
         """Sum over the distinct spins in `values`, one closed form per run."""
@@ -649,69 +703,79 @@ class VolumeMeasure:
         (`DenseTableForm`): per rectangle, its sites times its allowed
         spins, then one pass over the selected entries, and no disjoining,
         so the rectangle budget does not apply.  Other forms sum the values
-        of the union's disjoint rectangles."""
+        of the union's disjoint rectangles in ints, each an int pair
+        (`_product_ints`, `_weighted_ints`) added by `_sum_pairs`, and
+        build one Fraction for the union: a chain's by one `_divided`.  The
+        rectangles of a chain union that share a site tuple share one
+        `_skeleton`."""
         if cyl.ctx != self.ctx:
             raise ContextMismatchError("cylinder built over a different context")
         if cyl.base_depth > self.depth:
             raise ValueError(
                 f"cylinder base depth {cyl.base_depth} exceeds measure depth {self.depth}"
             )
-        if isinstance(self.form, DenseTableForm):
-            return self.form.value(cyl)
-        total = Fraction(0)
-        for rect in cyl.disjoint_rectangles():
-            total = value_add(total, self._rect_value(rect))
-        return total
+        form = self.form
+        if isinstance(form, DenseTableForm):
+            return form.value(cyl)
+        rects = cyl.disjoint_rectangles()
+        if isinstance(form, ProductForm):
+            ball = self._ball()
+            num, den = _sum_pairs(self._product_ints(rect.as_dict(), 0, ball) for rect in rects)
+            return num if type(num) is float else Fraction(num, den)
+        lam, kernel = form.lam, form.kernel
+        w = kernel.uniform_from
+        skeletons: dict = {}
+        num, den = _sum_pairs(
+            self._weighted_ints(lam, self._selection(rect.constraint_at(0), w),
+                                *self._root_factor(rect, skeletons))
+            for rect in rects
+        )
+        return _divided(num, den, math.lcm(lam._base, kernel._base))
 
     def mass(self):
         return self.measure_of(omega(self.ctx))
 
-    def _rect_value(self, rect: Rectangle):
-        if isinstance(self.form, ProductForm):
-            return self._product_value(rect.as_dict(), 0, self._ball())
-        return self._rect_value_chain(rect)
-
     def _product_value(self, constraints: dict, lo: int, hi: int):
+        """`_product_ints` as one Fraction, or INFINITE."""
+        n, d = self._product_ints(constraints, lo, hi)
+        return n if type(n) is float else Fraction(n, d)
+
+    def _product_ints(self, constraints: dict, lo: int, hi: int) -> tuple:
         """Product over the sites lo..hi-1, where every constrained site
-        lies, of each one's weight on the spins its constraint allows: one
-        factor per constrained or overridden site, and the default row sum
-        to the power of the others.  The factors multiply as ints: over
-        finite spins a factor is the sum of the weights' ints
-        (`NatSeq._head`) at the allowed spins over their denominator, over
-        the naturals one `sum_runs`, its numerator and denominator taken
-        apart.  One Fraction is built, then the default row sum, read from
-        its integer form too, is raised to the free power and multiplied in.
-        A zero factor gives 0, even beside an infinite one; otherwise an
-        infinite factor gives INFINITE."""
+        lies, of each one's weight on the spins its constraint allows, as an
+        int pair (num, den), num INFINITE when it diverges: one factor per
+        constrained or overridden site, its weights' `NatSeq._run_sum` over
+        the allowed runs, and the default row sum, read from its integer
+        form (`NatSeq._head`) in lowest terms, to the power of the others.
+        No Fraction is built.  A zero factor gives 0, even beside an
+        infinite one; otherwise an infinite factor gives INFINITE."""
         form = self.form
         special = set(constraints)
         special.update(v for v in form.overrides if lo <= v < hi)
         spins = self.ctx.spins
-        # the width of the weights' integer form: the s finite spins, or
-        # over the naturals none, so the head is the one sum of every value
-        w = spins.size if spins.is_finite else 0
         num = den = 1
         infinite = False
         for v in special:
-            runs = c_runs(constraints.get(v), spins)
-            if w:
-                ints, d = form.weight_at(v)._head(w)
-                n = sum(sum(ints[a:b]) for a, b in runs)
+            n, d = form.weight_at(v)._run_sum(c_runs(constraints.get(v), spins))
+            if type(n) is float:
+                infinite = True
+            elif not n:
+                return 0, 1
             else:
-                part = form.weight_at(v).sum_runs(runs)
-                if type(part) is float:
-                    infinite = True
-                    continue
-                n, d = part.numerator, part.denominator
-            if not n:
-                return Fraction(0)
-            num *= n
-            den *= d
-        acc = INFINITE if infinite else Fraction(num, den)
-        ints, d = form.default._head(w)
-        free = sum(ints)
-        free = free if type(free) is float else Fraction(free, d)
-        return value_mul(acc, value_pow(free, hi - lo - len(special)))
+                num *= n
+                den *= d
+        # the head of the default row over the s finite spins, or over the
+        # naturals of width 0: the one sum of every value
+        ints, d = form.default._head(spins.size if spins.is_finite else 0)
+        free, e = sum(ints), hi - lo - len(special)
+        if type(free) is float:
+            return (INFINITE, 1) if e or infinite else (num, den)
+        g = math.gcd(free, d)  # the power guard measures the sum in lowest terms
+        free, d = free // g, d // g
+        _check_power(max(free, d), e)
+        if infinite and (free or not e):
+            return INFINITE, 1
+        return num * free**e, den * d**e
 
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
     # the rectangle, each kept vertex handed to its nearest kept ancestor
@@ -721,8 +785,8 @@ class VolumeMeasure:
     # by every spin from w = kernel.uniform_from on, where the kernel's rows
     # stop changing.  The kernel steps with its integer matrix M over D
     # (`_scaled`), so a node costs O(s^2) int multiplications and no gcd;
-    # only the root step builds a Fraction, one per rectangle, and cached
-    # free factors are reduced once.
+    # the root step leaves an int pair, `measure_of` builds one Fraction per
+    # union, and cached free factors are reduced once.
     #
     # An unconstrained vertex other than the root with one skeleton child
     # maps its child's factor through P * diag(F_h ** (k-1)), F_h the free
@@ -825,11 +889,17 @@ class VolumeMeasure:
         return head, runs
 
     def _weighted_sum(self, row: NatSeq, sel, g: tuple, den: int = 1):
+        """`_weighted_ints` as one Fraction."""
+        return _divided(*self._weighted_ints(row, sel, g, den),
+                        math.lcm(row._base, self.form.kernel._base))
+
+    def _weighted_ints(self, row: NatSeq, sel, g: tuple, den: int = 1) -> tuple:
         """Sum of row(r) * g(r) / den over the spins r of the selection, as
-        one Fraction.  The row comes as ints over its denominator d
+        a pair (num, den) whose den has only primes of the row's and the
+        kernel's `_base`.  The row comes as ints over its denominator d
         (`NatSeq._head`), and a function of a spin shares g[w] = g[-1] among
         the spins from w on.  So every spin from w on is the head's last
-        entry, and other runs there cost one closed-form row sum a / b and
+        entry, and other runs there cost one `NatSeq._run_sum` a / b and
         one product: the sum is (sum of ints[r] * g[r] over the head, times
         b, plus g[-1] * a * d) over d * b * den."""
         head, runs = sel
@@ -839,13 +909,10 @@ class VolumeMeasure:
             head, runs = [*head, w], None
         total = _dot([ints[r] for r in head], [g[r] for r in head])
         if runs:
-            part = row.sum_runs(runs)
-            if type(part) is float:
-                total = _dot((total, part), (1, g[-1]))
-            else:
-                total = _dot((total, g[-1]), (part.denominator, part.numerator * d))
-                d *= part.denominator
-        return _divided(total, d * den, math.lcm(row._base, self.form.kernel._base))
+            a, b = row._run_sum(runs)
+            total = _dot((total, g[-1]), (b, _mul(a, d)))
+            d *= b
+        return total, d * den
 
     def _step(self, c: SiteConstraint | None, g: tuple) -> tuple:
         """The factor a kept vertex hands its parent: the sum of P(q, r) *
@@ -871,19 +938,24 @@ class VolumeMeasure:
             den *= scale
         return out, den * d
 
-    def _root_factor(self, rect: Rectangle) -> tuple:
+    def _root_factor(self, rect: Rectangle, skeletons: dict) -> tuple:
         """(g, den) with the rectangle's value = the sum of lam(q) * g(q)
         over the root spins q its root constraint allows, divided by den: one
-        pass over the skeleton below the root."""
+        pass over the skeleton below the root.  The sites, k and the
+        kernel's kind fix the skeleton, so it is kept on the rectangle, and
+        rectangles with the same sites share it through `skeletons`, a dict
+        by site tuple that the caller keeps for one union."""
         k = self.ctx.tree.order
         constraints = rect.as_dict()
         kernel = self.form.kernel
         # a free subtree weighs 1 under a stochastic kernel, so none is built
         stochastic = kernel.is_stochastic()
-        # memoized on the rectangle: the sites, k and the kernel's kind fix it
         memo = getattr(rect, "_skeleton", None)
         if memo is None or memo[0] != (k, stochastic):
-            memo = (k, stochastic), self._skeleton(rect)
+            sites = rect.sites()
+            if sites not in skeletons:
+                skeletons[sites] = self._skeleton(rect)
+            memo = (k, stochastic), skeletons[sites]
             object.__setattr__(rect, "_skeleton", memo)
         # pending[v]: the factors v's kept children hand it, each a function
         # of v's spin
@@ -906,35 +978,35 @@ class VolumeMeasure:
                 vec = self._step(c, g)
             pending.setdefault(up, []).append(kernel.apply_power(vec, run) if run else vec)
 
-    def _rect_value_chain(self, rect: Rectangle):
-        sel = self._selection(rect.constraint_at(0), self.form.kernel.uniform_from)
-        return self._weighted_sum(self.form.lam, sel, *self._root_factor(rect))
-
     def root_slice_sums(self, cyl: CylinderSet):
         """For a chain form, the function n -> value of cyl & {x0 < n}.
 
-        One skeleton pass per disjoint rectangle finds its root factor; each
-        call then costs, per rectangle, the root step of `_weighted_sum` over
+        One skeleton pass per disjoint rectangle finds its root factor, the
+        rectangles that share a site tuple sharing one skeleton; each call
+        then costs, per rectangle, the root step of `_weighted_ints` over
         the allowed root spins cut at n: the spins below
-        w = kernel.uniform_from one by one and one closed-form sum of the
-        root weights per run of allowed spins from w on.
+        w = kernel.uniform_from one by one and one `NatSeq._run_sum` of the
+        root weights over the runs of allowed spins from w on.  The
+        rectangles' pairs are added in ints and divided once, as in
+        `measure_of`.
         """
-        lam = self.form.lam
-        w = self.form.kernel.uniform_from
+        lam, kernel = self.form.lam, self.form.kernel
+        w = kernel.uniform_from
+        base = math.lcm(lam._base, kernel._base)
+        skeletons: dict = {}
         parts = [
-            (self._selection(rect.constraint_at(0), w), self._root_factor(rect))
+            (self._selection(rect.constraint_at(0), w), self._root_factor(rect, skeletons))
             for rect in cyl.disjoint_rectangles()
         ]
 
         def below(n: int):
-            total = Fraction(0)
-            for (head, runs), (g, den) in parts:
-                cut = (
-                    [r for r in head if r < n],
-                    [(lo, n if hi is None else min(hi, n)) for lo, hi in runs if lo < n],
-                )
-                total = value_add(total, self._weighted_sum(lam, cut, g, den))
-            return total
+            pairs = (
+                self._weighted_ints(lam, ([r for r in head if r < n],
+                                          [(lo, n if hi is None else min(hi, n))
+                                           for lo, hi in runs if lo < n]), g, den)
+                for (head, runs), (g, den) in parts
+            )
+            return _divided(*_sum_pairs(pairs), base)
 
         return below
 

@@ -1,12 +1,15 @@
-"""Table and product values, and enumeration marginals, against the routes
-they replaced.
+"""Table, product and chain values, run sums, and enumeration marginals,
+against the routes they replaced.
 
 A table event is valued through the table's entry index (bitmasks of
 entries per site and spin), with no disjoining; a product rectangle folds its
-site sums in ints; an enumeration marginal walks only the target ball's atoms
-and folds the levels below it in closed form.  The slow routes stay here as
-oracles: the per-entry `Rectangle.matches` sum over the union's disjoint
-rectangles, the per-site `value_mul` fold of `sum_runs` Fractions, and the
+site sums in ints; a product or chain union adds its rectangles in ints and
+builds one Fraction; a run sum is one integer closed form; an enumeration
+marginal walks only the target ball's atoms and folds the levels below it in
+closed form.  The slow routes stay here as oracles: the per-entry
+`Rectangle.matches` sum over the union's disjoint rectangles, the per-site
+`value_mul` fold of `sum_runs` Fractions, the per-run Fraction fold of
+`value_at` and the range formula, the per-rectangle `value_add` fold, and the
 walk over every atom of the measure's own ball.
 """
 
@@ -37,6 +40,7 @@ from treemeasure import (
     product_family,
     random_consistent_family,
     table_family,
+    value_add,
     value_mul,
     value_pow,
 )
@@ -50,7 +54,7 @@ from treemeasure.measure import (
     _regroup,
 )
 from treemeasure.specdsl import load_spec
-from test_measure import ATOM_SUM_FAMILIES
+from test_measure import ATOM_SUM_FAMILIES, INTEGER_WALK_FAMILIES, RUN_FAMILIES
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -414,3 +418,198 @@ def test_non_stochastic_k2_marginal_and_unchanged_gate():
     # the gate still charges the 2**31 atoms of the depth-4 ball
     with pytest.raises(BudgetError):
         fam.measure(4).project(3)
+
+
+def old_sum_range(seq, lo, hi=None):
+    """The range sum in Fractions: the prefix entries, then c * (d1 - d0) on
+    a constant tail or a * (r**d0 - r**d1) / (1 - r) on a geometric one, over
+    tail offsets d0 <= d < d1."""
+    n = len(seq.prefix)
+    total = sum(seq.prefix[lo:hi], F(0)) if lo < n else F(0)
+    d0 = max(lo, n) - n
+    d1 = None if hi is None else hi - n
+    if seq.tail_a == 0 or d1 is not None and d1 <= d0:
+        return total
+    if seq.tail_kind == "const":
+        return INFINITE if d1 is None else total + seq.tail_a * (d1 - d0)
+    r = seq.tail_r
+    end = 0 if d1 is None else value_pow(r, d1)
+    return total + seq.tail_a * (value_pow(r, d0) - end) / (1 - r)
+
+
+def old_sum_runs(seq, runs):
+    """The run sum as a fold of Fractions: `value_at` for a run of one spin,
+    else `old_sum_range`, added by `value_add`."""
+    total = F(0)
+    for lo, hi in runs:
+        total = value_add(total, seq.value_at(lo) if hi == lo + 1 else old_sum_range(seq, lo, hi))
+    return total
+
+
+def only_primes_of(d, base):
+    """Whether every prime factor of d divides base."""
+    while (g := math.gcd(d, base)) > 1:
+        d //= g
+    return d == 1
+
+
+def seeded_natseqs(rng):
+    def fr():
+        return F(rng.randint(0, 6), rng.randint(1, 7))
+
+    def prefix():
+        return tuple(fr() for _ in range(rng.randint(0, 4)))
+
+    return {
+        "prefix_only": NatSeq.finite([fr() for _ in range(rng.randint(1, 5))]),
+        "const_tail": NatSeq(prefix(), "const", F(rng.randint(1, 5), 3), F(0)),
+        "geometric_tail": NatSeq(prefix(), "geometric", F(rng.randint(1, 5), 4),
+                                 F(rng.randint(1, 8), 9)),
+        "ratio_zero": NatSeq(prefix(), "geometric", F(rng.randint(1, 5), 4), F(0)),
+        "zero_tail": NatSeq(prefix(), "geometric", F(0), F(rng.randint(1, 4), 5)),
+    }
+
+
+def seeded_runs(rng, unbounded):
+    """Sorted, disjoint, non-touching runs below 30, some of one spin, and
+    last an unbounded run when `unbounded`."""
+    cuts = sorted(rng.sample(range(30), 2 * rng.randint(0, 4)))
+    runs = [(lo, lo + 1 if rng.random() < 0.3 else hi) for lo, hi in zip(cuts[::2], cuts[1::2])]
+    if unbounded:
+        runs.append((cuts[-1] + 1 + rng.randrange(3) if cuts else rng.randrange(8), None))
+    return runs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_run_sums_match_the_fraction_fold(seed):
+    rng = random.Random(seed)
+    for name, seq in seeded_natseqs(rng).items():
+        for unbounded in (False, True):
+            for _ in range(20):
+                runs = seeded_runs(rng, unbounded)
+                expected = old_sum_runs(seq, runs)
+                assert seq.sum_runs(runs) == expected, (name, runs)
+                n, d = seq._run_sum(runs)
+                assert (n if type(n) is float else F(n, d)) == expected, (name, runs)
+                assert only_primes_of(d, seq._base), (name, runs)
+        for lo in range(9):
+            for hi in (max(lo - 1, 0), lo, lo + 1, lo + 2, lo + 7, None):
+                assert seq.sum_range(lo, hi) == old_sum_range(seq, lo, hi), (name, lo, hi)
+
+
+FAR = 10**10
+
+
+@pytest.mark.parametrize("runs, exponent", [
+    (((FAR, FAR + 1),), FAR - 2),  # one spin: value_at's r ** e0
+    (((FAR, None),), FAR - 2),  # unbounded: r ** e0
+    (((FAR, FAR + 5),), FAR + 3),  # bounded: r ** e1
+    (((1, 3), (FAR, FAR + 5)), FAR + 3),  # only the second run is too far
+    (((FAR, FAR + 1), (3 * FAR, 3 * FAR + 5)), FAR - 2),  # the first one raises
+    (((0, 5), (FAR, None)), FAR - 2),
+])
+def test_far_runs_raise_the_fraction_folds_budget_error(runs, exponent):
+    """A geometric tail refuses a power of its ratio run by run, in order,
+    with the text the Fraction fold gives: the ratio is 1/2, so a power's
+    bits are its exponent, counted from the two-entry prefix's end."""
+    seq = NatSeq((F(1, 2), F(1, 8)), "geometric", F(1, 4), F(1, 2))
+    with pytest.raises(BudgetError) as old:
+        old_sum_runs(seq, runs)
+    with pytest.raises(BudgetError) as new:
+        seq.sum_runs(runs)
+    assert str(new.value) == str(old.value) == (
+        f"a power of about {render_value(exponent)} bits exceeds the limit of {2**22} bits")
+
+
+def old_rect_value(mu, rect):
+    """One disjoint rectangle's value as its own Fraction: a product's
+    per-site `value_mul` fold of `old_sum_runs`, or a chain's root step
+    `_weighted_sum` over a skeleton built for this rectangle alone."""
+    form = mu.form
+    if isinstance(form, ProductForm):
+        ball, spins = mu._ball(), mu.ctx.spins
+        constraints = rect.as_dict()
+        special = set(constraints) | {v for v in form.overrides if v < ball}
+        acc = F(1)
+        for v in special:
+            acc = value_mul(acc, old_sum_runs(form.weight_at(v), c_runs(constraints.get(v), spins)))
+            if acc == 0:
+                return F(0)
+        free = old_sum_runs(form.default, c_runs(None, spins))
+        return value_mul(acc, value_pow(free, ball - len(special)))
+    sel = mu._selection(rect.constraint_at(0), form.kernel.uniform_from)
+    return mu._weighted_sum(form.lam, sel, *mu._root_factor(rect, {}))
+
+
+def old_measure_of(mu, cyl):
+    """The per-rectangle fold: `value_add` over `old_rect_value`."""
+    total = F(0)
+    for rect in cyl.disjoint_rectangles():
+        total = value_add(total, old_rect_value(mu, rect))
+    return total
+
+
+def spec_families(kinds):
+    for path in sorted(glob.glob(os.path.join(DATA, "*.spec"))
+                       + glob.glob(os.path.join(DATA, "..", "..", "samples", "*.spec"))):
+        with open(path, encoding="utf-8") as fh:
+            fam = load_spec(fh.read()).family
+        if fam.measure(0).form.kind in kinds:
+            yield os.path.basename(path), fam.measure
+
+
+def chain_and_product_measures():
+    """{name: depth -> measure} for every chain and product fixture."""
+    out = dict(spec_families(("chain", "product")))
+    for name, (order, s, lam, kernel, *_) in {**RUN_FAMILIES, **INTEGER_WALK_FAMILIES}.items():
+        spins = SpinSet.naturals() if s is None else SpinSet.finite(s)
+        out[name] = markov_family(Context(TreeGeometry(order), spins), lam, kernel).measure
+    for name, build in PRODUCT_FAMILIES.items():
+        out[name] = build().measure
+    for name, build in ATOM_SUM_FAMILIES.items():
+        mu = build()
+        out[name] = lambda d, mu=mu: VolumeMeasure(mu.ctx, d, mu.form)
+    return out
+
+
+UNION_MEASURES = chain_and_product_measures()
+
+
+@pytest.mark.parametrize("name", sorted(UNION_MEASURES))
+def test_union_sum_in_ints_matches_the_per_rectangle_fold(name):
+    """Seeded unions at depths 0-3 over every chain and product fixture:
+    stochastic, sub-stochastic and infinite-row chains, and products whose
+    counting sites sum to INFINITE beside zero sites."""
+    rng = random.Random(name)
+    for depth in range(4):
+        mu = UNION_MEASURES[name](depth)
+        for n_rects in (1, 2, 3, 5, 8):
+            cyl = seeded_union(mu.ctx, rng, depth, n_rects)
+            assert mu.measure_of(cyl) == old_measure_of(mu, cyl), (depth, cyl.render())
+        assert mu.measure_of(CylinderSet.build(mu.ctx, [])) == 0
+
+
+def test_chain_union_builds_one_skeleton_per_site_tuple(monkeypatch):
+    """The disjoint pieces of a chain union that share their sites share one
+    skeleton, in `measure_of` and in `root_slice_sums`."""
+    mu = UNION_MEASURES["substochastic_s2_k2"](3)
+    built = []
+    skeleton = VolumeMeasure._skeleton
+
+    def spy(self, rect):
+        built.append(rect.sites())
+        return skeleton(self, rect)
+
+    monkeypatch.setattr(VolumeMeasure, "_skeleton", spy)
+    shared = 0
+    for seed, n_rects in itertools.product(range(12), (3, 5, 8)):
+        # each union twice, built alike, as fresh rectangles carry no skeleton
+        for value in (lambda cyl: mu.measure_of(cyl), lambda cyl: mu.root_slice_sums(cyl)(3)):
+            cyl = seeded_union(mu.ctx, random.Random(seed), 3, n_rects)
+            pieces = cyl.disjoint_rectangles()
+            sites = {rect.sites() for rect in pieces}
+            shared += len(pieces) - len(sites)
+            built.clear()
+            value(cyl)
+            assert sorted(built) == sorted(sites)
+    assert shared > 0
