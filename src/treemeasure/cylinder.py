@@ -778,19 +778,14 @@ class CylinderSet:
     def complement(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> "CylinderSet":
         return omega(self.ctx).subtract(self, budget)
 
-    def subset_of(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET,
-                  *, both_ways: bool = False) -> bool:
-        """Whether self lies inside other, and with `both_ways` also other
-        inside self, on one packing of both.  Each cascade stops at the
-        first piece found outside every rectangle of the other operand, and
-        answers True only after it has stayed within the budget."""
-        pack, outside = self._outside(other, budget)
-        n = len(self.rectangles)
-        back = _survivors(pack, range(n, len(pack.rects)), range(n), budget, "during subtraction")
-        return next(outside, None) is None and (not both_ways or next(back, None) is None)
+    def subset_of(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
+        """Whether self lies inside other; stops at the first piece of self
+        found outside every rectangle of other, and answers True only after
+        the whole cascade has stayed within the budget."""
+        return next(self._outside(other, budget)[1], None) is None
 
     def semantic_equal(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
-        return self.subset_of(other, budget, both_ways=True)
+        return self.subset_of(other, budget) and other.subset_of(self, budget)
 
     def disjoint_rectangles(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> tuple[Rectangle, ...]:
         """Rectangles with the same union but pairwise disjoint."""

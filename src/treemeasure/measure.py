@@ -296,9 +296,16 @@ class NatSeq:
 
     def sum_range(self, lo: int, hi: int | None = None):
         """Sum over lo <= q < hi (hi None: every q from lo on): `sum_runs`
-        of that one run, 0 when it is empty."""
+        of that one run, 0 when it is empty.  A range of one spin in a
+        geometric tail is refused as any bounded range is, at r ** e1 under
+        a nonzero a, and not at `value_at`'s r ** e0."""
         if hi is not None and hi <= lo:
             return Fraction(0)
+        e1 = None if hi is None else hi - len(self.prefix)
+        if hi == lo + 1 and e1 > 0 and self.tail_kind == "geometric":
+            if not self.tail_a:
+                return Fraction(0)
+            _check_power(self.tail_r.denominator, e1)
         return self.sum_runs(((lo, hi),))
 
     def sum_runs(self, runs):

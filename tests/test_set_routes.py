@@ -340,24 +340,3 @@ def test_in_sets_keep_only_the_alphabet(no_wide_spin_set):
     assert c_normalize(constraint_in([-1, 0, 1, 5]), two) is None
     assert c_normalize(constraint_in([5, 10**10]), huge) == constraint_in([5])
     assert c_normalize(constraint_in([]), huge) == constraint_in([])
-
-
-def test_semantic_equal_packs_its_operands_once(monkeypatch):
-    """Both cascades of `semantic_equal` run on one packing of both operands,
-    equal or not, over finite spins and the naturals."""
-    made = []
-
-    class Spy(cylinder._Packing):
-        def __init__(self, rects, spins):
-            made.append(len(rects))
-            super().__init__(rects, spins)
-
-    for ctx, a, b in union_cases(7, 12):
-        pairs = [(a, b), (a, a.union(b)), (a, CylinderSet.build(ctx, a.rectangles[::-1]))]
-        expected = [x.subset_of(y) and y.subset_of(x) for x, y in pairs]
-        monkeypatch.setattr(cylinder, "_Packing", Spy)
-        for (x, y), equal in zip(pairs, expected):
-            made.clear()
-            assert x.semantic_equal(y) == equal
-            assert made == [len(x.rectangles) + len(y.rectangles)]
-        monkeypatch.undo()

@@ -500,25 +500,38 @@ def test_integer_run_sums_match_the_fraction_fold(seed):
 FAR = 10**10
 
 
-@pytest.mark.parametrize("runs, exponent", [
-    (((FAR, FAR + 1),), FAR - 2),  # one spin: value_at's r ** e0
-    (((FAR, None),), FAR - 2),  # unbounded: r ** e0
-    (((FAR, FAR + 5),), FAR + 3),  # bounded: r ** e1
-    (((1, 3), (FAR, FAR + 5)), FAR + 3),  # only the second run is too far
-    (((FAR, FAR + 1), (3 * FAR, 3 * FAR + 5)), FAR - 2),  # the first one raises
-    (((0, 5), (FAR, None)), FAR - 2),
+@pytest.mark.parametrize("method, args, exponent", [
+    ("sum_runs", (((FAR, FAR + 1),),), FAR - 2),  # one spin: value_at's r ** e0
+    ("sum_runs", (((FAR, None),),), FAR - 2),  # unbounded: r ** e0
+    ("sum_runs", (((FAR, FAR + 5),),), FAR + 3),  # bounded: r ** e1
+    ("sum_runs", (((1, 3), (FAR, FAR + 5)),), FAR + 3),  # only the second run is too far
+    ("sum_runs", (((FAR, FAR + 1), (3 * FAR, 3 * FAR + 5)),), FAR - 2),  # the first one raises
+    ("sum_runs", (((0, 5), (FAR, None)),), FAR - 2),
+    ("sum_range", (FAR, FAR + 1), FAR - 1),  # a range of one spin: r ** e1
+    ("sum_range", (FAR, FAR + 5), FAR + 3),
+    ("sum_range", (FAR, None), FAR - 2),
 ])
-def test_far_runs_raise_the_fraction_folds_budget_error(runs, exponent):
+def test_far_runs_raise_the_fraction_folds_budget_error(method, args, exponent):
     """A geometric tail refuses a power of its ratio run by run, in order,
     with the text the Fraction fold gives: the ratio is 1/2, so a power's
     bits are its exponent, counted from the two-entry prefix's end."""
     seq = NatSeq((F(1, 2), F(1, 8)), "geometric", F(1, 4), F(1, 2))
-    with pytest.raises(BudgetError) as old:
-        old_sum_runs(seq, runs)
-    with pytest.raises(BudgetError) as new:
-        seq.sum_runs(runs)
-    assert str(new.value) == str(old.value) == (
+    old = {"sum_runs": old_sum_runs, "sum_range": old_sum_range}[method]
+    with pytest.raises(BudgetError) as was:
+        old(seq, *args)
+    with pytest.raises(BudgetError) as now:
+        getattr(seq, method)(*args)
+    assert str(now.value) == str(was.value) == (
         f"a power of about {render_value(exponent)} bits exceeds the limit of {2**22} bits")
+
+
+def test_a_far_range_of_one_spin_under_a_zero_tail_is_zero():
+    """A range sum checks no power under a zero a, where a run of one spin
+    in `sum_runs` is refused at `value_at`'s r ** e0."""
+    seq = NatSeq((F(1, 2), F(1, 8)), "geometric", F(0), F(1, 2))
+    assert seq.sum_range(FAR, FAR + 1) == old_sum_range(seq, FAR, FAR + 1) == 0
+    with pytest.raises(BudgetError):
+        seq.sum_runs(((FAR, FAR + 1),))
 
 
 def old_rect_value(mu, rect):
