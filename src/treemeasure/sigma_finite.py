@@ -221,10 +221,12 @@ class Cover:
             raise IndexError("part index must be non-negative")
         if self.kind == "finite":
             return self._parts[i]
-        lo = i * self.block
-        return from_constraints(
-            self.ctx, {self.site: constraint_in(range(lo, lo + self.block))}
-        )
+        return self._slice(i * self.block, (i + 1) * self.block)
+
+    def _slice(self, lo: int, hi: int) -> CylinderSet:
+        """The event lo <= x_site < hi: part i of a slice cover, and from
+        lo = 0 the union of the parts below hi / block."""
+        return from_constraints(self.ctx, {self.site: constraint_in(range(lo, hi))})
 
     def support_bound(self, event: CylinderSet) -> int | None:
         """Largest part index the event can meet, -1 for the empty event,
@@ -328,18 +330,19 @@ class SigmaFiniteExtension:
     the tail, a partial sum crossing the divergence bound certifies
     divergence, and the term budget is the last resort.
 
-    Cost.  A slice cover at site 0 of a chain family with a stochastic
-    kernel (the "closed-row" chains of `check_consistency`) takes one chain
-    pass per disjoint rectangle of the event, then reads each partial sum
-    mu(E & {x0 < n}) in closed form: O(log n) of them locate the term where
-    the loop would stop.  The result is the SigmaValue the loop returns,
-    field for field.  Every other cover
-    (explicit lists, slices at other sites), every other family (products,
-    tables, non-stochastic kernels) and the empty event sum one term at a
-    time, each term an `intersect` and an `ExtensionHandle.mu`.  Terms of
-    the closed form are not entered in the handle's write-once cache, so
-    they are not cross-checked against other depths; that is sound only
-    because those families give every event the same value at every depth.
+    A finite cover sums its parts one term at a time, each an `intersect`
+    and an `ExtensionHandle.mu`.  A slice cover at site v reads its partial
+    sums instead: the total after n terms is mu_d(E & {x_v < n * block}),
+    all at the one depth d = max(E.base_depth, level(v)), and the mass the
+    first n parts leave uncovered is the family's depth-0 mass less
+    mu_level(v)({x_v < n * block}).  A chain sliced at the root reads them
+    from `VolumeMeasure.root_slice_sums`, any other slice cover from one
+    `measure_of` of the cut event.  A galloping search and then a binary
+    search over these sums find the first term that meets a stop rule, so a
+    verdict after 10^6 terms costs O(log 10^6) partial sums.  Valuing every
+    term at one depth agrees with valuing each at its own base depth on any
+    family consistent through d; on a family that is not, the sum is that
+    of mu_d.  Slice terms are not entered in the handle's write-once record.
     """
 
     def __init__(self, handle: ExtensionHandle, cover: Cover, tolerance: Fraction,
@@ -353,25 +356,16 @@ class SigmaFiniteExtension:
         self.bound = Fraction(bound)
         self.cover_report = cover_report
 
-    def _term(self, event: CylinderSet, part: CylinderSet):
-        piece = event.intersect(part)
-        if piece.is_empty():
-            return Fraction(0)
-        return self.handle.mu(piece)
-
-    def _root_slice_sums(self, event: CylinderSet):
-        """n -> mu(event & {x0 < n}) when the cover slices the root of a chain
-        family with a stochastic kernel, else None.  Such a family's values
-        do not depend on the evaluation depth, and every term is finite:
-        root weights times a probability."""
-        if self.cover.kind != "slice" or self.cover.site != 0:
-            return None
-        fam = self.handle.family
-        mu = fam.measure(event.base_depth)
-        for form in (fam.measure(0).form, mu.form):
-            if not isinstance(form, MarkovForm) or not form.kernel.is_stochastic():
-                return None
-        return mu.root_slice_sums(event)
+    def _below(self, event: CylinderSet):
+        """n -> mu_d(event & {x_v < n}) for the slice site v and the one
+        depth d = max(event.base_depth, level(v))."""
+        cover = self.cover
+        mu = self.handle.family.measure(
+            max(event.base_depth, self.handle.ctx.tree.level(cover.site))
+        )
+        if cover.site == 0 and isinstance(mu.form, MarkovForm):
+            return mu.root_slice_sums(event)
+        return lambda n: mu.measure_of(event.intersect(cover._slice(0, n)))
 
     def _stop(self, i: int, total, remaining) -> SigmaValue | None:
         """The verdict after term i, or None to keep summing.  `remaining` is
@@ -388,23 +382,21 @@ class SigmaFiniteExtension:
             return SigmaValue("bounded", total, tail_bound=remaining, terms_used=i + 1)
         return None
 
-    def _closed_form_value(self, below, top: int | None) -> SigmaValue:
-        """The term loop's SigmaValue, read off the partial sums: the total
-        after term i is below((i + 1) * block).  The first term meeting a
-        stop rule is found by a galloping search and then a binary search."""
+    def _closed_form_value(self, event: CylinderSet, top: int | None) -> SigmaValue:
+        """The slice cover's sum, read off the partial sums: the total after
+        term i is below((i + 1) * block).  The first term meeting a stop
+        rule is found by a galloping search and then a binary search."""
         block = self.cover.block
-
-        def total_after(i: int):
-            return below((i + 1) * block)
-
+        below = self._below(event)
         if top is not None:
-            return SigmaValue("exact", total_after(top), terms_used=top + 1)
-        lam0 = self.handle.family.measure(0).form.lam
-        finite_mass = self.handle.family.mass(0) != INFINITE
+            return SigmaValue("exact", below((top + 1) * block), terms_used=top + 1)
+        mass = self.handle.family.mass(0)
+        covered = self._below(omega(self.handle.ctx)) if mass != INFINITE else None
 
         def stop(i: int):
-            remaining = lam0.sum_from((i + 1) * block) if finite_mass else None
-            return self._stop(i, total_after(i), remaining)
+            n = (i + 1) * block
+            remaining = None if covered is None else value_sub(mass, covered(n))
+            return self._stop(i, below(n), remaining)
 
         budget = max(self.term_budget, 0)
         lo, hi = 0, 1  # galloping: no term below lo meets a stop rule
@@ -421,26 +413,15 @@ class SigmaFiniteExtension:
         if event.ctx != self.handle.ctx:
             raise ContextMismatchError("event built over a different context")
         top = self.cover.support_bound(event)
-        below = self._root_slice_sums(event) if top != -1 else None
-        if below is not None:
-            return self._closed_form_value(below, top)
-        # a support bound fixes the term count and makes the sum exact;
-        # otherwise the stop rules end it, or the term budget does
-        terms = top + 1 if top is not None else max(self.term_budget, 0)
-        mass = self.handle.family.mass(0) if top is None else None
-        remaining = mass if mass != INFINITE else None
+        if self.cover.kind == "slice":
+            return self._closed_form_value(event, top)
+        # a finite cover's support bound is its last part (-1: empty event)
         total = Fraction(0)
-        for i in range(terms):
-            part = self.cover.part(i)
-            total = value_add(total, self._term(event, part))
-            if top is not None:
-                continue
-            if remaining is not None:
-                remaining = value_sub(remaining, self.handle.mu(part))
-            verdict = self._stop(i, total, remaining)
-            if verdict is not None:
-                return verdict
-        return SigmaValue("exact" if top is not None else "inconclusive", total, terms_used=terms)
+        for i in range(top + 1):
+            piece = event.intersect(self.cover.part(i))
+            if not piece.is_empty():
+                total = value_add(total, self.handle.mu(piece))
+        return SigmaValue("exact", total, terms_used=top + 1)
 
     def mass(self) -> SigmaValue:
         return self.value(omega(self.handle.ctx))

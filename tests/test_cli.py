@@ -672,8 +672,9 @@ def test_one_spin_alphabet_ends_in_a_value_or_exit_3(capsys, tmp_path, k, argv, 
 def test_in_events_over_a_huge_alphabet_end_in_values(capsys, monkeypatch, tmp_path,
                                                       event, value):
     # the sparse table over 10**10 spins: neither an "in" set's normalization
-    # nor a union's render builds the alphabet's spin set, which the spy
-    # refuses past 10**6 spins (notin events still build it: ROADMAP item 2)
+    # nor a union's render reads the alphabet's spin set, which the spy
+    # refuses past 10**6 spins (a "notin" set reads it, but as its one run,
+    # so no event builds the alphabet)
     from treemeasure import cylinder
 
     full = cylinder._full

@@ -1,5 +1,6 @@
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from treemeasure import (
     SpinSet,
     TransitionKernel,
     TreeGeometry,
+    check_consistency,
+    compile_event,
     conditional_family,
     constraint_in,
     constraint_not_in,
@@ -370,9 +373,9 @@ def test_cover_sum_readers_share_one_interval(summed, direct, verdict, agree):
 
 
 def test_term_loop_stops_on_uncovered_mass(nat_ctx):
-    """Products sum one term at a time; root weights with a finite support
-    leave no uncovered mass after their last value, geometric ones leave a
-    tail bound."""
+    """A product's root slices stop where the term loop does: root weights
+    with a finite support leave no uncovered mass after their last value,
+    geometric ones leave a tail bound."""
     w = NatSeq.geometric(F(1, 2), F(1, 2))
     cover = slice_cover(nat_ctx, site=0)
     kwargs = dict(term_budget=200, tolerance=F(1, 2**20))
@@ -550,9 +553,9 @@ def test_normalized_extension_refuses_drifting_mass(ctx_k2s2):
         normalized_extension(handle)
 
 
-# A slice cover at the root of a chain family with a stochastic kernel sums
-# in closed form.  The reference is the term loop itself: one exact value
-# mu(E & A_i) per cover part, under the same stop rules.
+# A slice cover sums by a search over its partial sums.  The reference is
+# the term loop itself: one exact value mu(E & A_i) per cover part, under the
+# same stop rules.
 
 
 def term_loop_value(handle, cover, event, tolerance=DEFAULT_TOLERANCE,
@@ -693,6 +696,90 @@ def test_cover_sums_match_term_loop_on_seeded_events(name):
                 kinds.add(got.kind)
     expected = {"exact", "inconclusive", "diverges"}
     assert expected | ({"bounded"} if name == "rows_geometric_lam" else set()) <= kinds
+
+
+SLICED_NAT_FAMILIES = {
+    # unit-sum weights, the root's with a finite support
+    "product_finite_root": lambda ctx: product_family(
+        ctx, NatSeq.geometric(F(1, 2), F(1, 2)), {0: NatSeq.finite([F(1, 4), F(3, 4)])}
+    ),
+    # a sub-stochastic default row that no reached spin takes: only spin 0
+    # has root weight, and its row keeps it at 0
+    "nonstochastic_chain": lambda ctx: markov_family(
+        ctx, NatSeq.finite([F(1)]), TransitionKernel.for_naturals(
+            NatSeq.geometric(F(1, 4), F(1, 2)), {0: NatSeq.finite([F(1)])})
+    ),
+    "stochastic_chain": lambda ctx: markov_family(
+        ctx, *STOCHASTIC_NAT_FAMILIES["rows_geometric_lam"]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICED_NAT_FAMILIES))
+def test_slice_sums_at_any_site_match_term_loop(name):
+    ctx = Context(TreeGeometry(2, 6), SpinSet.naturals())
+    handle = ExtensionHandle.issue(SLICED_NAT_FAMILIES[name](ctx), verify_depth=2)
+    events = [omega(ctx), single_site(ctx, 1, 0), single_site(ctx, 4, 2)]
+    events += seeded_events(ctx, random.Random(name), 12)
+    settings = [
+        dict(term_budget=100, bound=F(1000)),
+        dict(term_budget=100, bound=F(1, 2), tolerance=F(1, 2**20)),
+        dict(term_budget=3, bound=F(1000), tolerance=F(0)),
+        dict(term_budget=0),
+        dict(term_budget=50, tolerance=F(1, 100)),
+    ]
+    kinds = set()
+    for site in (0, 1, 4):
+        for block in (1, 2, 3):
+            cover = slice_cover(ctx, site, block)
+            for event in events:
+                for kwargs in settings:
+                    got = sigma_extension(handle, cover, **kwargs).value(event)
+                    assert got == term_loop_value(handle, cover, event, **kwargs), (
+                        event.render(), site, block, kwargs)
+                    kinds.add(got.kind)
+    # the chain that keeps every spin at 0 leaves no uncovered mass after
+    # the first slice, so no tail bound
+    assert kinds == {"exact", "inconclusive", "diverges"} | (
+        set() if name == "nonstochastic_chain" else {"bounded"})
+
+
+def test_slice_sum_off_the_root_is_one_search():
+    # a chain with root weights of infinite mass, sliced at a child of the
+    # root: each term is small, so neither a stop rule nor the support bound
+    # ends the sum before the term budget does
+    ctx = Context(TreeGeometry(2), SpinSet.naturals())
+    fam = markov_family(
+        ctx, NatSeq.constant(F(1, 1000)),
+        TransitionKernel.for_naturals(NatSeq.geometric(F(1, 2), F(1, 2))),
+    )
+    handle = ExtensionHandle.issue(fam, verify_depth=2)
+    cover = slice_cover(ctx, site=1)
+    event = compile_event(ctx, "x0 in {0..9} & x2=0")
+    got = sigma_extension(handle, cover, term_budget=2000).value(event)
+    assert got == term_loop_value(handle, cover, event, term_budget=2000)
+    fresh = ExtensionHandle.issue(fam, verify_depth=2)
+    start = time.perf_counter()
+    got = sigma_extension(fresh, cover, term_budget=20_000).value(event)
+    assert time.perf_counter() - start < 0.5
+    assert (got.kind, got.terms_used) == ("inconclusive", 20_000)
+    # slice terms are not entered in the handle's write-once record
+    assert fresh._values == {}
+
+
+def test_slice_terms_are_valued_at_one_depth(nat_ctx):
+    # consistent at depth 1 but not at depth 2, where site 4's weights sum
+    # to 1/2: each term valued at its own base depth would give
+    # 15/16 + 1/256 = 241/256, the sum of mu_2's terms is mu_2(E)
+    fam = product_family(
+        nat_ctx, NatSeq.geometric(F(1, 2), F(1, 2)), {4: NatSeq.geometric(F(1, 4), F(1, 2))}
+    )
+    handle = ExtensionHandle.issue(fam, verify_depth=1)
+    assert check_consistency(fam, 2).violation is not None
+    event = compile_event(nat_ctx, "x0 in {0..3} | (x0=5 & x4=0)")
+    got = sigma_extension(handle, slice_cover(nat_ctx, site=0)).value(event)
+    assert got == SigmaValue("exact", F(121, 256), terms_used=6)
+    assert got.total == fam.measure(2).measure_of(event)
 
 
 def test_closed_form_cover_sum_reaches_every_verdict(counting_fam, nat_ctx):
