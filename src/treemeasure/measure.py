@@ -41,9 +41,10 @@ on, so a constraint's allowed spins there are summed as maximal runs (an
 `in` set) or as the gaps between excluded values (a `notin` set), all of
 them one integer closed form (`NatSeq._run_sum`), and multiplied by that
 shared value once.  A constraint keeps its values as runs, so none of this
-grows with the number of values in a range either.
-`VolumeMeasure.root_slice_sums` reuses the same split for the partial sums
-mu(E & {x0 < n}) of a root-slice cover sum.
+grows with the number of values in a range either.  A chain union is
+valued once, through `VolumeMeasure.root_slice_sums`, whose function of n
+gives the partial sums mu(E & {x0 < n}) of a root-slice cover sum and, at
+n = None, mu(E) itself.
 
 Values are Fraction or the float infinity for a diverging mass.
 """
@@ -709,12 +710,11 @@ class VolumeMeasure:
         A table form sums the entries its index selects inside the union
         (`DenseTableForm`): per rectangle, its sites times its allowed
         spins, then one pass over the selected entries, and no disjoining,
-        so the rectangle budget does not apply.  Other forms sum the values
+        so the rectangle budget does not apply.  A product sums the values
         of the union's disjoint rectangles in ints, each an int pair
-        (`_product_ints`, `_weighted_ints`) added by `_sum_pairs`, and
-        build one Fraction for the union: a chain's by one `_divided`.  The
-        rectangles of a chain union that share a site tuple share one
-        `_skeleton`."""
+        (`_product_ints`) added by `_sum_pairs`, and builds one Fraction for
+        the union.  A chain union is valued once, through
+        `root_slice_sums` uncut."""
         if cyl.ctx != self.ctx:
             raise ContextMismatchError("cylinder built over a different context")
         if cyl.base_depth > self.depth:
@@ -724,20 +724,12 @@ class VolumeMeasure:
         form = self.form
         if isinstance(form, DenseTableForm):
             return form.value(cyl)
-        rects = cyl.disjoint_rectangles()
         if isinstance(form, ProductForm):
             ball = self._ball()
-            num, den = _sum_pairs(self._product_ints(rect.as_dict(), 0, ball) for rect in rects)
+            num, den = _sum_pairs(self._product_ints(rect.as_dict(), 0, ball)
+                                  for rect in cyl.disjoint_rectangles())
             return num if type(num) is float else Fraction(num, den)
-        lam, kernel = form.lam, form.kernel
-        w = kernel.uniform_from
-        skeletons: dict = {}
-        num, den = _sum_pairs(
-            self._weighted_ints(lam, self._selection(rect.constraint_at(0), w),
-                                *self._root_factor(rect, skeletons))
-            for rect in rects
-        )
-        return _divided(num, den, math.lcm(lam._base, kernel._base))
+        return self.root_slice_sums(cyl)(None)
 
     def mass(self):
         return self.measure_of(omega(self.ctx))
@@ -882,10 +874,10 @@ class VolumeMeasure:
         return cache[height]
 
     def _selection(self, constraint: SiteConstraint | None, w: int):
-        """The child spins a constraint allows, split for `_weighted_sum`:
-        the allowed spins below w, one by one, and half-open runs (lo, hi) of
-        allowed spins from w on (hi None: unbounded).  Finite spins have
-        w = s, so the runs are empty."""
+        """The spins a constraint allows, split for `_weighted_ints` and
+        `_step`: the allowed spins below w, one by one, and half-open runs
+        (lo, hi) of allowed spins from w on (hi None: unbounded).  Finite
+        spins have w = s, so the runs are empty."""
         head, runs = [], []
         for lo, hi in c_runs(constraint, self.ctx.spins):
             if lo < w:
@@ -986,7 +978,8 @@ class VolumeMeasure:
             pending.setdefault(up, []).append(kernel.apply_power(vec, run) if run else vec)
 
     def root_slice_sums(self, cyl: CylinderSet):
-        """For a chain form, the function n -> value of cyl & {x0 < n}.
+        """For a chain form, the function n -> value of cyl & {x0 < n},
+        and at n = None the uncut value of cyl, which `measure_of` returns.
 
         One skeleton pass per disjoint rectangle finds its root factor, the
         rectangles that share a site tuple sharing one skeleton; each call
@@ -994,8 +987,8 @@ class VolumeMeasure:
         the allowed root spins cut at n: the spins below
         w = kernel.uniform_from one by one and one `NatSeq._run_sum` of the
         root weights over the runs of allowed spins from w on.  The
-        rectangles' pairs are added in ints and divided once, as in
-        `measure_of`.
+        rectangles' pairs are added in ints by `_sum_pairs` and divided
+        once, by one `_divided`.
         """
         lam, kernel = self.form.lam, self.form.kernel
         w = kernel.uniform_from
@@ -1006,11 +999,12 @@ class VolumeMeasure:
             for rect in cyl.disjoint_rectangles()
         ]
 
-        def below(n: int):
+        def below(n: int | None):
             pairs = (
-                self._weighted_ints(lam, ([r for r in head if r < n],
-                                          [(lo, n if hi is None else min(hi, n))
-                                           for lo, hi in runs if lo < n]), g, den)
+                self._weighted_ints(lam, (head, runs) if n is None else
+                                    ([r for r in head if r < n],
+                                     [(lo, n if hi is None else min(hi, n))
+                                      for lo, hi in runs if lo < n]), g, den)
                 for (head, runs), (g, den) in parts
             )
             return _divided(*_sum_pairs(pairs), base)

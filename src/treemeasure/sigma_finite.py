@@ -332,17 +332,18 @@ class SigmaFiniteExtension:
 
     A finite cover sums its parts one term at a time, each an `intersect`
     and an `ExtensionHandle.mu`.  A slice cover at site v reads its partial
-    sums instead: the total after n terms is mu_d(E & {x_v < n * block}),
-    all at the one depth d = max(E.base_depth, level(v)), and the mass the
-    first n parts leave uncovered is the family's depth-0 mass less
-    mu_level(v)({x_v < n * block}).  A chain sliced at the root reads them
-    from `VolumeMeasure.root_slice_sums`, any other slice cover from one
+    sums instead: the total after n terms is mu_d(E & {x_v < n * block})
+    and the mass the first n parts leave uncovered is mu_d(Omega) less
+    mu_d({x_v < n * block}), all at the one depth d = max(E.base_depth,
+    level(v)).  A chain sliced at the root reads them from
+    `VolumeMeasure.root_slice_sums`, any other slice cover from one
     `measure_of` of the cut event.  A galloping search and then a binary
     search over these sums find the first term that meets a stop rule, so a
-    verdict after 10^6 terms costs O(log 10^6) partial sums.  Valuing every
-    term at one depth agrees with valuing each at its own base depth on any
-    family consistent through d; on a family that is not, the sum is that
-    of mu_d.  Slice terms are not entered in the handle's write-once record.
+    verdict after 10^6 terms costs O(log 10^6) partial sums.  On a family
+    consistent through d this is the loop of terms at their own base depths;
+    on one that is not, every number read is mu_d's, so the uncovered mass
+    is never negative.  Slice terms are not entered in the handle's
+    write-once record.
     """
 
     def __init__(self, handle: ExtensionHandle, cover: Cover, tolerance: Fraction,
@@ -356,13 +357,10 @@ class SigmaFiniteExtension:
         self.bound = Fraction(bound)
         self.cover_report = cover_report
 
-    def _below(self, event: CylinderSet):
-        """n -> mu_d(event & {x_v < n}) for the slice site v and the one
-        depth d = max(event.base_depth, level(v))."""
+    def _below(self, event: CylinderSet, d: int):
+        """n -> mu_d(event & {x_v < n}) for the slice site v."""
         cover = self.cover
-        mu = self.handle.family.measure(
-            max(event.base_depth, self.handle.ctx.tree.level(cover.site))
-        )
+        mu = self.handle.family.measure(d)
         if cover.site == 0 and isinstance(mu.form, MarkovForm):
             return mu.root_slice_sums(event)
         return lambda n: mu.measure_of(event.intersect(cover._slice(0, n)))
@@ -387,11 +385,12 @@ class SigmaFiniteExtension:
         term i is below((i + 1) * block).  The first term meeting a stop
         rule is found by a galloping search and then a binary search."""
         block = self.cover.block
-        below = self._below(event)
+        d = max(event.base_depth, self.handle.ctx.tree.level(self.cover.site))
+        below = self._below(event, d)
         if top is not None:
             return SigmaValue("exact", below((top + 1) * block), terms_used=top + 1)
-        mass = self.handle.family.mass(0)
-        covered = self._below(omega(self.handle.ctx)) if mass != INFINITE else None
+        mass = self.handle.family.mass(d)
+        covered = self._below(omega(self.handle.ctx), d) if mass != INFINITE else None
 
         def stop(i: int):
             n = (i + 1) * block

@@ -310,6 +310,44 @@ def test_covers_compare_inconclusive_above_exact(capsys, tmp_path):
     assert "MISMATCH: 0/1" in err
 
 
+# products the depth-1 screen lets through that are inconsistent at depth 2,
+# where site 4 (A) or site 5 (B) weighs infinitely much
+SLICED_AT_DEPTH_2_SPECS = {
+    "A": "w@4 = const 2",
+    "B": "w@5 = const 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICED_AT_DEPTH_2_SPECS))
+def test_slice_sums_off_an_inconsistent_depth_stay_sound(capsys, tmp_path, name):
+    spec = tmp_path / f"{name}.spec"
+    spec.write_text(
+        "[tree]\nk = 2\n[spins]\nkind = nat\n[family]\nkind = product\n"
+        f"w = geometric 1/2 1/2\n{SLICED_AT_DEPTH_2_SPECS[name]}\n[covers]\ns4 = slice x4\n"
+    )
+    # every slice term is valued at depth 2, and so is the uncovered mass:
+    # mu_2 gives x1=0 an infinite value, which the sum on A passes the
+    # divergence bound towards and the sum on B reads at its first term
+    code, payload, _ = run_cli(capsys, "sigma-eval", "--spec", str(spec), "--cover", "s4",
+                               "--event", "x1=0", "--json")
+    assert code == 0
+    if name == "A":
+        assert payload["kind"] == "diverges"
+    else:
+        assert (payload["kind"], payload["total"]) == ("exact", "inf")
+    code, payload, _ = run_cli(capsys, "cover-sum", "--spec", str(spec), "--cover", "s4",
+                               "--seed", "3", "--json")
+    assert code == 1
+    assert all(r["summed"]["tail_bound"] is None or not r["summed"]["tail_bound"].startswith("-")
+               for r in payload["records"])
+    code, payload, _ = run_cli(capsys, "consistency", "--spec", str(spec), "--depth", "2",
+                               "--json")
+    assert (code, payload["violation"]["witness"]) == (1, "x0=0")
+    code, payload, _ = run_cli(capsys, "eval", "--spec", str(spec), "--event", "x1=0",
+                               "--depth", "2", "--json")
+    assert (code, payload["value"]) == (0, "inf")
+
+
 def test_consecutive_calls_share_no_parser_state(capsys):
     assert build_parser() is build_parser()
     args = ("covers-compare", "--spec", NAT, "--cover", "roots", "--cover", "pairs")

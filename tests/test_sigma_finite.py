@@ -18,6 +18,7 @@ from treemeasure import (
     SpinSet,
     TransitionKernel,
     TreeGeometry,
+    VerificationError,
     check_consistency,
     compile_event,
     conditional_family,
@@ -46,6 +47,7 @@ from treemeasure.sigma_finite import (
     DEFAULT_TERM_BUDGET,
     DEFAULT_TOLERANCE,
     SigmaFiniteExtension,
+    _bracket,
     _cover_sum_verdict,
     _values_agree,
 )
@@ -780,6 +782,62 @@ def test_slice_terms_are_valued_at_one_depth(nat_ctx):
     got = sigma_extension(handle, slice_cover(nat_ctx, site=0)).value(event)
     assert got == SigmaValue("exact", F(121, 256), terms_used=6)
     assert got.total == fam.measure(2).measure_of(event)
+
+
+OVERRIDE_WEIGHTS = [
+    NatSeq.geometric(F(1, 2), F(1, 2)),
+    NatSeq.geometric(F(1, 4), F(1, 2)),
+    NatSeq.constant(F(1)),
+    NatSeq.finite([F(1, 3), F(2, 3)]),
+    NatSeq.geometric(F(3, 4), F(1, 4)),
+]
+
+
+def screened_families(ctx, rng, count):
+    """Seeded products with 0-2 overrides at vertices 0-9 that pass the
+    depth-1 check the CLI screens with, so many are inconsistent deeper
+    down, and the sliced chains."""
+    fams = [make(ctx) for _, make in sorted(SLICED_NAT_FAMILIES.items())]
+    while len(fams) < count:
+        overrides = {v: rng.choice(OVERRIDE_WEIGHTS)
+                     for v in rng.sample(range(10), rng.randint(0, 2))}
+        fam = product_family(ctx, NatSeq.geometric(F(1, 2), F(1, 2)), overrides)
+        try:
+            ExtensionHandle.issue(fam, verify_depth=1)
+        except VerificationError:
+            continue
+        fams.append(fam)
+    return fams
+
+
+def test_slice_sums_certify_the_value_at_their_depth():
+    # whatever the family does below the depth it was checked to, a slice
+    # sum's certified interval holds mu_d(E) at its one depth d and its tail
+    # bound is never negative: every number it reads is mu_d's
+    ctx = Context(TreeGeometry(2, 6), SpinSet.naturals())
+    rng = random.Random(4)
+    settings = [
+        dict(term_budget=100, bound=F(1000)),
+        dict(term_budget=100, bound=F(1, 2), tolerance=F(1, 2**20)),
+        dict(term_budget=3, tolerance=F(0)),
+    ]
+    kinds = set()
+    for fam in screened_families(ctx, rng, 20):
+        handle = ExtensionHandle.issue(fam, verify_depth=1)
+        events = [omega(ctx), single_site(ctx, 1, 0)] + seeded_events(ctx, rng, 2)
+        for site in (0, 1, 4):
+            for block in (1, 2):
+                cover = slice_cover(ctx, site, block)
+                for event in events:
+                    d = max(event.base_depth, ctx.tree.level(site))
+                    direct = fam.measure(d).measure_of(event)
+                    for kwargs in settings:
+                        got = sigma_extension(handle, cover, **kwargs).value(event)
+                        lo, hi = _bracket(got)
+                        assert lo <= direct <= hi, (fam.label, event.render(), site, block)
+                        assert got.tail_bound is None or got.tail_bound >= 0
+                        kinds.add(got.kind)
+    assert kinds == {"exact", "bounded", "diverges", "inconclusive"}
 
 
 def test_closed_form_cover_sum_reaches_every_verdict(counting_fam, nat_ctx):
