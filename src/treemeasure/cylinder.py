@@ -787,14 +787,20 @@ class CylinderSet:
     def semantic_equal(self, other: "CylinderSet", budget: int = DEFAULT_RECTANGLE_BUDGET) -> bool:
         return self.subset_of(other, budget) and other.subset_of(self, budget)
 
+    def _already_disjoint(self) -> bool:
+        """Whether the rectangles are pairwise disjoint as they stand, by a
+        rule in O(R): there is at most one, or they are distinct and all
+        fully singleton over one site tuple."""
+        rects = self.rectangles
+        if len(rects) <= 1:
+            return True
+        sites0 = rects[0].sites()
+        return all(r.sites() == sites0 and r.all_singletons() for r in rects)
+
     def disjoint_rectangles(self, budget: int = DEFAULT_RECTANGLE_BUDGET) -> tuple[Rectangle, ...]:
         """Rectangles with the same union but pairwise disjoint."""
         rects = self.rectangles
-        if len(rects) <= 1:
-            return rects
-        # distinct fully-singleton rectangles over one site tuple are disjoint
-        sites0 = rects[0].sites()
-        if all(r.sites() == sites0 and r.all_singletons() for r in rects):
+        if self._already_disjoint():
             return rects
         pack = _Packing(rects, self.ctx.spins)
         out: list[Rectangle] = []

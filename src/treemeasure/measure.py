@@ -9,8 +9,11 @@ marginals and masses stay exact.
 
 A table event selects its entries by bitmask operations on an entry index
 (`DenseTableForm`) and is never disjoined.  A product or chain value never
-visits the whole ball, and adds the union's disjoint rectangles in ints, so
-it builds one Fraction per union.  The product form multiplies, in ints,
+visits the whole ball and builds one Fraction per union.  A union whose
+rectangles overlap is one pass over its letters, with no disjoining
+(`VolumeMeasure._union_pass`); a union that is disjoint as it stands, or
+that the pass refuses, adds its disjoint rectangles' values in ints.  The
+product form multiplies, in ints,
 over the constrained sites and the overrides, and raises the default row
 sum to the number of remaining sites.  The chain forms make one bottom-up
 sum-product pass over the rectangle's skeleton of kept vertices.  When k = 1
@@ -30,7 +33,8 @@ explicit rows and the values the constraints name) and no gcd.  The root step
 multiplies in the root weights' integer form, cached on the weights; the
 rectangles' results are added in ints and reduced to a Fraction once per
 union, by gcds against the small number whose primes the denominator is made
-of.  Rectangles of one union that share their sites share one skeleton.
+of.  The union pass makes one skeleton for all of a union's sites; on the
+per-rectangle route, rectangles that share their sites share one.
 Under a stochastic kernel a free child subtree weighs 1 and is not built;
 under any other it is a memoized factor of its height, kept in lowest terms,
 and on a path (k = 1) it is itself one kernel power.
@@ -41,10 +45,12 @@ on, so a constraint's allowed spins there are summed as maximal runs (an
 `in` set) or as the gaps between excluded values (a `notin` set), all of
 them one integer closed form (`NatSeq._run_sum`), and multiplied by that
 shared value once.  A constraint keeps its values as runs, so none of this
-grows with the number of values in a range either.  A chain union is
+grows with the number of values in a range either, and the union pass
+splits a site's spins into letters at the run ends alone.  A chain union is
 valued once, through `VolumeMeasure.root_slice_sums`, whose function of n
 gives the partial sums mu(E & {x0 < n}) of a root-slice cover sum and, at
-n = None, mu(E) itself.
+n = None, mu(E) itself; `measure_of` and those cover sums share the union
+pass's parts.
 
 Values are Fraction or the float infinity for a diverging mass.
 """
@@ -52,6 +58,8 @@ Values are Fraction or the float infinity for a diverging mass.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import functools
 import itertools
 import math
 import random
@@ -61,6 +69,7 @@ from functools import cached_property
 
 from .cylinder import (
     DEFAULT_ATOM_BUDGET,
+    DEFAULT_RECTANGLE_BUDGET,
     Configuration,
     Context,
     CylinderSet,
@@ -225,6 +234,33 @@ def _divided(x, d: int, base: int):
     out = object.__new__(Fraction)
     out._numerator, out._denominator = n // c, x.denominator * (d // c)
     return out
+
+
+def _added(a: tuple, b: tuple) -> tuple:
+    """The sum of two functions of a spin, each (nums, den)."""
+    (x, d), (y, e) = a, b
+    if d != e:
+        m = math.lcm(d, e)
+        x, y, d = tuple(_mul(t, m // d) for t in x), tuple(_mul(t, m // e) for t in y), m
+    return tuple(map(value_add, x, y)), d
+
+
+def _split(runs, w: int) -> tuple[list, list]:
+    """Allowed runs (lo, hi) in increasing order (hi None: unbounded) as
+    `_weighted_ints` and `_step` take them: the spins below w one by one,
+    and the runs from w on, touching ones joined.  Finite spins have w = s,
+    so the runs are empty."""
+    head, tail = [], []
+    for lo, hi in runs:
+        if lo < w:
+            head.extend(range(lo, w if hi is None else min(hi, w)))
+            lo = w
+        if hi is None or lo < hi:
+            if tail and tail[-1][1] == lo:
+                tail[-1] = (tail[-1][0], hi)
+            else:
+                tail.append((lo, hi))
+    return head, tail
 
 
 def _sum_pairs(pairs) -> tuple:
@@ -710,10 +746,13 @@ class VolumeMeasure:
         A table form sums the entries its index selects inside the union
         (`DenseTableForm`): per rectangle, its sites times its allowed
         spins, then one pass over the selected entries, and no disjoining,
-        so the rectangle budget does not apply.  A product sums the values
-        of the union's disjoint rectangles in ints, each an int pair
-        (`_product_ints`) added by `_sum_pairs`, and builds one Fraction for
-        the union.  A chain union is valued once, through
+        so the rectangle budget does not apply.  A product union whose
+        rectangles overlap is one union pass (`_union_pass`), with no
+        disjoining.  One that is disjoint as it stands (one rectangle, or
+        singletons on one site tuple), or that the pass refuses, sums the
+        values of its disjoint rectangles in ints, each an int pair
+        (`_product_ints`) added by `_sum_pairs`.  Either way the union
+        builds one Fraction.  A chain union is valued once, through
         `root_slice_sums` uncut."""
         if cyl.ctx != self.ctx:
             raise ContextMismatchError("cylinder built over a different context")
@@ -725,9 +764,15 @@ class VolumeMeasure:
         if isinstance(form, DenseTableForm):
             return form.value(cyl)
         if isinstance(form, ProductForm):
-            ball = self._ball()
-            num, den = _sum_pairs(self._product_ints(rect.as_dict(), 0, ball)
+            pair = None
+            if not cyl._already_disjoint():
+                with contextlib.suppress(BudgetError):  # the route below answers
+                    pair = self._union_pass(cyl)
+            if pair is None:
+                ball = self._ball()
+                pair = _sum_pairs(self._product_ints(rect.as_dict(), 0, ball)
                                   for rect in cyl.disjoint_rectangles())
+            num, den = pair
             return num if type(num) is float else Fraction(num, den)
         return self.root_slice_sums(cyl)(None)
 
@@ -753,27 +798,34 @@ class VolumeMeasure:
         special.update(v for v in form.overrides if lo <= v < hi)
         spins = self.ctx.spins
         num = den = 1
-        infinite = False
         for v in special:
             n, d = form.weight_at(v)._run_sum(c_runs(constraints.get(v), spins))
-            if type(n) is float:
-                infinite = True
-            elif not n:
+            if not n:
                 return 0, 1
-            else:
-                num *= n
-                den *= d
+            num, den = _mul(num, n), den * d
+        e = hi - lo - len(special)
+        return self._times_free(num, den, e, e)
+
+    def _times_free(self, num, den: int, e: int, widest: int) -> tuple:
+        """num / den, num possibly INFINITE, times the default row sum to
+        the e-th, as an int pair, num INFINITE when it diverges.  0 stays 0,
+        even beside an infinite row sum; otherwise an infinite factor gives
+        INFINITE.  The power guard reads the row sum in lowest terms to the
+        power `widest` >= e."""
+        if not num:
+            return 0, 1
+        spins = self.ctx.spins
         # the head of the default row over the s finite spins, or over the
         # naturals of width 0: the one sum of every value
-        ints, d = form.default._head(spins.size if spins.is_finite else 0)
-        free, e = sum(ints), hi - lo - len(special)
+        ints, d = self.form.default._head(spins.size if spins.is_finite else 0)
+        free, infinite = sum(ints), type(num) is float
         if type(free) is float:
             return (INFINITE, 1) if e or infinite else (num, den)
-        g = math.gcd(free, d)  # the power guard measures the sum in lowest terms
+        g = math.gcd(free, d)
         free, d = free // g, d // g
-        _check_power(max(free, d), e)
-        if infinite and (free or not e):
-            return INFINITE, 1
+        _check_power(max(free, d), widest)
+        if infinite:
+            return (INFINITE, 1) if free or not e else (0, 1)
         return num * free**e, den * d**e
 
     # chain evaluation: one bottom-up sum-product pass over the skeleton of
@@ -796,17 +848,20 @@ class VolumeMeasure:
     # pass-through vertices as M ** L from the kernel's cached binary powers.
     # Under any other kernel every ancestor of a site is kept.
 
-    def _skeleton(self, rect: Rectangle) -> list[tuple[int, int, int | None, int]]:
-        """(vertex, level, kept parent, run) for every kept vertex, children
-        before parents, the root (kept parent None) last; run counts the
-        pass-through vertices between a vertex and its kept parent."""
+    def _skeleton(self, of) -> list[tuple[int, int, int | None, int]]:
+        """(vertex, level, kept parent, run) for every kept vertex of the
+        skeleton of a rectangle's sites, or of a sorted tuple of sites,
+        children before parents, the root (kept parent None) last; run
+        counts the pass-through vertices between a vertex and its kept
+        parent."""
+        sites = of.sites() if isinstance(of, Rectangle) else of
         tree = self.ctx.tree
         k = tree.order
         if not (k == 1 or self.form.kernel.is_stochastic()):
             # each site climbs to the first vertex kept already, or past the
             # root, whose parent is None
             kept = {}
-            for site in rect.sites():
+            for site in sites:
                 lvl, v = tree.level(site), site
                 while v is not None and v not in kept:
                     kept[v] = lvl, tree.parent(v)
@@ -820,7 +875,7 @@ class VolumeMeasure:
         # next site meets that site at a kept vertex, the stack above which
         # is linked and popped (the classic virtual-tree construction).
         where = {0: (0, 0)}
-        for site in rect.sites():
+        for site in sites:
             where[site] = tree.level_and_position(site)
         deepest = max(lvl for lvl, _ in where.values())
         out, stack = [], [0]
@@ -875,17 +930,10 @@ class VolumeMeasure:
 
     def _selection(self, constraint: SiteConstraint | None, w: int):
         """The spins a constraint allows, split for `_weighted_ints` and
-        `_step`: the allowed spins below w, one by one, and half-open runs
-        (lo, hi) of allowed spins from w on (hi None: unbounded).  Finite
-        spins have w = s, so the runs are empty."""
-        head, runs = [], []
-        for lo, hi in c_runs(constraint, self.ctx.spins):
-            if lo < w:
-                head.extend(range(lo, w if hi is None else min(hi, w)))
-                lo = w
-            if hi is None or lo < hi:
-                runs.append((lo, hi))
-        return head, runs
+        `_step` (`_split`): the allowed spins below w, one by one, and
+        half-open runs (lo, hi) of allowed spins from w on (hi None:
+        unbounded)."""
+        return _split(c_runs(constraint, self.ctx.spins), w)
 
     def _weighted_sum(self, row: NatSeq, sel, g: tuple, den: int = 1):
         """`_weighted_ints` as one Fraction."""
@@ -913,16 +961,16 @@ class VolumeMeasure:
             d *= b
         return total, d * den
 
-    def _step(self, c: SiteConstraint | None, g: tuple) -> tuple:
+    def _step(self, sel: tuple, g: tuple) -> tuple:
         """The factor a kept vertex hands its parent: the sum of P(q, r) *
-        g(r) over the spins r its constraint c allows, as a function of the
-        parent spin q.  M weighs the allowed spins below w, the others
-        zeroed; over the naturals, runs of allowed spins from w on weigh the
-        shared g[w] by the kernel's `_runs_column`."""
+        g(r) over the spins r of its selection (`_selection`), as a function
+        of the parent spin q.  M weighs the selected spins below w, the
+        others zeroed; over the naturals, runs of selected spins from w on
+        weigh the shared g[w] by the kernel's `_runs_column`."""
         kernel = self.form.kernel
         mat, d = kernel._scaled
         w = kernel.uniform_from
-        head, runs = self._selection(c, w)
+        head, runs = sel
         nums, den = g
         if len(head) == 1 and not runs:  # one spin r: the column of r times g(r)
             r = head[0]
@@ -940,10 +988,12 @@ class VolumeMeasure:
     def _root_factor(self, rect: Rectangle, skeletons: dict) -> tuple:
         """(g, den) with the rectangle's value = the sum of lam(q) * g(q)
         over the root spins q its root constraint allows, divided by den: one
-        pass over the skeleton below the root.  The sites, k and the
-        kernel's kind fix the skeleton, so it is kept on the rectangle, and
-        rectangles with the same sites share it through `skeletons`, a dict
-        by site tuple that the caller keeps for one union."""
+        pass over the skeleton below the root.  `root_slice_sums` takes it
+        for each rectangle of a union that is disjoint as it stands, and for
+        each disjoint piece of one the union pass refuses.  The sites, k and
+        the kernel's kind fix the skeleton, so it is kept on the rectangle,
+        and rectangles with the same sites share it through `skeletons`, a
+        dict by site tuple that the caller keeps for one union."""
         k = self.ctx.tree.order
         constraints = rect.as_dict()
         kernel = self.form.kernel
@@ -974,30 +1024,38 @@ class VolumeMeasure:
             if c is None:
                 vec, run = g, run + 1
             else:
-                vec = self._step(c, g)
+                vec = self._step(self._selection(c, kernel.uniform_from), g)
             pending.setdefault(up, []).append(kernel.apply_power(vec, run) if run else vec)
 
     def root_slice_sums(self, cyl: CylinderSet):
         """For a chain form, the function n -> value of cyl & {x0 < n},
         and at n = None the uncut value of cyl, which `measure_of` returns.
 
-        One skeleton pass per disjoint rectangle finds its root factor, the
-        rectangles that share a site tuple sharing one skeleton; each call
-        then costs, per rectangle, the root step of `_weighted_ints` over
-        the allowed root spins cut at n: the spins below
-        w = kernel.uniform_from one by one and one `NatSeq._run_sum` of the
-        root weights over the runs of allowed spins from w on.  The
-        rectangles' pairs are added in ints by `_sum_pairs` and divided
+        The union's parts, each a selection of root spins and a root
+        factor (g, den), come from one union pass (`_union_pass`) over the
+        skeleton of all its sites.  A union that is disjoint as it stands
+        (one rectangle, or singletons on one site tuple), or that the pass
+        refuses, takes one `_root_factor` per disjoint rectangle instead,
+        those that share a site tuple sharing one skeleton.  Each call then
+        costs, per part, the root step of `_weighted_ints` over its root
+        spins cut at n: the spins below w = kernel.uniform_from one by one
+        and one `NatSeq._run_sum` of the root weights over the runs from w
+        on.  The parts' pairs are added in ints by `_sum_pairs` and divided
         once, by one `_divided`.
         """
         lam, kernel = self.form.lam, self.form.kernel
         w = kernel.uniform_from
         base = math.lcm(lam._base, kernel._base)
-        skeletons: dict = {}
-        parts = [
-            (self._selection(rect.constraint_at(0), w), self._root_factor(rect, skeletons))
-            for rect in cyl.disjoint_rectangles()
-        ]
+        parts = None
+        if not cyl._already_disjoint():
+            with contextlib.suppress(BudgetError):  # the route below answers
+                parts = self._union_pass(cyl)
+        if parts is None:
+            skeletons: dict = {}
+            parts = [
+                (self._selection(rect.constraint_at(0), w), self._root_factor(rect, skeletons))
+                for rect in cyl.disjoint_rectangles()
+            ]
 
         def below(n: int | None):
             pairs = (
@@ -1010,6 +1068,169 @@ class VolumeMeasure:
             return _divided(*_sum_pairs(pairs), base)
 
         return below
+
+    def _union_pass(self, cyl: CylinderSet):
+        """The value of a product union as an int pair (num, den), or the
+        root parts of a chain union for `root_slice_sums`, with no
+        disjoining: a weighted model count over the union's sites (Chavira
+        and Darwiche, Artificial Intelligence 172, 2008).
+
+        Bit i of a mask stands for rectangle i.  At each site of the union
+        the spins split into letters, the maximal sets of runs that the same
+        rectangles allow; a rectangle that leaves the site free allows every
+        letter.  They come from the sorted ends of the allowed runs, each
+        rectangle's bit flipped at the ends of its runs, so the cost grows
+        with the runs, never with a range's width.  The pass folds terms
+        "mask of the rectangles still satisfiable -> int factor".  A mask
+        that keeps a rectangle past the last of its sites folds into one
+        satisfied state (key None), so rectangles on disjoint sites keep
+        O(R) states, not 2 ** R, and a mask of none is dropped.  More
+        states than the rectangle budget raise `BudgetError`, and so does
+        any power guard; the callers then take the per-piece route, which
+        answers as it always did.
+
+        A product runs over the union's sites and overrides in site order.
+        Each letter weighs its `NatSeq._run_sum`, over one lcm denominator
+        per site, and the satisfied state weighs the whole site.  The other
+        sites come in by `_times_free`, whose power guard reads the largest
+        free exponent of one rectangle, which no disjoint piece of the
+        union exceeds.
+
+        A chain runs bottom-up over the one `_skeleton` of the union's
+        sites; a rectangle is satisfied at the meet of its sites.  A
+        vertex steps each mask once per group of its letters that leave the
+        same mask (`_step`, then the run's kernel power), and a satisfied
+        mask, or one at an unconstrained vertex, by one more kernel power.
+        Children's maps combine by AND of masks, the satisfied state
+        absorbing.  Dropping a mask of none loses nothing here either: it
+        needs a site of every rectangle below it, so no rectangle lies
+        wholly below a sibling, to be satisfied there.  At the root the
+        masks, grouped by the root letters they keep, become the parts
+        (selection, (g, den))."""
+        rects, spins, form = cyl.rectangles, self.ctx.spins, self.form
+        every = (1 << len(rects)) - 1
+        allowed: dict = {}
+        for i, rect in enumerate(rects):
+            for site, c in rect.items:
+                allowed.setdefault(site, []).append((1 << i, c_runs(c, spins)))
+        letters = {}  # site -> [(mask, runs)], a mask 0 where no rectangle allows them
+        for site, named in allowed.items():
+            flips, mask = {0: 0}, every
+            for bit, runs in named:
+                mask ^= bit
+                for lo, hi in runs:
+                    flips[lo] = flips.get(lo, 0) ^ bit
+                    if hi is not None:
+                        flips[hi] = flips.get(hi, 0) ^ bit
+            # every end past 0 flips some bit, so neighbouring stretches
+            # never share a mask, and a letter's runs never touch
+            ends = sorted(flips)
+            groups: dict = {}
+            for lo, hi in zip(ends, ends[1:] + [spins.size]):
+                mask ^= flips[lo]
+                if lo != hi:  # lo == hi: past the finite alphabet
+                    groups.setdefault(mask, []).append((lo, hi))
+            letters[site] = list(groups.items())
+        whole = [(every, c_runs(None, spins))]
+
+        if isinstance(form, ProductForm):
+            ball = self._ball()
+            overrides = {v for v in form.overrides if v < ball}
+            last: dict = {}  # site -> the rectangles whose last site it is
+            for i, rect in enumerate(rects):
+                last[rect.items[-1][0]] = last.get(rect.items[-1][0], 0) | 1 << i
+            sites = sorted(overrides.union(letters))
+            states, den = {every: 1}, 1
+            for v in sites:
+                seq = form.weight_at(v)
+                sums = [(mask, *seq._run_sum(runs)) for mask, runs in letters.get(v, whole)]
+                d = math.lcm(*(m for _, _, m in sums))
+                ints = [_mul(n, d // m) for _, n, m in sums]
+                total = INFINITE if INFINITE in ints else sum(ints)
+                weights = [(mask, n) for (mask, _, _), n in zip(sums, ints) if n]
+                done, out = last.get(v, 0), {}
+                for a, x in states.items():
+                    if a is None:
+                        out[None] = value_add(out.get(None, 0), _mul(x, total))
+                        continue
+                    for mask, n in weights:
+                        if a & mask:
+                            key = None if a & mask & done else a & mask
+                            out[key] = value_add(out.get(key, 0), _mul(x, n))
+                if len(out) > DEFAULT_RECTANGLE_BUDGET:
+                    raise BudgetError("rectangle budget exceeded while valuing a union")
+                states, den = out, den * d
+            least = min(len(overrides.union(rect.sites())) for rect in rects)
+            return self._times_free(states.get(None, 0), den, ball - len(sites), ball - least)
+
+        tree, kernel = self.ctx.tree, form.kernel
+        k, w = tree.order, kernel.uniform_from
+        stochastic = kernel.is_stochastic()
+        top: dict = {}  # vertex -> the rectangles whose sites meet there
+        for i, rect in enumerate(rects):
+            v = functools.reduce(tree.meet, rect.sites())
+            top[v] = top.get(v, 0) | 1 << i
+        sites = tuple(sorted(letters))
+        letters.setdefault(0, whole)
+        picks: dict = {}
+
+        def pick(v, chosen: tuple):
+            """The selection of the letters `chosen` at v, memoized."""
+            if (v, chosen) not in picks:
+                runs = sorted(run for j in chosen for run in letters[v][j][1])
+                picks[v, chosen] = _split(runs, w)
+            return picks[v, chosen]
+
+        def gather(out: dict, key, vec: tuple):
+            out[key] = _added(out[key], vec) if key in out else vec
+
+        pending: dict = {}
+        for v, lvl, up, run in self._skeleton(sites):
+            maps = pending.pop(v, [])
+            height = self.depth - lvl
+            nfree = 0 if height == 0 or stochastic else (k + 1 if v == 0 else k) - len(maps)
+            states = maps.pop() if maps else {every: self._unit()}
+            for other in maps:
+                joined: dict = {}
+                for a, g in states.items():
+                    for b, h in other.items():
+                        key = None if a is None or b is None else a & b
+                        if key != 0:
+                            gather(joined, key, _product([g, h]))
+                states = joined
+            if nfree:
+                free = self._free_factor(height)
+                free = free if nfree == 1 else _power(free, nfree)
+                states = {a: _product([g, free]) for a, g in states.items()}
+            if up is None:
+                break
+            here, done, out = letters.get(v), top.get(v, 0), {}
+            for a, g in states.items():
+                if a is None or here is None:
+                    groups = {a: None}
+                else:
+                    groups = {}
+                    for j, (mask, _) in enumerate(here):
+                        if a & mask:
+                            groups.setdefault(a & mask, []).append(j)
+                for b, chosen in groups.items():
+                    if b and b & done:
+                        b = None
+                    if chosen is None or len(chosen) == len(here):
+                        vec = kernel.apply_power(g, run + 1)
+                    else:
+                        vec = self._step(pick(v, tuple(chosen)), g)
+                        vec = kernel.apply_power(vec, run) if run else vec
+                    gather(out, b, vec)
+            if len(out) > DEFAULT_RECTANGLE_BUDGET:
+                raise BudgetError("rectangle budget exceeded while valuing a union")
+            pending.setdefault(up, []).append(out)
+        parts: dict = {}
+        for a, g in states.items():
+            chosen = tuple(j for j, (mask, _) in enumerate(letters[0]) if a is None or a & mask)
+            if chosen:
+                gather(parts, chosen, g)
+        return [(pick(0, chosen), g) for chosen, g in parts.items()]
 
     # -- whole-table operations -------------------------------------------------
 

@@ -46,8 +46,10 @@ from treemeasure import (
 )
 from treemeasure.cylinder import DEFAULT_ATOM_BUDGET, c_runs, exceeds_budget, make_rectangle
 from treemeasure.errors import render_value
+from treemeasure import measure as measure_module
 from treemeasure.measure import (
     DenseTableForm,
+    MarkovForm,
     ProductForm,
     VolumeMeasure,
     _enumerate_marginal,
@@ -602,27 +604,147 @@ def test_union_sum_in_ints_matches_the_per_rectangle_fold(name):
         assert mu.measure_of(CylinderSet.build(mu.ctx, [])) == 0
 
 
-def test_chain_union_builds_one_skeleton_per_site_tuple(monkeypatch):
-    """The disjoint pieces of a chain union that share their sites share one
-    skeleton, in `measure_of` and in `root_slice_sums`."""
+def test_chain_union_builds_one_skeleton_for_its_union_sites(monkeypatch):
+    """An overlapping chain union builds exactly one skeleton, for its
+    sorted union sites, in `measure_of` and in `root_slice_sums`; a union
+    that is disjoint as it stands builds one skeleton per site tuple."""
     mu = UNION_MEASURES["substochastic_s2_k2"](3)
     built = []
     skeleton = VolumeMeasure._skeleton
 
-    def spy(self, rect):
-        built.append(rect.sites())
-        return skeleton(self, rect)
+    def spy(self, of):
+        built.append(of if type(of) is tuple else of.sites())
+        return skeleton(self, of)
 
     monkeypatch.setattr(VolumeMeasure, "_skeleton", spy)
-    shared = 0
-    for seed, n_rects in itertools.product(range(12), (3, 5, 8)):
-        # each union twice, built alike, as fresh rectangles carry no skeleton
-        for value in (lambda cyl: mu.measure_of(cyl), lambda cyl: mu.root_slice_sums(cyl)(3)):
-            cyl = seeded_union(mu.ctx, random.Random(seed), 3, n_rects)
-            pieces = cyl.disjoint_rectangles()
-            sites = {rect.sites() for rect in pieces}
-            shared += len(pieces) - len(sites)
+    ctx = mu.ctx
+    singletons = CylinderSet.build(ctx, [make_rectangle(ctx, {1: constraint_in([a]),
+                                                              5: constraint_in([b])})
+                                         for a, b in ((0, 1), (1, 0), (1, 1))])
+    alone = CylinderSet.build(ctx, [make_rectangle(ctx, {3: constraint_in([0]),
+                                                         9: constraint_in([1])})])
+    overlapping = 0
+    for value in (lambda cyl: mu.measure_of(cyl), lambda cyl: mu.root_slice_sums(cyl)(3)):
+        for seed, n_rects in itertools.product(range(30), (2, 3, 5)):
+            # fresh rectangles each time, as a rectangle keeps its skeleton
+            cyl = seeded_union(ctx, random.Random(seed), 3, n_rects)
+            sites = sorted({site for rect in cyl.rectangles for site in rect.sites()})
             built.clear()
             value(cyl)
-            assert sorted(built) == sorted(sites)
-    assert shared > 0
+            if cyl._already_disjoint():
+                assert built == [rect.sites() for rect in cyl.rectangles[:1]], cyl.render()
+            else:
+                overlapping += 1
+                assert built == [tuple(sites)], cyl.render()
+        for cyl in (singletons, alone):
+            built.clear()
+            value(CylinderSet.build(ctx, [make_rectangle(ctx, r.as_dict()) for r in cyl.rectangles]))
+            assert built == [cyl.rectangles[0].sites()]
+    assert overlapping >= 2 * 30
+
+
+def overlapping_unions(mu, seed):
+    """Seeded unions on mu's ball that are not disjoint as they stand."""
+    rng = random.Random(seed)
+    out = []
+    for n_rects in (2, 3, 5, 8) * 3:
+        cyl = seeded_union(mu.ctx, rng, mu.depth, n_rects)
+        if not cyl._already_disjoint():
+            out.append(cyl)
+    return out
+
+
+def test_overlapping_unions_are_never_disjoined(monkeypatch):
+    """A product or chain union whose rectangles overlap is valued by the
+    union pass: neither `measure_of` nor `root_slice_sums` disjoins it."""
+    cases = []
+    for name in ("k2_s2_overrides", "nat_geometric_notin", "substochastic_s2_k2",
+                 "geometric_nat_k2", "infinite_row_nat_k1", "stochastic_s3_k2"):
+        mu = UNION_MEASURES[name](2)
+        for cyl in overlapping_unions(mu, name):
+            cases.append((mu, cyl, old_measure_of(mu, cyl)))
+    assert len(cases) >= 40
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an overlapping union was disjoined")
+
+    monkeypatch.setattr(CylinderSet, "disjoint_rectangles", refuse)
+    for mu, cyl, expected in cases:
+        assert mu.measure_of(cyl) == expected, cyl.render()
+        if isinstance(mu.form, MarkovForm):
+            assert mu.root_slice_sums(cyl)(None) == expected
+            mu.root_slice_sums(cyl)(1)
+
+
+def pairs_union(ctx, n_pairs):
+    """x(2i+1)=0 & x(2i+2)=0 for i < n_pairs: rectangles on disjoint pairs of
+    sites, which disjoin into 2 ** n_pairs - 1 pieces."""
+    return CylinderSet.build(ctx, [make_rectangle(ctx, {2 * i + 1: constraint_in([0]),
+                                                        2 * i + 2: constraint_in([0])})
+                                   for i in range(n_pairs)])
+
+
+def test_seventeen_pairs_value_past_the_rectangle_budget():
+    """17 rectangles on disjoint site pairs under a uniform product: each
+    weighs 1/4 and they are independent, so the union weighs 1 - (3/4)**17,
+    while disjoining them passes the rectangle budget."""
+    ctx = Context(TreeGeometry(2), SpinSet.finite(2))
+    mu = product_family(ctx, [F(1, 2), F(1, 2)]).measure(4)
+    cyl = pairs_union(ctx, 17)
+    with pytest.raises(BudgetError):
+        cyl.disjoint_rectangles()
+    start = time.perf_counter()
+    assert mu.measure_of(cyl) == 1 - F(3, 4) ** 17 == F(17050729021, 17179869184)
+    assert time.perf_counter() - start < 1
+
+
+def test_ten_pairs_under_a_non_stochastic_chain_match_the_fold():
+    """10 pairs disjoin into 1,023 pieces; the union pass over one skeleton
+    gives their fold's value."""
+    mu = UNION_MEASURES["substochastic_s2_k2"](3)
+    cyl = pairs_union(mu.ctx, 10)
+    assert len(cyl.disjoint_rectangles()) == 1023
+    assert mu.measure_of(cyl) == old_measure_of(mu, cyl)
+
+
+NAT_CHAINS = sorted(name for name, measure in UNION_MEASURES.items()
+                    if measure(0).form.kind == "chain" and not measure(0).ctx.spins.is_finite)
+
+
+@pytest.mark.parametrize("name", NAT_CHAINS)
+def test_root_slice_sums_of_overlapping_unions_match_the_per_piece_fold(name):
+    """mu(E & {x0 < n}) from the union pass's parts, against the per-piece
+    fold of E cut at the root, at n in 0, 1, 2, 5 and uncut."""
+    checked = 0
+    for depth in range(3):
+        mu = UNION_MEASURES[name](depth)
+        for cyl in overlapping_unions(mu, f"{name}@{depth}"):
+            below = mu.root_slice_sums(cyl)
+            for n in (0, 1, 2, 5, None):
+                cut = cyl if n is None else cyl.intersect(CylinderSet.build(
+                    mu.ctx, [make_rectangle(mu.ctx, {0: constraint_in(range(n))})]))
+                assert below(n) == old_measure_of(mu, cut), (depth, n, cyl.render())
+                checked += 1
+    assert checked >= 20
+
+
+def test_a_union_past_the_state_budget_takes_the_per_piece_route(monkeypatch):
+    """With a budget of no state the union pass refuses every overlapping
+    union; the per-piece route values it, to the same value."""
+    cases = []
+    for name in ("k2_s2_overrides", "substochastic_s2_k2", "geometric_nat_k2"):
+        mu = UNION_MEASURES[name](2)
+        cases += [(mu, cyl, old_measure_of(mu, cyl)) for cyl in overlapping_unions(mu, name)]
+    calls = []
+    disjoin = CylinderSet.disjoint_rectangles
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return disjoin(self, *args, **kwargs)
+
+    monkeypatch.setattr(measure_module, "DEFAULT_RECTANGLE_BUDGET", 0)
+    monkeypatch.setattr(CylinderSet, "disjoint_rectangles", spy)
+    for mu, cyl, expected in cases:
+        calls.clear()
+        assert mu.measure_of(cyl) == expected, cyl.render()
+        assert calls == [cyl]
