@@ -9,13 +9,16 @@ marginals and masses stay exact.
 
 A table event selects its entries by bitmask operations on an entry index
 (`DenseTableForm`) and is never disjoined.  A product or chain value never
-visits the whole ball and builds one Fraction per union.  A union whose
-rectangles overlap is one pass over its letters, with no disjoining
-(`VolumeMeasure._union_pass`); a union that is disjoint as it stands, or
-that the pass refuses, adds its disjoint rectangles' values in ints.  The
-product form multiplies, in ints,
-over the constrained sites and the overrides, and raises the default row
-sum to the number of remaining sites.  The chain forms make one bottom-up
+visits the whole ball and builds one Fraction per union, by one route
+(`VolumeMeasure._route`): a union that is disjoint as it stands (one
+rectangle, or singletons on one site tuple) adds its rectangles' values in
+ints, and any other is one pass over its letters with no disjoining
+(`VolumeMeasure._union_pass`).  The pass has one refusal rule: more states
+or join pairs than the rectangle budget (`_charge`), or a power past the
+bit limit, and the union is valued piece by piece over its disjoint
+rectangles instead.  The product form multiplies, in ints, over the
+constrained sites and the overrides, and raises the default row sum to the
+number of remaining sites.  The chain forms make one bottom-up
 sum-product pass over the rectangle's skeleton of kept vertices.  When k = 1
 or the kernel is stochastic, those are only the root, the constrained sites
 and their branch points (at most 2c nodes for c sites): the sites in
@@ -49,8 +52,7 @@ grows with the number of values in a range either, and the union pass
 splits a site's spins into letters at the run ends alone.  A chain union is
 valued once, through `VolumeMeasure.root_slice_sums`, whose function of n
 gives the partial sums mu(E & {x0 < n}) of a root-slice cover sum and, at
-n = None, mu(E) itself; `measure_of` and those cover sums share the union
-pass's parts.
+n = None, mu(E) itself; `measure_of` and those cover sums share its parts.
 
 Values are Fraction or the float infinity for a diverging mass.
 """
@@ -58,7 +60,6 @@ Values are Fraction or the float infinity for a diverging mass.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import itertools
 import math
@@ -109,6 +110,13 @@ def _check_power(largest: int, e: int) -> None:
             f"a power of about {render_value(bits)} bits exceeds the limit of "
             f"{_POWER_BITS_LIMIT} bits"
         )
+
+
+def _charge(count: int) -> None:
+    """The union pass's refusal rule: `count` states held, or join pairs
+    about to be visited, past the rectangle budget, read at call time."""
+    if count > DEFAULT_RECTANGLE_BUDGET:
+        raise BudgetError("rectangle budget exceeded while valuing a union")
 
 
 # The value algebra tests for infinity by type: INFINITE is the only float a
@@ -746,14 +754,9 @@ class VolumeMeasure:
         A table form sums the entries its index selects inside the union
         (`DenseTableForm`): per rectangle, its sites times its allowed
         spins, then one pass over the selected entries, and no disjoining,
-        so the rectangle budget does not apply.  A product union whose
-        rectangles overlap is one union pass (`_union_pass`), with no
-        disjoining.  One that is disjoint as it stands (one rectangle, or
-        singletons on one site tuple), or that the pass refuses, sums the
-        values of its disjoint rectangles in ints, each an int pair
-        (`_product_ints`) added by `_sum_pairs`.  Either way the union
-        builds one Fraction.  A chain union is valued once, through
-        `root_slice_sums` uncut."""
+        so the rectangle budget does not apply.  A product union takes the
+        one route (`_route`) to an int pair and builds one Fraction.  A
+        chain union is valued once, through `root_slice_sums` uncut."""
         if cyl.ctx != self.ctx:
             raise ContextMismatchError("cylinder built over a different context")
         if cyl.base_depth > self.depth:
@@ -764,15 +767,7 @@ class VolumeMeasure:
         if isinstance(form, DenseTableForm):
             return form.value(cyl)
         if isinstance(form, ProductForm):
-            pair = None
-            if not cyl._already_disjoint():
-                with contextlib.suppress(BudgetError):  # the route below answers
-                    pair = self._union_pass(cyl)
-            if pair is None:
-                ball = self._ball()
-                pair = _sum_pairs(self._product_ints(rect.as_dict(), 0, ball)
-                                  for rect in cyl.disjoint_rectangles())
-            num, den = pair
+            num, den = self._route(cyl)
             return num if type(num) is float else Fraction(num, den)
         return self.root_slice_sums(cyl)(None)
 
@@ -835,9 +830,7 @@ class VolumeMeasure:
     # naturals, the values at the spins 0..w-1 and then the one value shared
     # by every spin from w = kernel.uniform_from on, where the kernel's rows
     # stop changing.  The kernel steps with its integer matrix M over D
-    # (`_scaled`), so a node costs O(s^2) int multiplications and no gcd;
-    # the root step leaves an int pair, `measure_of` builds one Fraction per
-    # union, and cached free factors are reduced once.
+    # (`_scaled`), so a node costs O(s^2) int multiplications and no gcd.
     #
     # An unconstrained vertex other than the root with one skeleton child
     # maps its child's factor through P * diag(F_h ** (k-1)), F_h the free
@@ -928,6 +921,18 @@ class VolumeMeasure:
                     )
         return cache[height]
 
+    def _free_fold(self, v: int, lvl: int, kept: int) -> tuple | None:
+        """`_free_factor` to the power of the free child subtrees of kept
+        vertex v at level lvl, `kept` of whose children have a kept vertex
+        below; None at the last level or when every child is kept.  Callers
+        skip it under a stochastic kernel, where a free subtree weighs 1."""
+        height, k = self.depth - lvl, self.ctx.tree.order
+        nfree = (k + 1 if v == 0 else k) - kept
+        if not nfree or height == 0:
+            return None
+        free = self._free_factor(height)
+        return free if nfree == 1 else _power(free, nfree)
+
     def _selection(self, constraint: SiteConstraint | None, w: int):
         """The spins a constraint allows, split for `_weighted_ints` and
         `_step` (`_split`): the allowed spins below w, one by one, and
@@ -985,25 +990,31 @@ class VolumeMeasure:
             den *= scale
         return out, den * d
 
+    def _hand_up(self, sel, g: tuple, run: int) -> tuple:
+        """The factor a kept vertex with g hands its kept parent, `run`
+        pass-through vertices up: `_step` over its selection, then the kernel
+        to the run; with sel None (every spin) the kernel to run + 1."""
+        kernel = self.form.kernel
+        if sel is None:
+            return kernel.apply_power(g, run + 1)
+        vec = self._step(sel, g)
+        return kernel.apply_power(vec, run) if run else vec
+
     def _root_factor(self, rect: Rectangle, skeletons: dict) -> tuple:
         """(g, den) with the rectangle's value = the sum of lam(q) * g(q)
         over the root spins q its root constraint allows, divided by den: one
-        pass over the skeleton below the root.  `root_slice_sums` takes it
-        for each rectangle of a union that is disjoint as it stands, and for
-        each disjoint piece of one the union pass refuses.  The sites, k and
+        pass over the skeleton below the root (`_free_fold`, `_hand_up`),
+        for each disjoint piece on the per-piece route.  The sites, k and
         the kernel's kind fix the skeleton, so it is kept on the rectangle,
         and rectangles with the same sites share it through `skeletons`, a
         dict by site tuple that the caller keeps for one union."""
-        k = self.ctx.tree.order
-        constraints = rect.as_dict()
-        kernel = self.form.kernel
-        # a free subtree weighs 1 under a stochastic kernel, so none is built
-        stochastic = kernel.is_stochastic()
+        k, constraints, kernel = self.ctx.tree.order, rect.as_dict(), self.form.kernel
+        w, stochastic = kernel.uniform_from, kernel.is_stochastic()
         memo = getattr(rect, "_skeleton", None)
         if memo is None or memo[0] != (k, stochastic):
             sites = rect.sites()
             if sites not in skeletons:
-                skeletons[sites] = self._skeleton(rect)
+                skeletons[sites] = self._skeleton(sites)
             memo = (k, stochastic), skeletons[sites]
             object.__setattr__(rect, "_skeleton", memo)
         # pending[v]: the factors v's kept children hand it, each a function
@@ -1011,51 +1022,31 @@ class VolumeMeasure:
         pending: dict[int, list] = {}
         for v, lvl, up, run in memo[1]:
             fns = pending.pop(v, [])
-            height = self.depth - lvl
-            nfree = 0 if height == 0 or stochastic else (k + 1 if v == 0 else k) - len(fns)
-            if nfree:
-                free = self._free_factor(height)
-                fns.append(free if nfree == 1 else _power(free, nfree))
+            free = None if stochastic else self._free_fold(v, lvl, len(fns))
+            if free:
+                fns.append(free)
             g = _product(fns) if fns else self._unit()
             if up is None:
                 return g
-            # an unconstrained vertex's step is one more kernel power
             c = constraints.get(v)
-            if c is None:
-                vec, run = g, run + 1
-            else:
-                vec = self._step(self._selection(c, kernel.uniform_from), g)
-            pending.setdefault(up, []).append(kernel.apply_power(vec, run) if run else vec)
+            pending.setdefault(up, []).append(
+                self._hand_up(None if c is None else self._selection(c, w), g, run))
 
     def root_slice_sums(self, cyl: CylinderSet):
         """For a chain form, the function n -> value of cyl & {x0 < n},
         and at n = None the uncut value of cyl, which `measure_of` returns.
 
         The union's parts, each a selection of root spins and a root
-        factor (g, den), come from one union pass (`_union_pass`) over the
-        skeleton of all its sites.  A union that is disjoint as it stands
-        (one rectangle, or singletons on one site tuple), or that the pass
-        refuses, takes one `_root_factor` per disjoint rectangle instead,
-        those that share a site tuple sharing one skeleton.  Each call then
-        costs, per part, the root step of `_weighted_ints` over its root
-        spins cut at n: the spins below w = kernel.uniform_from one by one
-        and one `NatSeq._run_sum` of the root weights over the runs from w
-        on.  The parts' pairs are added in ints by `_sum_pairs` and divided
-        once, by one `_divided`.
+        factor (g, den), come once from the one route (`_route`).  Each
+        call then costs, per part, the root step of `_weighted_ints` over
+        its root spins cut at n: the spins below w = kernel.uniform_from one
+        by one and one `NatSeq._run_sum` of the root weights over the runs
+        from w on.  The parts' pairs are added in ints by `_sum_pairs` and
+        divided once, by one `_divided`.
         """
         lam, kernel = self.form.lam, self.form.kernel
-        w = kernel.uniform_from
         base = math.lcm(lam._base, kernel._base)
-        parts = None
-        if not cyl._already_disjoint():
-            with contextlib.suppress(BudgetError):  # the route below answers
-                parts = self._union_pass(cyl)
-        if parts is None:
-            skeletons: dict = {}
-            parts = [
-                (self._selection(rect.constraint_at(0), w), self._root_factor(rect, skeletons))
-                for rect in cyl.disjoint_rectangles()
-            ]
+        parts = self._route(cyl)
 
         def below(n: int | None):
             pairs = (
@@ -1069,11 +1060,28 @@ class VolumeMeasure:
 
         return below
 
+    def _route(self, cyl: CylinderSet):
+        """A product union's value as an int pair (num, den), or a chain
+        union's root parts for `root_slice_sums`, by the one route of the
+        module docstring; per piece, by `_product_ints` or `_root_factor`."""
+        if not cyl._already_disjoint():
+            try:
+                return self._union_pass(cyl)
+            except BudgetError:
+                pass  # the per-piece route answers
+        pieces = cyl.disjoint_rectangles()
+        if isinstance(self.form, ProductForm):
+            ball = self._ball()
+            return _sum_pairs(self._product_ints(rect.as_dict(), 0, ball) for rect in pieces)
+        w, skeletons = self.form.kernel.uniform_from, {}
+        return [(self._selection(rect.constraint_at(0), w), self._root_factor(rect, skeletons))
+                for rect in pieces]
+
     def _union_pass(self, cyl: CylinderSet):
         """The value of a product union as an int pair (num, den), or the
-        root parts of a chain union for `root_slice_sums`, with no
-        disjoining: a weighted model count over the union's sites (Chavira
-        and Darwiche, Artificial Intelligence 172, 2008).
+        root parts of a chain union, with no disjoining: a weighted model
+        count over the union's sites (Chavira and Darwiche, Artificial
+        Intelligence 172, 2008).
 
         Bit i of a mask stands for rectangle i.  At each site of the union
         the spins split into letters, the maximal sets of runs that the same
@@ -1084,10 +1092,9 @@ class VolumeMeasure:
         "mask of the rectangles still satisfiable -> int factor".  A mask
         that keeps a rectangle past the last of its sites folds into one
         satisfied state (key None), so rectangles on disjoint sites keep
-        O(R) states, not 2 ** R, and a mask of none is dropped.  More
-        states than the rectangle budget raise `BudgetError`, and so does
-        any power guard; the callers then take the per-piece route, which
-        answers as it always did.
+        O(R) states, not 2 ** R, and a mask of none is dropped.  `_charge`
+        counts the states held at each site or kept vertex and, before a
+        chain's join, the pairs it visits.
 
         A product runs over the union's sites and overrides in site order.
         Each letter weighs its `NatSeq._run_sum`, over one lcm denominator
@@ -1097,16 +1104,16 @@ class VolumeMeasure:
         union exceeds.
 
         A chain runs bottom-up over the one `_skeleton` of the union's
-        sites; a rectangle is satisfied at the meet of its sites.  A
-        vertex steps each mask once per group of its letters that leave the
-        same mask (`_step`, then the run's kernel power), and a satisfied
-        mask, or one at an unconstrained vertex, by one more kernel power.
+        sites; a rectangle is satisfied at the meet of its sites.  A vertex
+        folds its free subtrees (`_free_fold`) and hands each mask up
+        (`_hand_up`) once per group of its letters that leave the same
+        mask, all of them for a satisfied mask or an unconstrained vertex.
         Children's maps combine by AND of masks, the satisfied state
-        absorbing.  Dropping a mask of none loses nothing here either: it
-        needs a site of every rectangle below it, so no rectangle lies
-        wholly below a sibling, to be satisfied there.  At the root the
-        masks, grouped by the root letters they keep, become the parts
-        (selection, (g, den))."""
+        absorbing.  Dropping a mask of none loses
+        nothing here either: it needs a site of every rectangle below it,
+        so no rectangle lies wholly below a sibling, to be satisfied there.
+        At the root the masks, grouped by the root letters they keep,
+        become the parts (selection, (g, den))."""
         rects, spins, form = cyl.rectangles, self.ctx.spins, self.form
         every = (1 << len(rects)) - 1
         allowed: dict = {}
@@ -1157,15 +1164,13 @@ class VolumeMeasure:
                         if a & mask:
                             key = None if a & mask & done else a & mask
                             out[key] = value_add(out.get(key, 0), _mul(x, n))
-                if len(out) > DEFAULT_RECTANGLE_BUDGET:
-                    raise BudgetError("rectangle budget exceeded while valuing a union")
+                _charge(len(out))
                 states, den = out, den * d
             least = min(len(overrides.union(rect.sites())) for rect in rects)
             return self._times_free(states.get(None, 0), den, ball - len(sites), ball - least)
 
-        tree, kernel = self.ctx.tree, form.kernel
-        k, w = tree.order, kernel.uniform_from
-        stochastic = kernel.is_stochastic()
+        tree, w = self.ctx.tree, form.kernel.uniform_from
+        stochastic = form.kernel.is_stochastic()
         top: dict = {}  # vertex -> the rectangles whose sites meet there
         for i, rect in enumerate(rects):
             v = functools.reduce(tree.meet, rect.sites())
@@ -1187,10 +1192,10 @@ class VolumeMeasure:
         pending: dict = {}
         for v, lvl, up, run in self._skeleton(sites):
             maps = pending.pop(v, [])
-            height = self.depth - lvl
-            nfree = 0 if height == 0 or stochastic else (k + 1 if v == 0 else k) - len(maps)
+            free = None if stochastic else self._free_fold(v, lvl, len(maps))
             states = maps.pop() if maps else {every: self._unit()}
             for other in maps:
+                _charge(len(states) * len(other))
                 joined: dict = {}
                 for a, g in states.items():
                     for b, h in other.items():
@@ -1198,9 +1203,8 @@ class VolumeMeasure:
                         if key != 0:
                             gather(joined, key, _product([g, h]))
                 states = joined
-            if nfree:
-                free = self._free_factor(height)
-                free = free if nfree == 1 else _power(free, nfree)
+            _charge(len(states))
+            if free:
                 states = {a: _product([g, free]) for a, g in states.items()}
             if up is None:
                 break
@@ -1216,14 +1220,9 @@ class VolumeMeasure:
                 for b, chosen in groups.items():
                     if b and b & done:
                         b = None
-                    if chosen is None or len(chosen) == len(here):
-                        vec = kernel.apply_power(g, run + 1)
-                    else:
-                        vec = self._step(pick(v, tuple(chosen)), g)
-                        vec = kernel.apply_power(vec, run) if run else vec
-                    gather(out, b, vec)
-            if len(out) > DEFAULT_RECTANGLE_BUDGET:
-                raise BudgetError("rectangle budget exceeded while valuing a union")
+                    every_spin = chosen is None or len(chosen) == len(here)
+                    gather(out, b, self._hand_up(None if every_spin else pick(v, tuple(chosen)),
+                                                 g, run))
             pending.setdefault(up, []).append(out)
         parts: dict = {}
         for a, g in states.items():

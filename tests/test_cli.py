@@ -834,9 +834,10 @@ SPEC_FILES = sorted(
     for folder in (os.path.join(os.path.dirname(DATA), os.pardir, "samples"), DATA)
     for name in os.listdir(folder) if name.endswith(".spec")
 )
-# 10**10 is not among the numbers: such a wide spin set or range is still
-# materialized value by value (ROADMAP item 2), and a product or chain over
-# 10**10 children still raises an exact power that large (item 3)
+# 10**10 is not among the numbers: a wide range is no longer materialized
+# value by value, but the text of such a spin set or range still lists every
+# value (ROADMAP item 2), and a product or chain over 10**10 children still
+# raises an exact power that large (item 3)
 FUZZ_NUMBERS = ["0", "1", "2", "1/2", "3/2", "1000"]
 DOC_TOKEN_RE = re.compile(r"\s+|[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_@-]*|\S")
 

@@ -748,3 +748,80 @@ def test_a_union_past_the_state_budget_takes_the_per_piece_route(monkeypatch):
         calls.clear()
         assert mu.measure_of(cyl) == expected, cyl.render()
         assert calls == [cyl]
+
+
+@pytest.mark.parametrize("name", NAT_CHAINS)
+def test_root_slice_sums_past_the_state_budget_take_the_per_piece_route(name, monkeypatch):
+    """With a budget of no state, `root_slice_sums` of an overlapping union
+    disjoins it once and gives, at n in 0, 1, 2, 5 and uncut, the per-piece
+    fold of the union cut at the root."""
+    calls = []
+    disjoin = CylinderSet.disjoint_rectangles
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return disjoin(self, *args, **kwargs)
+
+    monkeypatch.setattr(measure_module, "DEFAULT_RECTANGLE_BUDGET", 0)
+    monkeypatch.setattr(CylinderSet, "disjoint_rectangles", spy)
+    checked = 0
+    for depth in range(3):
+        mu = UNION_MEASURES[name](depth)
+        for cyl in overlapping_unions(mu, f"{name}@{depth}"):
+            calls.clear()
+            below = mu.root_slice_sums(cyl)
+            assert calls == [cyl], cyl.render()
+            for n in (0, 1, 2, 5, None):
+                cut = cyl if n is None else cyl.intersect(CylinderSet.build(
+                    mu.ctx, [make_rectangle(mu.ctx, {0: constraint_in(range(n))})]))
+                assert below(n) == old_measure_of(mu, cut), (depth, n, cyl.render())
+                checked += 1
+    assert checked >= 20
+
+
+def straddling_pairs(n_pairs):
+    """The depth-6 measure of `samples/chain_k2.spec` and the union over
+    i < n_pairs of x(63+i)=0 & x(95+i)=0: each rectangle has a level-6 site
+    on either side of the root, so it stays open on both sides up to the
+    root, and the maps the root joins hold up to 2 ** n_pairs masks each."""
+    with open(os.path.join(DATA, "..", "..", "samples", "chain_k2.spec"), encoding="utf-8") as fh:
+        mu = load_spec(fh.read()).family.measure(6)
+    ctx = mu.ctx
+    return mu, CylinderSet.build(ctx, [make_rectangle(ctx, {63 + i: constraint_in([0]),
+                                                            95 + i: constraint_in([0])})
+                                       for i in range(n_pairs)])
+
+
+def test_twelve_straddling_pairs_match_the_fold_without_the_full_join():
+    """The root's join would visit 2 ** 24 pairs; it is refused, and the
+    per-piece route values the union, to the fold's value."""
+    mu, cyl = straddling_pairs(12)
+    start = time.perf_counter()
+    value = mu.measure_of(cyl)
+    assert time.perf_counter() - start < 10
+    assert value == old_measure_of(mu, cyl)
+
+
+def test_a_join_past_the_budget_is_refused_before_its_products(monkeypatch):
+    """Under a budget of 3, each site's map holds 2 states and the first
+    join would visit 4 pairs: the pass refuses before any join product, and
+    the per-piece route gives the fold's value."""
+    mu, cyl = straddling_pairs(4)
+    expected = old_measure_of(mu, cyl)
+    products, at_disjoin = [], []
+    product, disjoin = measure_module._product, CylinderSet.disjoint_rectangles
+
+    def product_spy(vecs):
+        products.append(len(vecs))
+        return product(vecs)
+
+    def disjoin_spy(self, *args, **kwargs):
+        at_disjoin.append(len(products))
+        return disjoin(self, *args, **kwargs)
+
+    monkeypatch.setattr(measure_module, "DEFAULT_RECTANGLE_BUDGET", 3)
+    monkeypatch.setattr(measure_module, "_product", product_spy)
+    monkeypatch.setattr(CylinderSet, "disjoint_rectangles", disjoin_spy)
+    assert mu.measure_of(cyl) == expected
+    assert at_disjoin == [0]
+    assert products
