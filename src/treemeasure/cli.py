@@ -6,6 +6,10 @@ deterministic JSON object naming the command to stdout, the summary to stderr
 unless --json is given.  It maps results and library errors alike to the exit
 codes: 0 computed or PASS, 1 verified violation, 2 usage or parse problem,
 3 inconclusive within the configured budgets.
+
+A command imports the spec language when it reads its spec, and the
+sigma-finite layer only when it sums over a cover or the spec has [covers];
+`import treemeasure.cli` loads neither.
 """
 
 from __future__ import annotations
@@ -34,16 +38,6 @@ from .errors import (
 )
 from .extension import ExtensionHandle, continuity_probe
 from .measure import check_consistency, render_value
-from .sigma_finite import (
-    DEFAULT_DIVERGENCE_BOUND,
-    DEFAULT_TERM_BUDGET,
-    DEFAULT_TOLERANCE,
-    SigmaValue,
-    cover_independence,
-    cover_sum_check,
-    sigma_extension,
-)
-from .specdsl import compile_event, load_spec
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -138,11 +132,12 @@ def _add_event_list_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=_fraction_arg, default=DEFAULT_TOLERANCE,
+    # None stands for sigma_finite's default, which `_sigma_options` reads
+    p.add_argument("--tolerance", type=_fraction_arg, default=None,
                    help="tail bound below which a sum is reported as bounded")
-    p.add_argument("--term-budget", type=int, default=DEFAULT_TERM_BUDGET,
+    p.add_argument("--term-budget", type=int, default=None,
                    help="maximum number of cover terms to sum")
-    p.add_argument("--bound", type=_fraction_arg, default=DEFAULT_DIVERGENCE_BOUND,
+    p.add_argument("--bound", type=_fraction_arg, default=None,
                    help="partial sums beyond this certify divergence")
 
 
@@ -151,10 +146,18 @@ def _add_sigma_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _sigma_options(args) -> dict:
-    return {"tolerance": args.tolerance, "term_budget": args.term_budget, "bound": args.bound}
+    from .sigma_finite import DEFAULT_DIVERGENCE_BOUND, DEFAULT_TERM_BUDGET, DEFAULT_TOLERANCE
+
+    return {
+        "tolerance": DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance,
+        "term_budget": DEFAULT_TERM_BUDGET if args.term_budget is None else args.term_budget,
+        "bound": DEFAULT_DIVERGENCE_BOUND if args.bound is None else args.bound,
+    }
 
 
 def _load(args):
+    from .specdsl import load_spec
+
     with open(args.spec, encoding="utf-8") as fh:
         return load_spec(fh.read())
 
@@ -181,6 +184,8 @@ def _exit_code(violation: bool, inconclusive: bool) -> int:
 
 
 def _events_from_args(args, built):
+    from .specdsl import compile_event
+
     if args.event:
         return [compile_event(built.ctx, text) for text in args.event]
     rng = random.Random(args.seed)
@@ -244,6 +249,8 @@ def cmd_validate(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_eval(args) -> tuple[dict, list[str], int]:
+    from .specdsl import compile_event
+
     built = _load(args)
     event = compile_event(built.ctx, args.event)
     depth = args.depth if args.depth is not None else event.base_depth
@@ -296,6 +303,8 @@ def cmd_consistency(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_probe_empty(args) -> tuple[dict, list[str], int]:
+    from .specdsl import compile_event
+
     built = _load(args)
     ctx = built.ctx
     handle = _handle(built)
@@ -332,6 +341,9 @@ def cmd_probe_empty(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_sigma_eval(args) -> tuple[dict, list[str], int]:
+    from .sigma_finite import sigma_extension
+    from .specdsl import compile_event
+
     built = _load(args)
     cover = _cover_of(built, args.cover)
     event = compile_event(built.ctx, args.event)
@@ -347,6 +359,8 @@ def cmd_sigma_eval(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_covers_compare(args) -> tuple[dict, list[str], int]:
+    from .sigma_finite import cover_independence
+
     if len(args.cover) != 2:
         raise SpecError("give --cover exactly twice")
     built = _load(args)
@@ -379,6 +393,8 @@ def cmd_covers_compare(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_cover_sum(args) -> tuple[dict, list[str], int]:
+    from .sigma_finite import cover_sum_check
+
     built = _load(args)
     cover = _cover_of(built, args.cover)
     handle = _handle(built)

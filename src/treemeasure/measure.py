@@ -60,7 +60,6 @@ Values are Fraction or the float infinity for a diverging mass.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import random
@@ -1169,13 +1168,21 @@ class VolumeMeasure:
             least = min(len(overrides.union(rect.sites())) for rect in rects)
             return self._times_free(states.get(None, 0), den, ball - len(sites), ball - least)
 
-        tree, w = self.ctx.tree, form.kernel.uniform_from
-        stochastic = form.kernel.is_stochastic()
+        w, stochastic = form.kernel.uniform_from, form.kernel.is_stochastic()
+        sites = tuple(sorted(letters))
+        skeleton = self._skeleton(sites)
+        # the skeleton keeps the meet of any two of its vertices, so climbing
+        # kept-parent links from two sites, the deeper first, stops there
+        links = {v: (lvl, up) for v, lvl, up, _ in skeleton}
         top: dict = {}  # vertex -> the rectangles whose sites meet there
         for i, rect in enumerate(rects):
-            v = functools.reduce(tree.meet, rect.sites())
+            *rest, v = rect.sites()
+            for u in rest:
+                while u != v:
+                    if links[u][0] < links[v][0]:
+                        u, v = v, u
+                    u = links[u][1]
             top[v] = top.get(v, 0) | 1 << i
-        sites = tuple(sorted(letters))
         letters.setdefault(0, whole)
         picks: dict = {}
 
@@ -1190,7 +1197,7 @@ class VolumeMeasure:
             out[key] = _added(out[key], vec) if key in out else vec
 
         pending: dict = {}
-        for v, lvl, up, run in self._skeleton(sites):
+        for v, lvl, up, run in skeleton:
             maps = pending.pop(v, [])
             free = None if stochastic else self._free_fold(v, lvl, len(maps))
             states = maps.pop() if maps else {every: self._unit()}

@@ -42,7 +42,6 @@ from .measure import (
     render_value,
     table_family,
 )
-from .sigma_finite import Cover, finite_cover, slice_cover
 from .tree import DEFAULT_MAX_DEPTH, TreeGeometry
 
 # '(' and '!' an event may hold open at once; deeper text is a syntax error,
@@ -850,6 +849,9 @@ class BuiltSpec:
 
 
 def _build_cover(ctx: Context, name: str, spec) -> Cover:
+    # the sigma-finite layer loads only for a spec with [covers]
+    from .sigma_finite import finite_cover, slice_cover
+
     if isinstance(spec, SliceCoverSpec):
         return slice_cover(ctx, spec.site, spec.block, label=name)
     return finite_cover([lower_event(ctx, e) for e in spec.events], label=name)

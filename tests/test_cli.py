@@ -491,6 +491,50 @@ def test_module_entrypoint_subprocess():
     assert proc.stderr == ""
 
 
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(DATA)), "samples")
+
+# a fresh interpreter: the spec language loads at the first command's spec,
+# the sigma-finite layer only for a spec with [covers]
+LAZY_PROBE = """
+import contextlib, io, json, sys
+import treemeasure, treemeasure.cli
+
+def loaded():
+    return [m for m in ("specdsl", "sigma_finite") if "treemeasure." + m in sys.modules]
+
+seen = [loaded()]
+for argv in (["eval", "--spec", sys.argv[1], "--event", "x0=0 & x1=0", "--depth", "2"],
+             ["validate", "--spec", sys.argv[2]]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert treemeasure.cli.main(argv) == 0
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_the_cli_loads_the_spec_language_and_the_cover_layer_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, os.path.join(SAMPLES, "chain_k2.spec"),
+         os.path.join(SAMPLES, "counting_nat.spec")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], ["specdsl"], ["specdsl", "sigma_finite"]]
+
+
+@pytest.mark.parametrize("event", ["x0 in {0..3}", "x1=0"])
+def test_sigma_flags_default_to_the_library_constants(capsys, event):
+    # x1=0 sums past the divergence bound of 1000
+    argv = ["sigma-eval", "--spec", os.path.join(SAMPLES, "counting_nat.spec"),
+            "--cover", "root", "--event", event, "--json"]
+    code = main(argv)
+    bare = capsys.readouterr()
+    assert main(argv + ["--tolerance", "1/1099511627776", "--term-budget", "1000000",
+                        "--bound", "1000"]) == code
+    assert capsys.readouterr() == bare
+    assert bare.err == ""
+
+
 # Deep sites on a k=1 path: evaluation walks the constrained path once, with
 # constant-time index arithmetic and no recursion, so a site thousands of
 # levels out is valued exactly in well under a second.  (Per-site ancestor

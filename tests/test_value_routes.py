@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -83,11 +84,12 @@ def old_product_value(mu, constraints, lo, hi):
     return value_mul(acc, value_pow(form.default.sum_all(), hi - lo - len(special)))
 
 
-def seeded_union(ctx, rng, depth, n_rects, max_sites=3):
+def seeded_union(ctx, rng, depth, n_rects, max_sites=3, pool=None):
     """A union of n_rects rectangles on the depth-`depth` ball, drawn from a
-    few sites so that they overlap."""
+    few sites so that they overlap, or from the sites of `pool`."""
     size = ctx.tree.ball_size(depth)
-    pool = rng.sample(range(size), min(size, max_sites + 1))
+    if pool is None:
+        pool = rng.sample(range(size), min(size, max_sites + 1))
     rects = []
     for _ in range(n_rects):
         mapping = {}
@@ -825,3 +827,46 @@ def test_a_join_past_the_budget_is_refused_before_its_products(monkeypatch):
     assert mu.measure_of(cyl) == expected
     assert at_disjoin == [0]
     assert products
+
+
+def sibling_union(ctx, rng, depth, n_rects):
+    """A seeded union on the children of two vertices above level `depth`:
+    its rectangles meet at a parent, or at the two parents' meet."""
+    parents = rng.sample(range(ctx.tree.ball_size(depth - 1)), 2)
+    pool = [v for p in parents for v in ctx.tree.children(p)]
+    return seeded_union(ctx, rng, depth, n_rects, pool=pool)
+
+
+def test_a_chain_pass_reads_each_rectangle_meet_off_its_skeleton(monkeypatch):
+    """The chain pass places each rectangle at the meet of its sites by
+    climbing the union skeleton's kept-parent links: `TreeGeometry.meet`
+    runs only inside `_skeleton`, at most once per union site but one, and
+    the values are the per-piece fold's on straddling and sibling unions
+    under stochastic, sub-stochastic and k = 1 chains."""
+    cases = [straddling_pairs(n) for n in (2, 3, 5)]
+    for name in ("stochastic_s3_k2", "substochastic_s2_k2", "geometric_nat_k2",
+                 "infinite_row_nat_k1", "chain_k3_finite.spec"):
+        mu = UNION_MEASURES[name](3)
+        rng = random.Random(name)
+        cases += [(mu, sibling_union(mu.ctx, rng, 3, n_rects)) for n_rects in (2, 3, 5, 8) * 3]
+        cases += [(mu, cyl) for cyl in overlapping_unions(mu, name)]
+    expected = [old_measure_of(mu, cyl) for mu, cyl in cases]
+    callers = []
+    meet = TreeGeometry.meet
+
+    def spy(self, u, v):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return meet(self, u, v)
+
+    monkeypatch.setattr(TreeGeometry, "meet", spy)
+    passed = 0
+    for (mu, cyl), value in zip(cases, expected):
+        sites = {site for rect in cyl.rectangles for site in rect.sites()}
+        if not cyl._already_disjoint():  # the pass's unions
+            callers.clear()
+            mu._union_pass(cyl)
+            assert set(callers) <= {"_skeleton"}, cyl.render()
+            assert len(callers) <= len(sites) - 1, cyl.render()
+            passed += bool(callers)
+        assert mu.measure_of(cyl) == value, cyl.render()
+    assert passed >= 20
