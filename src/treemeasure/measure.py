@@ -163,12 +163,17 @@ def value_sub(a, b):
 # range, so entries meet through `_mul` and `_dot`.
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction is returned as it is, not copied."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _scaled_rows(rows) -> tuple[tuple, int]:
     """Rows of non-negative rationals as integer rows over their least
     common denominator d: (integer rows, d).  INFINITE entries stay."""
-    d = math.lcm(*(x.denominator for row in rows for x in row if type(x) is not float))
+    d = math.lcm(*[x.denominator for row in rows for x in row if type(x) is not float])
     return tuple(
-        tuple(x if type(x) is float else x.numerator * (d // x.denominator) for x in row)
+        tuple([x if type(x) is float else x.numerator * (d // x.denominator) for x in row])
         for row in rows
     ), d
 
@@ -294,7 +299,9 @@ def _sum_pairs(pairs) -> tuple:
 @dataclass(frozen=True)
 class NatSeq:
     """Non-negative sequence on {0,1,2,...}: explicit prefix, then either a
-    constant tail or a geometric tail a*r^d (d counted from the prefix end)."""
+    constant tail or a geometric tail a*r^d (d counted from the prefix end).
+    The prefix holds ints or Fractions, whose sign is their numerator's;
+    `finite` converts other numbers."""
 
     prefix: tuple[Fraction, ...] = ()
     tail_kind: str = "const"
@@ -302,10 +309,9 @@ class NatSeq:
     tail_r: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for x in self.prefix:
-            if x < 0:
-                raise ValueError("sequence entries must be non-negative")
-        if self.tail_a < 0:
+        if any(x.numerator < 0 for x in self.prefix):
+            raise ValueError("sequence entries must be non-negative")
+        if self.tail_a.numerator < 0:
             raise ValueError("tail coefficient must be non-negative")
         if self.tail_kind not in ("const", "geometric"):
             raise ValueError(f"unknown tail kind {self.tail_kind!r}")
@@ -322,7 +328,7 @@ class NatSeq:
 
     @classmethod
     def finite(cls, values) -> "NatSeq":
-        return cls(tuple(Fraction(v) for v in values), "const", Fraction(0), Fraction(0))
+        return cls(tuple(map(_fraction, values)))
 
     def value_at(self, q: int) -> Fraction:
         if q < len(self.prefix):
@@ -333,10 +339,10 @@ class NatSeq:
         return self.tail_a * value_pow(self.tail_r, d)
 
     def sum_from(self, q0: int):
-        return self.sum_range(q0)
+        return self.sum_runs(((q0, None),))
 
     def sum_all(self):
-        return self.sum_range(0)
+        return self.sum_from(0)
 
     def sum_range(self, lo: int, hi: int | None = None):
         """Sum over lo <= q < hi (hi None: every q from lo on): `sum_runs`
@@ -362,9 +368,11 @@ class NatSeq:
         """The sum over half-open runs (lo, hi) of spins (hi None: every
         spin from lo on) as ints (num, den), num INFINITE when it diverges;
         every prime factor of den divides `_base`.  No Fraction is built.
-        The prefix adds its entries as `_head` ints; a constant tail c adds
-        c times the runs' length there; a geometric tail a * r ** d, r = p/q,
-        adds for the tail offsets e0 <= d < e1 of each run
+        The prefix adds its entries as `_head` ints, and an unbounded run
+        from inside it adds the head's last entry, the tail's sum, so a total
+        is read off the head.  Past the prefix a constant tail c adds c times
+        the runs' length; a geometric tail a * r ** d, r = p/q, adds for the
+        tail offsets e0 <= d < e1 of each run
         a * (p**e0 * q**(e1-e0) - p**e1) / (q**(e1-1) * (q-p)), or
         a * p**e0 / (q**(e0-1) * (q-p)) for an unbounded run, all over one
         shared power of q.  Before any power is built, each run in turn is
@@ -377,8 +385,8 @@ class NatSeq:
         for lo, hi in runs:
             if lo < n:
                 ints, den = self._head(n)
-                pre += sum(ints[lo:n if hi is None else min(hi, n)])
-                if hi is not None and hi <= n:
+                pre += sum(ints[lo:] if hi is None else ints[lo:min(hi, n)])
+                if hi is None or hi <= n:
                     continue
             e0, e1 = max(lo, n) - n, None if hi is None else hi - n
             one = hi == lo + 1
@@ -456,7 +464,7 @@ def as_weights(spins: SpinSet, values) -> NatSeq:
     no tail."""
     if not isinstance(values, NatSeq):
         values = NatSeq.finite(values)
-    elif spins.is_finite and (values.tail_kind != "const" or values.tail_a != 0):
+    elif spins.is_finite and (values.tail_kind != "const" or values.tail_a):
         raise SpinRangeError("tail-described weights need the denumerable spin set")
     if spins.is_finite and len(values.prefix) != spins.size:
         raise ValueError(f"need {spins.size} weights, got {len(values.prefix)}")
@@ -486,13 +494,13 @@ class TransitionKernel:
         if not spins.is_finite:
             raise SpinRangeError("matrix kernels need a finite spin set")
         s = spins.size
-        mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        mat = tuple(tuple(map(_fraction, row)) for row in rows)
         if len(mat) != s:
             raise ValueError(f"kernel matrix needs {s} rows, got {len(mat)}")
         for q, row in enumerate(mat):
             if len(row) != s:
                 raise ValueError(f"kernel row {q} needs {s} entries, got {len(row)}")
-            if any(x < 0 for x in row):
+            if any(x.numerator < 0 for x in row):
                 raise ValueError(f"kernel row {q}: entries must be non-negative")
         return cls(spins, matrix=mat)
 
@@ -527,11 +535,15 @@ class TransitionKernel:
         return self.rows[min(q, self.uniform_from)].value_at(r)
 
     def row_sum(self, q: int):
-        return self.rows[min(q, self.uniform_from)].sum_all()
+        # row q of M sums to D times row q's total (INFINITE when it diverges)
+        mat, d = self._scaled
+        total = sum(mat[min(q, self.uniform_from)])
+        return total if type(total) is float else Fraction(total, d)
 
     @cached_property
     def _stochastic(self) -> bool:
-        return all(row.sum_all() == 1 for row in self.rows)
+        mat, d = self._scaled
+        return all(sum(row) == d for row in mat)
 
     def is_stochastic(self) -> bool:
         return self._stochastic
@@ -1476,8 +1488,8 @@ def product_family(ctx: Context, weight, overrides=None, label: str = "") -> Mea
     weight = as_weights(ctx.spins, weight)
     overrides = {v: as_weights(ctx.spins, w) for v, w in (overrides or {}).items()}
     form = ProductForm(weight, overrides)
-    sums = [weight.sum_all()] + [w.sum_all() for w in overrides.values()]
-    kind = family_kind(all(x == 1 for x in sums), overrides.get(0, weight).sum_all())
+    total, totals = weight.sum_all(), {v: w.sum_all() for v, w in overrides.items()}
+    kind = family_kind(total == 1 and all(x == 1 for x in totals.values()), totals.get(0, total))
     return MeasureFamily(
         ctx, lambda n: VolumeMeasure(ctx, n, form), kind, label=label or "product"
     )
@@ -1498,12 +1510,12 @@ def table_family(ctx: Context, depth: int, table, label: str = "") -> MeasureFam
                              f"for depth {depth}")
         if not all(ctx.spins.contains(q) for q in key):
             raise SpinRangeError(f"entry {render_value(key)}: spins must lie in {ctx.spins}")
-        w = Fraction(w)
-        if w < 0:
+        w = _fraction(w)
+        if w.numerator < 0:
             raise ValueError(f"entry {render_value(key)}: weights must be non-negative")
         if w:
-            clean[key] = clean.get(key, Fraction(0)) + w
-    mass = sum(clean.values(), Fraction(0))
+            clean[key] = clean[key] + w if key in clean else w
+    mass = Fraction(*_sum_pairs((w.numerator, w.denominator) for w in clean.values()))
     return MeasureFamily(
         ctx,
         VolumeMeasure(ctx, depth, DenseTableForm(clean)).project,

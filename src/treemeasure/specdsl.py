@@ -2,15 +2,15 @@
 
 Documents are line-oriented with [section] headers and `key = value` lines;
 `_KEYS` lists each section's keys.  Events are boolean expressions over
-per-site constraints ("x0=1 & x4 in {0,2}"); their text is ASCII and nests
-at most MAX_EVENT_NESTING levels of '(' and '!'.  All numbers are integers
-or rationals p/q; decimals are rejected, as are integers past the
-interpreter's digit limit.  Parsing reports the line and mostly the column;
-a missing section or key has no position, nor do the family contents that
-the library's constructors check.  Rendering a parsed document produces a
-canonical form whose re-parse equals the original parse; `render_value`
-lifts the digit limit, so a hand-built document may render to text that the
-parser refuses.
+per-site constraints ("x0=1 & x4 in {0,2}") and the words omega and empty;
+their text is ASCII and nests at most MAX_EVENT_NESTING levels of '(' and
+'!'.  All numbers are integers or rationals p/q; decimals are rejected, as
+are integers past the interpreter's digit limit.  Parsing reports the line
+and mostly the column; a missing section or key has no position, nor do the
+family contents that the library's constructors check.  Rendering a parsed
+document produces a canonical form whose re-parse equals the original
+parse; `render_value` lifts the digit limit, so a hand-built document may
+render to text that the parser refuses.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cylinder import (
     Context,
     CylinderSet,
     SpinSet,
     SiteConstraint,
+    c_intersect,
+    c_normalize,
     c_render,
     constraint_from_runs,
     from_constraints,
@@ -53,15 +56,21 @@ _INT_RE = re.compile(r"[0-9]+")
 
 
 def _int(text: str, line: int, col: int) -> int:
-    """Decimal digits -> int: the one place spec text becomes a number.  A
-    literal the interpreter refuses to convert is a syntax error too."""
+    """Decimal digits -> int."""
     if not _INT_RE.fullmatch(text):
         raise SpecSyntaxError(f"not an integer: {text!r}", line, col)
+    return _digits_int(text, line, col)
+
+
+def _digits_int(digits: str, line: int, col: int) -> int:
+    """Text already known to be decimal digits -> int: the one place spec
+    text becomes a number.  A literal the interpreter refuses to convert is a
+    syntax error too."""
     try:
-        return int(text)
+        return int(digits)
     except ValueError:  # past sys.get_int_max_str_digits()
         raise SpecSyntaxError(
-            f"a {len(text)}-digit number is past the interpreter's limit of "
+            f"a {len(digits)}-digit number is past the interpreter's limit of "
             f"{sys.get_int_max_str_digits()} digits", line, col,
         ) from None
 
@@ -97,90 +106,77 @@ class EventOr:
     parts: tuple
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "site" | "int" | "sym" | "name" | "end"
-    text: str
-    line: int
-    col: int
-
-
-def _describe(tok: _Token) -> str:
-    return "end of input" if tok.kind == "end" else f"{tok.text!r}"
-
-
-def _unexpected(tok: _Token, *expected: str) -> SpecSyntaxError:
-    return SpecSyntaxError(
-        f"unexpected {_describe(tok)}", tok.line, tok.col, expected=expected
-    )
-
-
+# An event token is (kind, text, pos): kind "site", "int", "sym", "name" or
+# "end", pos its offset in the text.  No other kind of token has the text of a
+# symbol or a name, so the parser tells those by their text alone.  Blanks
+# before a token are skipped; no blank is `bad`, so trailing ones match nothing.
 _EVENT_TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r\n]+)"
-    r"|(?P<sym>\.\.|[&|!(){},=])"
+    r"[ \t\r\n]*(?:"
+    r"(?P<sym>\.\.|[&|!(){},=])"
     r"|(?P<site>x[0-9]+)"
     r"|(?P<decimal>[0-9]+\.(?!\.))"
     r"|(?P<int>[0-9]+)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<bad>.)",
-    re.DOTALL,
+    r"|(?P<bad>[^ \t\r\n]))"
 )
 
 
-def _tokenize_event(text: str, line_base: int, col_base: int) -> list[_Token]:
-    toks = []
-    line, line_start = line_base, 1 - col_base  # col = offset - line_start + 1
-    for m in _EVENT_TOKEN_RE.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "space":
-            if "\n" in word:
-                line += word.count("\n")
-                line_start = m.start() + word.rindex("\n") + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "decimal":
-            raise SpecSyntaxError(
-                "decimal numbers are not allowed; use integers or p/q", line, col
-            )
-        if kind == "bad":
-            raise SpecSyntaxError(f"unexpected character {word!r}", line, col)
-        toks.append(_Token(kind, word, line, col))
-    toks.append(_Token("end", "", line, len(text) - line_start + 1))
-    return toks
-
-
 class _EventParser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    def __init__(self, text: str, line_base: int, col_base: int):
+        self.text, self.line_base, self.col_base = text, line_base, col_base
+        self.toks = toks = [
+            (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+            for m in _EVENT_TOKEN_RE.finditer(text)
+        ]
+        for kind, word, pos in toks:
+            if kind == "decimal":
+                raise self.error("decimal numbers are not allowed; use integers or p/q", pos)
+            if kind == "bad":
+                raise self.error(f"unexpected character {word!r}", pos)
+        toks.append(("end", "", len(text)))
         self.pos = 0
         self.depth = 0  # '(' and '!' open on the current path
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def where(self, pos: int) -> tuple[int, int]:
+        """The line and column of offset `pos` in the text: only a line break
+        starts a line, and the first line starts at column col_base."""
+        nl = self.text.rfind("\n", 0, pos)
+        if nl < 0:
+            return self.line_base, self.col_base + pos
+        return self.line_base + self.text.count("\n", 0, pos), pos - nl
 
-    def take(self) -> _Token:
+    def error(self, message: str, pos: int, *expected: str) -> SpecSyntaxError:
+        return SpecSyntaxError(message, *self.where(pos), expected=expected)
+
+    def unexpected(self, tok: tuple, *expected: str) -> SpecSyntaxError:
+        kind, text, pos = tok
+        what = "end of input" if kind == "end" else repr(text)
+        return self.error(f"unexpected {what}", pos, *expected)
+
+    def take(self) -> tuple:
         tok = self.toks[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
-    def accept(self, text: str) -> _Token | None:
-        """Take the next token if it is the symbol `text`."""
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == text:
-            return self.take()
+    def accept(self, symbol: str) -> tuple | None:
+        """Take the next token if it is `symbol`."""
+        tok = self.toks[self.pos]
+        if tok[1] == symbol:
+            self.pos += 1
+            return tok
         return None
 
-    def expect_sym(self, text: str) -> None:
+    def expect_sym(self, symbol: str) -> None:
         tok = self.take()
-        if tok.kind != "sym" or tok.text != text:
-            raise _unexpected(tok, repr(text))
+        if tok[1] != symbol:
+            raise self.unexpected(tok, repr(symbol))
 
     def expect_int(self) -> int:
         tok = self.take()
-        if tok.kind != "int":
-            raise _unexpected(tok, "an integer")
-        return _int(tok.text, tok.line, tok.col)
+        if tok[0] != "int":
+            raise self.unexpected(tok, "an integer")
+        return _digits_int(tok[1], *self.where(tok[2]))
 
     def parse_expr(self):
         parts = [self.parse_term()]
@@ -195,17 +191,16 @@ class _EventParser:
         return parts[0] if len(parts) == 1 else EventAnd(tuple(parts))
 
     def parse_factor(self):
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text not in ("!", "("):
+        _, text, pos = self.toks[self.pos]
+        if text not in ("!", "("):
             return self.parse_atom()
         if self.depth == MAX_EVENT_NESTING:
-            raise SpecSyntaxError(
-                f"events nest at most {MAX_EVENT_NESTING} levels of '(' and '!'",
-                tok.line, tok.col,
+            raise self.error(
+                f"events nest at most {MAX_EVENT_NESTING} levels of '(' and '!'", pos
             )
-        self.take()
+        self.pos += 1
         self.depth += 1
-        if tok.text == "!":
+        if text == "!":
             inner = EventNot(self.parse_factor())
         else:
             inner = self.parse_expr()
@@ -213,19 +208,23 @@ class _EventParser:
         self.depth -= 1
         return inner
 
-    def parse_atom(self) -> EventAtom:
+    def parse_atom(self):
         tok = self.take()
-        if tok.kind != "site":
-            raise _unexpected(tok, "a site like x0", "'('", "'!'")
-        site = _int(tok.text[1:], tok.line, tok.col + 1)
+        kind, text, pos = tok
+        if text in ("omega", "empty"):
+            # the whole space and the empty set: the meet and the join of nothing
+            return EventAnd(()) if text == "omega" else EventOr(())
+        if kind != "site":
+            raise self.unexpected(tok, "a site like x0", "'('", "'!'")
+        site = _digits_int(text[1:], *self.where(pos + 1))
         op = self.take()
-        if op.kind == "sym" and op.text == "=":
+        if op[1] == "=":
             q = self.expect_int()
             mode, pairs = "in", [(q, q + 1)]
-        elif op.kind == "name" and op.text in ("in", "notin"):
-            mode, pairs = op.text, self.parse_set()
+        elif op[1] in ("in", "notin"):
+            mode, pairs = op[1], self.parse_set()
         else:
-            raise _unexpected(op, "'='", "'in'", "'notin'")
+            raise self.unexpected(op, "'='", "'in'", "'notin'")
         if len(pairs) == 1:
             values = range(*pairs[0])
         else:
@@ -249,9 +248,7 @@ class _EventParser:
             if tok:
                 hi = self.expect_int()
                 if hi < lo:
-                    raise SpecSyntaxError(
-                        f"range {lo}..{hi} runs downward", tok.line, tok.col
-                    )
+                    raise self.error(f"range {lo}..{hi} runs downward", tok[2])
                 runs.append((lo, hi + 1))
             else:
                 runs.append((lo, lo + 1))
@@ -263,13 +260,11 @@ class _EventParser:
 
 def parse_event(text: str, line_base: int = 1, col_base: int = 1):
     """Event expression text -> syntax tree."""
-    parser = _EventParser(_tokenize_event(text, line_base, col_base))
+    parser = _EventParser(text, line_base, col_base)
     ast = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise SpecSyntaxError(
-            f"unexpected trailing {_describe(tok)}", tok.line, tok.col
-        )
+    kind, text, pos = parser.toks[parser.pos]
+    if kind != "end":
+        raise parser.error(f"unexpected trailing {text!r}", pos)
     return ast
 
 
@@ -287,33 +282,54 @@ def _render_event(ast, level: int) -> str:
     if isinstance(ast, EventNot):
         return "!(" + _render_event(ast.inner, 0) + ")"
     if isinstance(ast, (EventOr, EventAnd)):
+        if not ast.parts:
+            return "omega" if isinstance(ast, EventAnd) else "empty"
         sep, bind = (" | ", 1) if isinstance(ast, EventOr) else (" & ", 2)
         text = sep.join(_render_event(p, bind) for p in ast.parts)
         return f"({text})" if level >= bind else text
     raise TypeError(f"not an event tree: {ast!r}")
 
 
+def _atom_constraint(ctx: Context, atom: EventAtom) -> SiteConstraint:
+    """The atom's constraint, its site and extreme values checked against ctx."""
+    ctx.tree.check_vertex(atom.site)
+    # a parsed atom holds its values sorted, and its constraint; a
+    # hand-built one may hold them in any order
+    c, values = atom._constraint, atom.values
+    if values:  # spins are contiguous from 0: the extremes decide
+        ctx.spins.check(values[0] if c is not None else min(values))
+        ctx.spins.check(values[-1] if c is not None else max(values))
+    return SiteConstraint(atom.mode, values) if c is None else c
+
+
 def lower_event(ctx: Context, ast) -> CylinderSet:
-    """Event tree -> cylinder set over the given context."""
+    """Event tree -> cylinder set over the given context.  A conjunction's
+    leading atoms meet in one rectangle, and each later part is intersected
+    with it in turn; a disjunction builds one union of its parts' rectangles.
+    With no parts they are omega and the empty set."""
     if isinstance(ast, EventAtom):
-        ctx.tree.check_vertex(ast.site)
-        # a parsed atom holds its values sorted, and its constraint; a
-        # hand-built one may hold them in any order
-        c, values = ast._constraint, ast.values
-        if values:  # spins are contiguous from 0: the extremes decide
-            ctx.spins.check(values[0] if c is not None else min(values))
-            ctx.spins.check(values[-1] if c is not None else max(values))
-        if c is None:
-            c = SiteConstraint(ast.mode, values)
-        return from_constraints(ctx, {ast.site: c})
+        return from_constraints(ctx, {ast.site: _atom_constraint(ctx, ast)})
     if isinstance(ast, EventNot):
         return lower_event(ctx, ast.inner).complement()
-    if isinstance(ast, (EventAnd, EventOr)):
-        out = lower_event(ctx, ast.parts[0])
-        for p in ast.parts[1:]:
-            part = lower_event(ctx, p)
-            out = out.intersect(part) if isinstance(ast, EventAnd) else out.union(part)
+    if isinstance(ast, EventAnd):
+        parts = ast.parts
+        n = 0
+        while n < len(parts) and isinstance(parts[n], EventAtom):
+            n += 1
+        sites: dict = {}  # site -> normalized constraint; None allows every spin
+        for p in parts[:n]:
+            c = c_normalize(_atom_constraint(ctx, p), ctx.spins)
+            if c is not None:
+                prior = sites.get(p.site)
+                sites[p.site] = c if prior is None else c_intersect(prior, c)
+        out = from_constraints(ctx, sites) if n or not parts else lower_event(ctx, parts[0])
+        for p in parts[max(n, 1):]:
+            out = out.intersect(lower_event(ctx, p))
         return out
+    if isinstance(ast, EventOr):
+        return CylinderSet.build(
+            ctx, [r for p in ast.parts for r in lower_event(ctx, p).rectangles]
+        )
     raise TypeError(f"not an event tree: {ast!r}")
 
 
@@ -338,63 +354,66 @@ class WeightSpec:
     tail: tuple | None = None
 
 
-_RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+# One word of a value.  A rational word, p or p/q with an optional '-', fills
+# the groups sign, numerator and denominator; any other word fills none.
+_WORD_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?(?!\S)|\S+")
 _DECIMAL_RE = re.compile(r"-?[0-9]+\.[0-9]+")
 
 
-def _parse_rational(word: str, line: int, col: int) -> Fraction:
-    m = _RATIONAL_RE.fullmatch(word)
-    if m:
-        num = _int(m[2], line, col + m.start(2))
-        den = 1 if m[3] is None else _int(m[3], line, col + m.start(3))
-        if not den:
-            raise SpecSyntaxError("zero denominator", line, col)
-        return Fraction(-num if m[1] else num, den)
-    if _DECIMAL_RE.fullmatch(word):
-        raise SpecSyntaxError(
-            "decimal numbers are not allowed; use integers or p/q", line, col
-        )
-    raise SpecSyntaxError(f"not a rational: {word!r}", line, col)
+def _words(text: str, lo: int = 0, hi: int | None = None) -> list[re.Match]:
+    """The words of text[lo:hi] as `_WORD_RE` matches, placed in `text`."""
+    return list(_WORD_RE.finditer(text, lo, len(text) if hi is None else hi))
 
 
-def _split_words(text: str, col0: int) -> list[tuple[str, int]]:
-    return [(m.group(), col0 + m.start()) for m in re.finditer(r"\S+", text)]
+def _rational(word: re.Match, line: int, col0: int) -> Fraction:
+    """A word of `_words` as a Fraction; col0 is the column of the text's
+    first character."""
+    sign, num, den = word.groups()
+    col = col0 + word.start()
+    if num is None:
+        if _DECIMAL_RE.fullmatch(word.group()):
+            raise SpecSyntaxError(
+                "decimal numbers are not allowed; use integers or p/q", line, col
+            )
+        raise SpecSyntaxError(f"not a rational: {word.group()!r}", line, col)
+    num = _digits_int(num, line, col + len(sign))
+    den = 1 if den is None else _digits_int(den, line, col0 + word.start(3))
+    if not den:
+        raise SpecSyntaxError("zero denominator", line, col)
+    return Fraction(-num if sign else num, den)
 
 
-def _parse_weight_spec(words: list[tuple[str, int]], line: int) -> WeightSpec:
+def _parse_weight_spec(words: list[re.Match], line: int, col0: int) -> WeightSpec:
     if not words:
         raise SpecSyntaxError("empty weight list", line)
-    head, head_col = words[0]
+    head, head_col = words[0].group(), col0 + words[0].start()
     if head == "const":
         if len(words) != 2:
             raise SpecSyntaxError("const takes exactly one rational", line, head_col)
-        return WeightSpec((), ("const", _parse_rational(words[1][0], line, words[1][1])))
+        return WeightSpec((), ("const", _rational(words[1], line, col0)))
     if head == "geometric":
         if len(words) != 3:
             raise SpecSyntaxError(
                 "geometric takes a coefficient and a ratio", line, head_col
             )
-        a = _parse_rational(words[1][0], line, words[1][1])
-        r = _parse_rational(words[2][0], line, words[2][1])
+        a = _rational(words[1], line, col0)
+        r = _rational(words[2], line, col0)
         return WeightSpec((), ("geometric", a, r))
     if head == "prefix":
-        split = next((i for i, (w, _) in enumerate(words) if w == "then"), None)
+        split = next((i for i, w in enumerate(words) if w.group() == "then"), None)
         if split is None:
             raise SpecSyntaxError("prefix form needs 'then <tail>'", line, head_col)
         if split == 1:
             raise SpecSyntaxError("prefix form needs at least one value", line, head_col)
-        values = tuple(
-            _parse_rational(w, line, c) for w, c in words[1:split]
-        )
-        tail = _parse_weight_spec(words[split + 1:], line)
+        values = tuple([_rational(w, line, col0) for w in words[1:split]])
+        tail = _parse_weight_spec(words[split + 1:], line, col0)
         if tail.values or tail.tail is None:
-            where = words[split][1]
+            where = col0 + words[split].start()
             raise SpecSyntaxError(
                 "tail after 'then' must be const or geometric", line, where
             )
         return WeightSpec(values, tail.tail)
-    values = tuple(_parse_rational(w, line, c) for w, c in words)
-    return WeightSpec(values, None)
+    return WeightSpec(tuple([_rational(w, line, col0) for w in words]), None)
 
 
 def _render_weight_spec(ws: WeightSpec) -> str:
@@ -421,8 +440,7 @@ def _checked(what: str, build, *args):
 def _build_weight(ws: WeightSpec, spins: SpinSet, what: str) -> NatSeq:
     if spins.is_finite and ws.tail is not None:
         raise SpecSemanticError(f"{what}: tail forms need the denumerable spin set")
-    tail = ws.tail or ("const", Fraction(0))
-    return _checked(what, lambda: as_weights(spins, NatSeq(ws.values, *tail)))
+    return _checked(what, lambda: as_weights(spins, NatSeq(ws.values, *(ws.tail or ()))))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +479,7 @@ class SpecDocument:
     covers: tuple[tuple[str, object], ...] = ()
 
 
-@dataclass(frozen=True)
-class _Line:
+class _Line(NamedTuple):
     no: int
     key: str
     key_col: int
@@ -472,14 +489,9 @@ class _Line:
 
 # a line up to its first '#' outside double quotes; an unclosed quote runs on
 _CONTENT_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
-
-
-def _strip_comment(raw: str) -> str:
-    return _CONTENT_RE.match(raw).group()
-
-
 _SECTION_RE = re.compile(r"\[([a-z][a-z-]*)\]")
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@-]*")
+_COVER_NAME_RE = re.compile(r"[a-z][a-z0-9_-]*")
 
 
 def _count(ln: _Line) -> int:
@@ -491,7 +503,7 @@ def _count(ln: _Line) -> int:
 
 
 def _weights(ln: _Line) -> WeightSpec:
-    return _parse_weight_spec(_split_words(ln.value, ln.value_col), ln.no)
+    return _parse_weight_spec(_words(ln.value), ln.no, ln.value_col)
 
 
 def _one_of(what: str, choices: tuple[str, ...]):
@@ -534,14 +546,16 @@ SECTIONS = tuple(_KEYS)
 
 def _scan_lines(text: str) -> dict[str, list[_Line]]:
     sections: dict[str, list[_Line]] = {}
-    current: str | None = None
+    lines: list[_Line] | None = None  # the current section's
     for no, raw in enumerate(text.splitlines(), 1):
-        content = _strip_comment(raw).rstrip()
-        stripped = content.strip()
+        if "#" in raw:
+            raw = _CONTENT_RE.match(raw).group()
+        stripped = raw.lstrip()
         if not stripped:
             continue
-        indent = len(content) - len(content.lstrip())
-        if stripped.startswith("["):
+        indent = len(raw) - len(stripped)
+        stripped = stripped.rstrip()
+        if stripped[0] == "[":
             m = _SECTION_RE.fullmatch(stripped)
             if not m:
                 raise SpecSyntaxError("malformed section header", no, indent + 1)
@@ -553,26 +567,25 @@ def _scan_lines(text: str) -> dict[str, list[_Line]]:
                 )
             if name in sections:
                 raise SpecSemanticError(f"duplicate section [{name}]", no, indent + 1)
-            sections[name] = []
-            current = name
+            sections[name] = lines = []
             continue
-        if current is None:
+        if lines is None:
             raise SpecSyntaxError(
                 "content before any section header", no, indent + 1,
                 expected=[f"[{s}]" for s in SECTIONS],
             )
-        if "=" not in stripped:
+        key, eq, rest = stripped.partition("=")
+        if not eq:
             raise SpecSyntaxError("expected key = value", no, indent + 1)
-        eq = content.index("=")
-        key = content[:eq].strip()
+        eq = indent + len(key)  # the '=' at col eq + 1
+        key = key.rstrip()
         if not _KEY_RE.fullmatch(key):
             raise SpecSyntaxError(f"malformed key {key!r}", no, indent + 1)
-        rest = content[eq + 1:]
-        value = rest.strip()
+        value = rest.lstrip()
         if not value:
             raise SpecSyntaxError(f"key {key!r} has no value", no, eq + 2)
-        value_col = eq + 2 + (len(rest) - len(rest.lstrip()))
-        sections[current].append(_Line(no, key, indent + 1, value, value_col))
+        value_col = eq + 2 + (len(rest) - len(value))
+        lines.append(_Line(no, key, indent + 1, value, value_col))
     return sections
 
 
@@ -599,7 +612,7 @@ def _read_keys(lines: list[_Line], keys: dict, section: str) -> dict:
                 suffix = ln.key[len(key):]
                 if not _INT_RE.fullmatch(suffix):
                     raise SpecSyntaxError(f"malformed key {ln.key!r}", ln.no)
-                index = _int(suffix, ln.no, ln.key_col + len(key))
+                index = _digits_int(suffix, ln.no, ln.key_col + len(key))
                 if read is None:
                     values[key].append((index, ln))
                 elif index in values[key]:
@@ -652,9 +665,11 @@ def parse_document(text: str) -> SpecDocument:
                     "P@ row overrides are for the denumerable spin set",
                     row_lines[0][1].no,
                 )
-            for m in re.finditer(r"(?:^|;)([^;]*)", p_line.value):
-                words = _split_words(m[1], p_line.value_col + m.start(1))
-                rows.append(_parse_weight_spec(words, p_line.no))
+            lo = 0
+            for part in p_line.value.split(";"):
+                words = _words(p_line.value, lo, lo + len(part))
+                rows.append(_parse_weight_spec(words, p_line.no, p_line.value_col))
+                lo += len(part) + 1
         else:
             if ";" in p_line.value:
                 raise SpecSyntaxError(
@@ -687,17 +702,17 @@ def parse_document(text: str) -> SpecDocument:
                 raise SpecSyntaxError(
                     "entry format is: v0 v1 ... : weight", ln.no, ln.value_col
                 )
-            key_words = _split_words(left, ln.value_col)
+            key_words = _words(ln.value, 0, len(left))
             if not key_words:
                 raise SpecSyntaxError("entry has no values", ln.no, ln.value_col)
-            key = tuple(_int(w, ln.no, c) for w, c in key_words)
-            right_col = ln.value_col + len(left) + 1
-            weight_words = _split_words(right, right_col)
+            key = tuple([_int(w.group(), ln.no, ln.value_col + w.start()) for w in key_words])
+            weight_words = _words(ln.value, len(left) + 1)
             if len(weight_words) != 1:
+                right_col = ln.value_col + len(left) + 1
                 raise SpecSyntaxError(
                     "entry weight must be a single rational", ln.no, right_col
                 )
-            weight = _parse_rational(weight_words[0][0], ln.no, weight_words[0][1])
+            weight = _rational(weight_words[0], ln.no, ln.value_col)
             if key in entries:
                 raise SpecSemanticError(f"duplicate entry for {key}", ln.no)
             entries[key] = weight
@@ -705,7 +720,7 @@ def parse_document(text: str) -> SpecDocument:
 
     covers: dict[str, object] = {}
     for ln in sections.get("covers", []):
-        if not re.fullmatch(r"[a-z][a-z0-9_-]*", ln.key):
+        if not _COVER_NAME_RE.fullmatch(ln.key):
             raise SpecSemanticError(f"malformed cover name {ln.key!r}", ln.no)
         if ln.key in covers:
             raise SpecSemanticError(f"duplicate cover {ln.key!r}", ln.no)
@@ -723,7 +738,7 @@ def parse_document(text: str) -> SpecDocument:
 
 
 def _parse_cover_spec(ln: _Line):
-    words = _split_words(ln.value, ln.value_col)
+    words = [(w.group(), ln.value_col + w.start()) for w in _words(ln.value)]
     head, head_col = words[0]
     if head == "slice":
         if len(words) not in (2, 4):
@@ -731,12 +746,11 @@ def _parse_cover_spec(ln: _Line):
                 "slice cover format: slice x<site> [block <n>]", ln.no, head_col
             )
         site_word, site_col = words[1]
-        m = re.fullmatch(r"x([0-9]+)", site_word)
-        if not m:
+        if site_word[:1] != "x" or not _INT_RE.fullmatch(site_word[1:]):
             raise SpecSyntaxError(
                 f"not a site: {site_word!r}", ln.no, site_col, expected=["x<vertex>"]
             )
-        site = _int(m.group(1), ln.no, site_col + 1)
+        site = _digits_int(site_word[1:], ln.no, site_col + 1)
         block = 1
         if len(words) == 4:
             if words[2][0] != "block":

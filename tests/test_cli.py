@@ -41,6 +41,70 @@ def test_validate(capsys):
     assert "ok:" in err
 
 
+# validate --json for every spec in samples/ and tests/data/: order,
+# max_depth, spins, family_kind, family_class and covers; for a chain, also
+# whether its kernel is stochastic
+VALIDATED = {
+    "chain_k2.spec": (2, 8, "finite(2)", "markov-prob", "probability", [], True),
+    "counting_nat.spec": (2, 8, "nat", "markov", "sigma-finite", ["pairs", "root"], True),
+    "chain_k1_prob.spec": (1, 8, "finite(2)", "markov-prob", "probability", [], True),
+    "chain_k2_maxdepth3.spec": (2, 3, "finite(2)", "markov-prob", "probability", [], True),
+    "chain_k2_prob.spec": (2, 8, "finite(2)", "markov-prob", "probability", ["halves"], True),
+    "chain_k2_s3_prob.spec": (2, 6, "finite(3)", "markov-prob", "probability", [], True),
+    "chain_k3_finite.spec": (3, 5, "finite(2)", "markov", "finite", [], False),
+    "finite_list_cover.spec": (2, 4, "finite(2)", "markov-prob", "probability", ["atoms"],
+                               True),
+    "nat_block_cover.spec": (2, 16, "nat", "markov", "sigma-finite", ["small", "triples"],
+                             True),
+    "nat_counting.spec": (2, 8, "nat", "markov", "sigma-finite", ["pairs", "roots"], True),
+    "nat_explicit_rows.spec": (2, 6, "nat", "markov", "sigma-finite", [], True),
+    "nat_geometric_mass.spec": (2, 16, "nat", "markov", "probability", [], True),
+    "nat_plain_prefix_list.spec": (2, 16, "nat", "markov", "finite", [], True),
+    "nat_prefix_lambda.spec": (2, 16, "nat", "markov", "finite", [], True),
+    "product_k1_s3.spec": (1, 10, "finite(3)", "product", "probability", [], None),
+    "product_nat.spec": (2, 16, "nat", "product", "probability", [], None),
+    "product_overrides_k2.spec": (2, 7, "finite(2)", "product", "probability", [], None),
+    "product_uniform_k2.spec": (2, 16, "finite(2)", "product", "probability", [], None),
+    "table_depth0_k2.spec": (2, 16, "finite(3)", "table", "probability", [], None),
+    "table_depth1_k1.spec": (1, 3, "finite(2)", "table", "probability", [], None),
+    "table_k2_s2_full16.spec": (2, 16, "finite(2)", "table", "finite", [], None),
+    "table_partial_k2.spec": (2, 16, "finite(2)", "table", "probability", [], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validate_every_repo_spec(capsys, name):
+    path = os.path.join(DATA if os.path.exists(os.path.join(DATA, name)) else SAMPLES, name)
+    code, payload, err = run_cli(capsys, "validate", "--spec", path, "--json")
+    assert (code, err) == (0, "")
+    order, max_depth, spins, kind, family_class, covers, stochastic = VALIDATED[name]
+    assert payload == {
+        "command": "validate", "ok": True, "order": order, "max_depth": max_depth,
+        "spins": spins, "family_kind": kind, "family_class": family_class, "covers": covers,
+    }
+    if stochastic is not None:
+        with open(path) as fh:
+            kernel = load_spec(fh.read()).family.measure(0).form.kernel
+        assert kernel.is_stochastic() is stochastic
+
+
+def test_validated_table_lists_every_repo_spec():
+    assert sorted(VALIDATED) == sorted(os.path.basename(p) for p in SPEC_FILES)
+
+
+@pytest.mark.parametrize("event, word, value", [
+    ("x0 in {0,1}", "omega", "1"), ("x0 in {}", "empty", "0"),
+])
+def test_omega_and_empty_round_trip_through_eval(capsys, event, word, value):
+    # the CLI prints the whole space and the empty set as words, and reads
+    # them back as events
+    spec = os.path.join(SAMPLES, "chain_k2.spec")
+    code, payload, _ = run_cli(capsys, "eval", "--spec", spec, "--event", event, "--json")
+    assert (code, payload["event"], payload["value"]) == (0, word, value)
+    code, payload, _ = run_cli(capsys, "eval", "--spec", spec, "--event", word, "--json")
+    assert (code, payload["event"], payload["value"]) == (0, word, value)
+
+
 def test_json_flag_suppresses_summary(capsys):
     code, payload, err = run_cli(capsys, "validate", "--spec", CHAIN, "--json")
     assert code == 0

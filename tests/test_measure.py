@@ -22,6 +22,7 @@ from treemeasure import (
     SpinSet,
     TransitionKernel,
     TreeGeometry,
+    TreeMeasureError,
     VerificationError,
     check_consistency,
     constraint_in,
@@ -41,6 +42,8 @@ from treemeasure import (
     value_pow,
     value_sub,
 )
+
+from test_cli import FUZZ_NUMBERS
 
 F = Fraction
 
@@ -1225,3 +1228,89 @@ def test_public_guards_raise_their_documented_error(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+def fuzz_number(rng, text=True):
+    """One of the CLI fuzz tests' FUZZ_NUMBERS, its sign flipped one time in
+    ten, as text, an int or a Fraction; text only for a constructor that
+    documents that it calls Fraction() on its input."""
+    x = F(rng.choice(FUZZ_NUMBERS)) * (-1 if rng.random() < 0.1 else 1)
+    kinds = ["fraction", "int", "text"] if text else ["fraction", "int"]
+    kind = rng.choice(kinds if x.denominator == 1 else [k for k in kinds if k != "int"])
+    return {"fraction": x, "int": x.numerator, "text": str(x)}[kind]
+
+
+def fuzz_seq(rng, spins):
+    """Site weights: a list over finite spins, else a NatSeq; now and then a
+    length off by one or a tail over finite spins."""
+    n = spins.size if spins.is_finite else rng.randint(0, 3)
+    if rng.random() < 0.1:
+        n = max(0, n + rng.choice((-1, 1)))
+    form = 0 if spins.is_finite and rng.random() < 0.9 else rng.randrange(5)
+    if form == 0:
+        return [fuzz_number(rng) for _ in range(n)]
+    if form == 1:
+        return NatSeq.finite([fuzz_number(rng) for _ in range(n)])
+    if form == 2:
+        return NatSeq.constant(fuzz_number(rng))
+    if form == 3:
+        return NatSeq.geometric(fuzz_number(rng), fuzz_number(rng))
+    return NatSeq(tuple(fuzz_number(rng, False) for _ in range(n)),
+                  rng.choice(("const", "geometric")), F(fuzz_number(rng, False)),
+                  F(fuzz_number(rng, False)))
+
+
+def fuzz_family(rng, ctx):
+    spins = ctx.spins
+    kind = rng.choice(("markov", "product", "table"))
+    if kind == "markov":
+        lam = fuzz_seq(rng, spins)
+        if spins.is_finite:
+            rows = [[fuzz_number(rng) for _ in range(spins.size)] for _ in range(spins.size)]
+            if rng.random() < 0.1:
+                rows.pop()
+            kernel = rows if rng.random() < 0.3 else TransitionKernel.from_matrix(spins, rows)
+        else:
+            default = NatSeq.geometric(fuzz_number(rng), fuzz_number(rng))
+            rows = [fuzz_seq(rng, spins) for _ in range(rng.randint(0, 2))]
+            rows = [r if isinstance(r, NatSeq) else NatSeq.finite(r) for r in rows]
+            if rng.random() < 0.5:
+                rows = {rng.randint(-1, 2): row for row in rows}
+            kernel = TransitionKernel.for_naturals(default, rows)
+        return markov_family(ctx, lam, kernel)
+    if kind == "product":
+        overrides = {rng.randrange(ctx.tree.ball_size(2)): fuzz_seq(rng, spins)
+                     for _ in range(rng.randint(0, 2))}
+        return product_family(ctx, fuzz_seq(rng, spins), overrides)
+    depth = rng.randint(0, 1)
+    size, s = ctx.tree.ball_size(depth), spins.size or 2
+    table = {}
+    for _ in range(rng.randint(0, 4)):
+        key = tuple(rng.randrange(s + (rng.random() < 0.05)) for _ in range(size))
+        table[key[:-1] if rng.random() < 0.05 else key] = fuzz_number(rng)
+    return table_family(ctx, depth, table)
+
+
+def test_constructor_fuzz_ends_in_values_or_library_errors():
+    # signed fuzz numbers through every family constructor, in the input
+    # types each documents, then one single-site value at depth <= 2: each
+    # case ends in a value (a non-negative Fraction or INFINITE), a
+    # TreeMeasureError or a ValueError; the parser's weights reach the
+    # library through these same constructors
+    rng = random.Random(4007)
+    outcomes = {"valued": 0, "refused": 0}
+    started = time.perf_counter()
+    for _ in range(3000):
+        spins = rng.choice((SpinSet.finite(2), SpinSet.finite(3), SpinSet.naturals()))
+        ctx = Context(TreeGeometry(rng.choice((1, 2)), 4), spins)
+        depth = rng.randint(0, 2)
+        site, q = rng.randrange(ctx.tree.ball_size(depth)), rng.randrange(spins.size or 4)
+        try:
+            value = fuzz_family(rng, ctx).measure(depth).measure_of(single_site(ctx, site, q))
+        except (TreeMeasureError, ValueError):
+            outcomes["refused"] += 1
+            continue
+        assert value == INFINITE or (type(value) is Fraction and value >= 0), value
+        outcomes["valued"] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+    assert time.perf_counter() - started < 10

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treemeasure import (
+    Context,
     EventAnd,
     EventAtom,
     EventNot,
@@ -15,11 +16,15 @@ from treemeasure import (
     SpecSemanticError,
     SpecSyntaxError,
     SpinRangeError,
+    SpinSet,
     TransitionKernel,
+    TreeGeometry,
     build_document,
     compile_event,
+    empty_set,
     load_spec,
     lower_event,
+    omega,
     parse_document,
     parse_event,
     render_document,
@@ -142,6 +147,68 @@ def test_event_error_positions():
     assert err.value.line == 1
 
 
+def test_omega_and_empty_are_atoms(ctx_k2s2):
+    # the words CylinderSet.render prints for the whole space and the empty
+    # set: the meet and the join of no parts
+    assert parse_event("omega") == EventAnd(())
+    assert parse_event("empty") == EventOr(())
+    assert lower_event(ctx_k2s2, parse_event("omega")) == omega(ctx_k2s2)
+    assert lower_event(ctx_k2s2, parse_event("empty")) == empty_set(ctx_k2s2)
+    for text in ("omega", "empty", "!(omega)", "omega & x1=0", "empty | x0=1",
+                 "x0=1 & (empty | x2=0)"):
+        assert render_event(parse_event(text)) == text
+    # other words keep their errors, byte for byte
+    for text, message in [
+        ("omegax", "line 1, col 1: unexpected 'omegax'; expected one of: a site like x0, "
+                   "'(', '!'"),
+        ("x0 = omega", "line 1, col 6: unexpected 'omega'; expected one of: an integer"),
+        ("omega x0=1", "line 1, col 7: unexpected trailing 'x0'"),
+    ]:
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_event(text)
+        assert str(err.value) == message
+
+
+def with_words(rng, ast):
+    """The event tree with about one leaf in five swapped for omega or empty."""
+    if isinstance(ast, EventAtom):
+        if rng.random() < 0.2:
+            return EventAnd(()) if rng.random() < 0.5 else EventOr(())
+        return ast
+    if isinstance(ast, EventNot):
+        return EventNot(with_words(rng, ast.inner))
+    return type(ast)(tuple(with_words(rng, p) for p in ast.parts))
+
+
+def folded(ctx, ast):
+    """The cylinder set of an event tree, one operation at a time: each atom
+    on its own, then conjunctions and disjunctions folded pairwise."""
+    if isinstance(ast, EventAtom):
+        return lower_event(ctx, ast)
+    if isinstance(ast, EventNot):
+        return folded(ctx, ast.inner).complement()
+    out = omega(ctx) if isinstance(ast, EventAnd) else empty_set(ctx)
+    for p in ast.parts:
+        part = folded(ctx, p)
+        out = out.intersect(part) if isinstance(ast, EventAnd) else out.union(part)
+    return out
+
+
+@pytest.mark.parametrize("spins", [SpinSet.finite(2), SpinSet.finite(3), SpinSet.naturals()],
+                         ids=["s2", "s3", "nat"])
+def test_lowering_is_the_pairwise_fold(spins):
+    # a conjunction's atoms meet in one rectangle and a disjunction is one
+    # union: the same set as the pairwise fold, rectangle for rectangle
+    ctx = Context(TreeGeometry(2, 4), spins)
+    rng = random.Random(4040)
+    for _ in range(300):
+        ast = with_words(rng, random_event(rng))
+        assert parse_event(render_event(ast)) == ast
+        lowered = lower_event(ctx, ast)
+        assert lowered == folded(ctx, ast), render_event(ast)
+        assert lowered.render() == folded(ctx, ast).render()
+
+
 CHAIN_DOC = """\
 # weighted chain on the three-branch root
 [tree]
@@ -261,6 +328,22 @@ def test_build_table_document():
     built = load_spec(TABLE_DOC)
     assert built.family.mass(0) == 1
     assert built.family.max_defined_depth == 0
+
+
+@pytest.mark.parametrize("old, new, values, message", [
+    ("lambda = 1/2 1/2", "lambda = -1/2 3/2", (F(-1, 2), F(3, 2)),
+     "lambda: sequence entries must be non-negative"),
+    ("P = 2/3 1/3 ; 1/3 2/3", "P = 2/3 1/3 ; -1 2", (F(-1), F(2)),
+     "P row 1: sequence entries must be non-negative"),
+], ids=["lambda", "P-row"])
+def test_negative_weights_parse_and_their_constructor_refuses_them(old, new, values, message):
+    # a signed rational is read as it stands; the library constructor is the
+    # check that refuses it, and the spec error names the key
+    doc = parse_document(CHAIN_DOC.replace(old, new))
+    assert values in (doc.lam.values, doc.kernel_rows[1].values)
+    with pytest.raises(SpecSemanticError) as err:
+        build_document(doc)
+    assert str(err.value) == message
 
 
 def test_weight_spec_surface_forms_distinct():
