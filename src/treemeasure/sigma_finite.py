@@ -10,7 +10,6 @@ with its verdict vocabulary, and the checks that make a cover trustworthy.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -401,9 +400,13 @@ class SigmaFiniteExtension:
         lo, hi = 0, 1  # galloping: no term below lo meets a stop rule
         while hi < budget and stop(hi - 1) is None:
             lo, hi = hi, 2 * hi
-        first = lo + bisect_left(
-            range(lo, min(hi, budget)), True, key=lambda i: stop(i) is not None
-        )
+        first, hi = lo, min(hi, budget)
+        while first < hi:  # bisection over ints: a range past sys.maxsize has no len
+            mid = (first + hi) // 2
+            if stop(mid) is None:
+                first = mid + 1
+            else:
+                hi = mid
         if first == budget:
             return SigmaValue("inconclusive", below(budget * block), terms_used=budget)
         return stop(first)

@@ -1004,6 +1004,40 @@ def test_spec_document_fuzz_ends_in_exit_codes(capsys, tmp_path):
     assert time.perf_counter() - started < 5
 
 
+def flag_grid():
+    numbers = FUZZ_NUMBERS + [str(10**19), str(10**30)]
+    cover = ["--spec", os.path.join(SAMPLES, "counting_nat.spec"), "--cover", "root",
+             "--event", "x1=0"]
+    for command in (["sigma-eval"], ["cover-sum"], ["covers-compare", "--cover", "pairs"]):
+        for a in numbers:
+            yield command + cover + ["--tolerance", a]
+            for b in numbers:
+                yield command + cover + ["--bound", a, "--term-budget", b]
+    for spec in ("chain_k2.spec", "counting_nat.spec"):
+        for command in (["eval", "--event", "x1=0", "--depth"], ["consistency", "--depth"],
+                        ["probe-empty", "--maxdepth"]):
+            for a in numbers:
+                yield command + [a, "--spec", os.path.join(SAMPLES, spec)]
+
+
+def test_numeric_flag_grid_ends_in_exit_codes(capsys):
+    # every numeric flag of the depth and cover commands over the fuzz
+    # numbers and two past sys.maxsize; no case may raise out of `main`, and
+    # a slice search over that many terms must not need a range's len
+    codes = []
+    started = time.perf_counter()
+    for argv in flag_grid():
+        try:
+            codes.append(main(argv + ["--json"]))
+        except SystemExit as exc:  # a usage error
+            codes.append(exc.code)
+        capsys.readouterr()
+    assert len(codes) == 264
+    assert set(codes) <= {0, 1, 2, 3}
+    assert 0 in codes
+    assert time.perf_counter() - started < 5
+
+
 HUGE_POWER_SPECS = {
     "product": "[tree]\nk = 10000000000\n[spins]\nkind = finite\nsize = 3\n"
                "[family]\nkind = product\nw = 1/6 3/2 1/2\n",
